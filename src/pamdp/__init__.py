@@ -10,7 +10,7 @@ values, and a seeded experiment harness.
 from .agent import AgentConfig, PADDPGAgent, ParameterisedAction, PDQNAgent
 from .envs import ChainPAMDP, ParamBandit, Platform, PlatformConfig, make_env, oracle_q
 from .harness import RunConfig, load_config, smooth, summarize, sweep, train
-from .nncore import AdamState, DenseNet, Layer, adam_step, backward, clip_grad_norm, forward, he_init, polyak_update
+from .nncore import AdamState, DenseNet, Layer, adam_step, backward, clip_grad_norm, forward, he_init, input_gradient, polyak_update
 from .policy import Actor, EpsilonSchedule, OUNoise, Passthrough, invert_gradients, scale_params, unscale_params
 from .qfunction import (
     ActionSpaceSpec,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nncore
-from .nncore import AdamState, DenseNet, adam_step_net, backward, clip_grad_norm, forward
+from .nncore import AdamState, DenseNet, adam_step_net, backward, clip_grad_norm, forward, input_gradient
 from .policy import Actor, EpsilonSchedule, OUNoise, Passthrough, invert_gradients
 from .qfunction import (
     JOINT,
@@ -453,7 +453,7 @@ class PADDPGAgent:
 
         a, actor_cache, _ = self.actor.forward_training(s)
         out, cache = forward(self.critic, np.hstack([s, a]))
-        _, in_grads = backward(self.critic, cache, np.ones((b, 1)))
+        in_grads = input_gradient(self.critic, cache, np.ones((b, 1)))
         grad_a = in_grads[:, s.shape[1] :]
         adjusted = invert_gradients(grad_a, a, self.bounds)
         agrads, _ = backward(self.actor.net, actor_cache, -adjusted / b)

@@ -27,6 +27,7 @@ from .qfunction import ActionSpaceSpec
 
 MAGIC = b"PAQC"
 FORMAT_VERSION = 1
+HEADER_START = 16  # magic, version and header length come first
 
 
 def _net_arrays(prefix: str, net) -> list[tuple[str, np.ndarray]]:
@@ -112,17 +113,44 @@ def save_checkpoint(path, agent, algorithm: str, env_id: str, env_overrides: dic
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
+def _field(data: memoryview, path, offset: int, size: int, what: str) -> memoryview:
+    """``data[offset:offset + size]``; a short file raises a ValueError naming where."""
+    if offset + size > len(data):
+        raise ValueError(
+            f"truncated checkpoint {path}: the {what} at byte offset {offset} needs "
+            f"{size} bytes, but the file ends at byte {len(data)}"
+        )
+    return data[offset : offset + size]
+
+
+def _parse_header(blob: memoryview, path) -> dict:
+    try:
+        return json.loads(str(blob, "utf-8"))
+    except UnicodeDecodeError as exc:
+        where, reason = exc.start, "invalid UTF-8"
+    except json.JSONDecodeError as exc:
+        # a character index; save_checkpoint writes ASCII-only JSON
+        where, reason = exc.pos, exc.msg
+    raise ValueError(
+        f"corrupt checkpoint header in {path}: {reason} at byte offset {HEADER_START + where}"
+    )
+
+
 def load_checkpoint(path):
-    """Rebuild the agent. Returns (agent, header dict)."""
+    """Rebuild the agent. Returns (agent, header dict).
+
+    A file that is not a readable checkpoint raises ValueError naming the
+    path and the byte offset where reading failed.
+    """
     with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
-            raise ValueError("not a pamdp checkpoint (bad magic)")
-        version = int(np.frombuffer(fh.read(4), dtype="<u4")[0])
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        hlen = int(np.frombuffer(fh.read(8), dtype="<u8")[0])
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        payload = fh.read()
+        data = memoryview(fh.read())
+    if data[:4] != MAGIC:
+        raise ValueError(f"not a pamdp checkpoint (bad magic at byte offset 0): {path}")
+    version = int.from_bytes(_field(data, path, 4, 4, "format version"), "little")
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version} in {path}")
+    hlen = int.from_bytes(_field(data, path, 8, 8, "header length"), "little")
+    header = _parse_header(_field(data, path, HEADER_START, hlen, "header"), path)
 
     space = ActionSpaceSpec(
         state_dim=header["space"]["state_dim"],
@@ -153,17 +181,19 @@ def load_checkpoint(path):
     arrays = _agent_arrays(agent)
     if [n for n, _ in arrays] != [e["name"] for e in manifest]:
         raise ValueError("checkpoint manifest does not match the rebuilt agent")
-    offset = 0
+    offset = HEADER_START + hlen
     for (name, dst), entry in zip(arrays, manifest):
         shape = tuple(entry["shape"])
         if dst.shape != shape:
             raise ValueError(f"shape mismatch for {name}")
         count = int(np.prod(shape)) if shape else 1
-        src = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
+        src = np.frombuffer(_field(data, path, offset, count * 8, f"array {name}"), dtype="<f8")
         offset += count * 8
         dst[...] = src.reshape(shape)
-    if offset != len(payload):
-        raise ValueError("checkpoint payload has trailing bytes")
+    if offset != len(data):
+        raise ValueError(
+            f"checkpoint {path} has trailing bytes after the payload, from byte offset {offset}"
+        )
 
     if isinstance(agent, PDQNAgent):
         agent.q_opt.t = header["optimizers"]["q"]["t"]

@@ -277,8 +277,17 @@ def run_episode(env, agent, rng, explore: bool, max_steps: int):
     return total, len(transitions), transitions
 
 
+def _write_meta(path: str, meta: dict):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(meta, fh, indent=1)
+
+
 def train_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
-    """Train one seed; writes train_seed<seed>.csv and checkpoint, returns paths."""
+    """Train one seed; writes train_seed<seed>.csv and checkpoint, returns paths.
+
+    meta_seed<seed>.json says "running" during training, then "complete", or
+    "failed" with the error text if training raised.
+    """
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"train_seed{seed}.csv")
     ckpt_path = os.path.join(out_dir, f"checkpoint_seed{seed}.ckpt")
@@ -295,57 +304,61 @@ def train_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
         "env": cfg.env,
         "status": "running",
     }
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=1)
-
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(TRAIN_HEADER) + "\n")
-        fh.flush()
-        for episode in range(cfg.episodes):
-            eps = agent.begin_episode(episode)
-            s = env.reset()
-            transitions = []
-            total = 0.0
-            q_losses, a_losses = [], []
-            for _ in range(cfg.max_episode_steps):
-                action = agent.select_action(s, True, rng)
-                s_next, r, terminal = env.step(action.k, action.x_k)
-                transitions.append(
-                    Transition(s, action.k, action.emitted, r, s_next, terminal)
-                )
-                total += r
-                losses = agent.update_from_replay(rng)
-                if losses is not None:
-                    q_losses.append(losses[0])
-                    a_losses.append(losses[1])
-                s = s_next
-                if terminal:
-                    break
-            finalize_episode(agent.replay, transitions, agent, cfg.beta_mix)
-            record = EpisodeRecord(
-                seed=seed,
-                episode=episode,
-                ret=total,
-                steps=len(transitions),
-                epsilon=eps,
-                q_loss=float(np.mean(q_losses)) if q_losses else float("nan"),
-                actor_loss=float(np.mean(a_losses)) if a_losses else float("nan"),
-            )
-            fh.write(",".join(_fmt(v) for v in record.row()) + "\n")
+    _write_meta(meta_path, meta)
+    try:
+        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(",".join(TRAIN_HEADER) + "\n")
             fh.flush()
+            for episode in range(cfg.episodes):
+                eps = agent.begin_episode(episode)
+                s = env.reset()
+                transitions = []
+                total = 0.0
+                q_losses, a_losses = [], []
+                for _ in range(cfg.max_episode_steps):
+                    action = agent.select_action(s, True, rng)
+                    s_next, r, terminal = env.step(action.k, action.x_k)
+                    transitions.append(
+                        Transition(s, action.k, action.emitted, r, s_next, terminal)
+                    )
+                    total += r
+                    losses = agent.update_from_replay(rng)
+                    if losses is not None:
+                        q_losses.append(losses[0])
+                        a_losses.append(losses[1])
+                    s = s_next
+                    if terminal:
+                        break
+                finalize_episode(agent.replay, transitions, agent, cfg.beta_mix)
+                record = EpisodeRecord(
+                    seed=seed,
+                    episode=episode,
+                    ret=total,
+                    steps=len(transitions),
+                    epsilon=eps,
+                    q_loss=float(np.mean(q_losses)) if q_losses else float("nan"),
+                    actor_loss=float(np.mean(a_losses)) if a_losses else float("nan"),
+                )
+                fh.write(",".join(_fmt(v) for v in record.row()) + "\n")
+                fh.flush()
 
-    save_checkpoint(
-        ckpt_path,
-        agent,
-        cfg.algorithm,
-        cfg.env,
-        cfg.env_overrides,
-        meta={"seed": seed, "episodes_trained": cfg.episodes},
-        rng_state=rng.bit_generator.state,
-    )
+        save_checkpoint(
+            ckpt_path,
+            agent,
+            cfg.algorithm,
+            cfg.env,
+            cfg.env_overrides,
+            meta={"seed": seed, "episodes_trained": cfg.episodes},
+            rng_state=rng.bit_generator.state,
+        )
+    except BaseException as exc:
+        # interrupts too: a dead run must not be left marked as running
+        meta["status"] = "failed"
+        meta["error"] = f"{type(exc).__name__}: {exc}"
+        _write_meta(meta_path, meta)
+        raise
     meta["status"] = "complete"
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=1)
+    _write_meta(meta_path, meta)
     return {"csv": csv_path, "checkpoint": ckpt_path, "meta": meta_path}
 
 

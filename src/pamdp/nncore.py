@@ -6,7 +6,8 @@ averaging for target networks. Backward passes return exact analytic
 gradients of ``sum(upstream * outputs)`` with respect to both parameters and
 inputs; the test suite holds them against central finite differences. The
 input gradients are what the actor updates consume, so they are first-class
-outputs here rather than an afterthought.
+outputs here rather than an afterthought: :func:`input_gradient` computes
+them alone, without the parameter gradients.
 
 Everything operates on plain ``np.ndarray`` in float64. Layer weights have
 shape ``(fan_in, fan_out)``, activations act row-wise on ``(batch, dim)``
@@ -78,7 +79,7 @@ class DenseNet:
     """Feedforward stack of dense layers; the output layer is always linear.
 
     ``version`` counts in-place parameter updates so that a forward cache can
-    be recognised as stale by :func:`backward`.
+    be recognised as stale by :func:`backward` and :func:`input_gradient`.
     """
 
     def __init__(self, layers: list[Layer]):
@@ -167,7 +168,7 @@ def forward(net: DenseNet, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]
     Pure: does not touch network state; identical inputs give bit-identical
     outputs.
     """
-    batch = np.asarray(batch, dtype=np.float64)
+    batch = np.ascontiguousarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != net.input_dim:
         raise ValueError(
             f"batch shape {batch.shape} incompatible with input_dim {net.input_dim}"
@@ -176,15 +177,44 @@ def forward(net: DenseNet, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]
     a = batch
     for layer in net.layers:
         inputs.append(a)
-        # einsum keeps each output row's reduction order independent of the
-        # batch size, so identical input rows give bit-identical outputs no
-        # matter how they are batched (BLAS GEMV/GEMM kernels do not)
-        z = np.einsum("bi,io->bo", a, layer.weights) + layer.biases
+        # a stacked product runs one vector-matrix BLAS call per row, so an
+        # input row gives bit-identical outputs alone or inside any batch
+        # (a single `a @ W` GEMM does not). The batch is C-contiguous: a
+        # strided or Fortran-ordered one can take another kernel and other
+        # bits than its contiguous copy
+        z = (a[:, None, :] @ layer.weights)[:, 0] + layer.biases
         preacts.append(z)
         a = _activate(z, layer.activation, layer.slope)
     if not np.isfinite(a).all():
         raise FloatingPointError("non-finite values in network output")
     return a, ForwardCache(id(net), net.version, inputs, preacts)
+
+
+def _layer_deltas(
+    net: DenseNet, cache: ForwardCache, upstream: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Backpropagate `upstream` through the cached forward pass.
+
+    Returns ``(dz, input_grads)``: dz[i] is the gradient with respect to
+    layer i's pre-activation, input_grads the gradient with respect to the
+    batch.
+    """
+    if cache.net_id != id(net):
+        raise ValueError("cache does not belong to this network")
+    if cache.version != net.version:
+        raise ValueError("stale cache: network parameters were updated after forward")
+    upstream = np.asarray(upstream, dtype=np.float64)
+    expected = (cache.inputs[0].shape[0], net.output_dim)
+    if upstream.shape != expected:
+        raise ValueError(f"upstream shape {upstream.shape}, expected {expected}")
+
+    dzs: list[np.ndarray] = [None] * len(net.layers)
+    delta = upstream
+    for i in reversed(range(len(net.layers))):
+        layer = net.layers[i]
+        dzs[i] = delta * _activation_grad(cache.preacts[i], layer.activation, layer.slope)
+        delta = dzs[i] @ layer.weights.T
+    return dzs, delta
 
 
 def backward(
@@ -197,24 +227,20 @@ def backward(
     The cache must come from a :func:`forward` call on this exact network
     with no parameter updates in between.
     """
-    if cache.net_id != id(net):
-        raise ValueError("cache does not belong to this network")
-    if cache.version != net.version:
-        raise ValueError("stale cache: network parameters were updated after forward")
-    upstream = np.asarray(upstream, dtype=np.float64)
-    expected = (cache.inputs[0].shape[0], net.output_dim)
-    if upstream.shape != expected:
-        raise ValueError(f"upstream shape {upstream.shape}, expected {expected}")
+    dzs, input_grads = _layer_deltas(net, cache, upstream)
+    param_grads = []
+    for a, dz in zip(cache.inputs, dzs):
+        param_grads += [a.T @ dz, dz.sum(axis=0)]
+    return param_grads, input_grads
 
-    param_grads: list[np.ndarray] = [None] * (2 * len(net.layers))
-    delta = upstream
-    for i in reversed(range(len(net.layers))):
-        layer = net.layers[i]
-        dz = delta * _activation_grad(cache.preacts[i], layer.activation, layer.slope)
-        param_grads[2 * i] = cache.inputs[i].T @ dz
-        param_grads[2 * i + 1] = dz.sum(axis=0)
-        delta = dz @ layer.weights.T
-    return param_grads, delta
+
+def input_gradient(net: DenseNet, cache: ForwardCache, upstream: np.ndarray) -> np.ndarray:
+    """``backward(net, cache, upstream)[1]`` without the parameter gradients.
+
+    For callers that only need the gradient with respect to the batch, such
+    as the actor's value gradient.
+    """
+    return _layer_deltas(net, cache, upstream)[1]
 
 
 @dataclass

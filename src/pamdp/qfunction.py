@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nncore import RELU, DenseNet, backward, forward
+from .nncore import RELU, DenseNet, forward, input_gradient
 
 JOINT = "joint"
 MULTIPASS = "multipass"
@@ -242,7 +242,7 @@ def sum_q_gradient(
     b, k, sd = states.shape[0], space.num_actions, space.state_dim
     if qf.variant == JOINT:
         out, cache = forward(qf.net, np.hstack([states, params]))
-        _, in_grads = backward(qf.net, cache, np.ones((b, k)))
+        in_grads = input_gradient(qf.net, cache, np.ones((b, k)))
         return in_grads[:, sd:], out
     grad = np.zeros((b, space.joint_dim))
     q = np.empty((b, k))
@@ -252,7 +252,7 @@ def sum_q_gradient(
         upstream = np.zeros((b * k, k))
         for i in range(k):
             upstream[i::k, i] = 1.0
-        _, in_grads = backward(qf.net, cache, upstream)
+        in_grads = input_gradient(qf.net, cache, upstream)
         for i in range(k):
             sl = space.block(i)
             q[:, i] = out[i::k, i]
@@ -262,7 +262,7 @@ def sum_q_gradient(
     for i, net in enumerate(qf.nets):
         sl = space.block(i)
         out, cache = forward(net, np.hstack([states, params[:, sl]]))
-        _, in_grads = backward(net, cache, np.ones((b, 1)))
+        in_grads = input_gradient(net, cache, np.ones((b, 1)))
         q[:, i] = out[:, 0]
         grad[:, sl] = in_grads[:, sd:]
     return grad, q
@@ -282,7 +282,7 @@ def cross_gradient_matrix(qf: QFunction, s: np.ndarray, x: np.ndarray) -> np.nda
     if qf.variant == JOINT:
         rows = np.hstack([np.tile(s, (k, 1)), np.tile(x, (k, 1))])
         _, cache = forward(qf.net, rows)
-        _, in_grads = backward(qf.net, cache, np.eye(k))
+        in_grads = input_gradient(qf.net, cache, np.eye(k))
         for i in range(k):
             for j in range(k):
                 sl = space.block(j)
@@ -291,7 +291,7 @@ def cross_gradient_matrix(qf: QFunction, s: np.ndarray, x: np.ndarray) -> np.nda
     if qf.variant == MULTIPASS:
         rows = multipass_rows(space, s[None, :], x[None, :])
         _, cache = forward(qf.net, rows)
-        _, in_grads = backward(qf.net, cache, np.eye(k))
+        in_grads = input_gradient(qf.net, cache, np.eye(k))
         for i in range(k):
             sl = space.block(i)
             g[i, i] = np.linalg.norm(in_grads[i, sd + sl.start : sd + sl.stop])
@@ -299,7 +299,7 @@ def cross_gradient_matrix(qf: QFunction, s: np.ndarray, x: np.ndarray) -> np.nda
     for i, net in enumerate(qf.nets):
         sl = space.block(i)
         _, cache = forward(net, np.hstack([s, x[sl]])[None, :])
-        _, in_grads = backward(net, cache, np.ones((1, 1)))
+        in_grads = input_gradient(net, cache, np.ones((1, 1)))
         g[i, i] = np.linalg.norm(in_grads[0, sd:])
     return g
 

@@ -156,6 +156,21 @@ class TestTrain:
         assert int(rows[0]["seed"]) == 1
         assert int(rows[-1]["episode"]) == cfg.episodes - 1
 
+    def test_crash_marks_meta_failed(self, tmp_path, monkeypatch):
+        from pamdp.agent import PDQNAgent
+
+        def raise_fpe(self, rng):
+            raise FloatingPointError("injected")
+
+        monkeypatch.setattr(PDQNAgent, "update_from_replay", raise_fpe)
+        cfg = bandit_cfg(tmp_path)
+        with pytest.raises(FloatingPointError, match="injected"):
+            train_seed(cfg, 0, cfg.out_dir)
+        meta = json.load(open(os.path.join(cfg.out_dir, "meta_seed0.json")))
+        assert meta["status"] == "failed"
+        assert meta["error"] == "FloatingPointError: injected"
+        assert not os.path.exists(os.path.join(cfg.out_dir, "checkpoint_seed0.ckpt"))
+
     def test_seed_stream_is_per_seed_independent(self):
         a = seed_stream(0).standard_normal(4)
         b = seed_stream(0).standard_normal(4)
@@ -262,6 +277,50 @@ class TestCheckpointRoundTrip:
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path)
+
+    @staticmethod
+    def saved_checkpoint(path) -> bytes:
+        from pamdp.agent import AgentConfig, PDQNAgent
+        from pamdp.qfunction import ActionSpaceSpec
+
+        space = ActionSpaceSpec(state_dim=2, param_dims=(1, 1))
+        cfg = AgentConfig(hidden=(8,))
+        agent = PDQNAgent(space, "multipass", cfg, np.random.default_rng(3))
+        save_checkpoint(path, agent, "pdqn-multipass", "bandit", {})
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("field", ["version", "header length", "header", "payload"])
+    def test_truncated_file_names_path_and_offset(self, tmp_path, field):
+        path = tmp_path / "agent.ckpt"
+        data = self.saved_checkpoint(path)
+        hlen = int.from_bytes(data[8:16], "little")
+        last = json.loads(data[16 : 16 + hlen])["arrays"][-1]
+        last_offset = len(data) - 8 * math.prod(last["shape"])
+        cut, offset = {
+            "version": (6, 4),
+            "header length": (12, 8),
+            "header": (16 + hlen // 2, 16),
+            "payload": (len(data) - 4, last_offset),
+        }[field]
+        path.write_bytes(data[:cut])
+        with pytest.raises(ValueError) as excinfo:
+            load_checkpoint(path)
+        message = str(excinfo.value)
+        assert str(path) in message
+        assert f"byte offset {offset} " in message
+        assert f"file ends at byte {cut}" in message
+
+    def test_flipped_header_byte_names_path_and_offset(self, tmp_path):
+        path = tmp_path / "agent.ckpt"
+        data = bytearray(self.saved_checkpoint(path))
+        hlen = int.from_bytes(data[8:16], "little")
+        flipped = 16 + hlen // 3
+        data[flipped] ^= 0x80  # the header is ASCII JSON, so this is invalid UTF-8
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError) as excinfo:
+            load_checkpoint(path)
+        assert str(path) in str(excinfo.value)
+        assert str(excinfo.value).endswith(f"byte offset {flipped}")
 
 
 class TestSweep:

@@ -16,6 +16,7 @@ from pamdp.nncore import (
     forward,
     global_grad_norm,
     he_init,
+    input_gradient,
     polyak_update,
 )
 from conftest import fd_input_grads, fd_param_grads, make_safe_net, relative_error
@@ -93,6 +94,38 @@ class TestForward:
             DenseNet([Layer(np.ones((2, 3)), np.zeros(3)), Layer(np.ones((4, 1)), np.zeros(1))])
 
 
+# shapes training uses: the Platform joint/multipass Q-net (12 -> 128 -> 3),
+# the Platform PA-DDPG actor (9 -> 128 -> 6), the bandit Q-net (3 -> 64 -> 2)
+INVARIANCE_SHAPES = [(12, 128, 3), (9, 128, 6), (3, 64, 2)]
+
+
+class TestBatchInvariance:
+    """A row's output bits depend on the row alone: not on the batch size,
+    its position in the batch, or the memory layout of the batch."""
+
+    @pytest.mark.parametrize("fan_in,hidden,fan_out", INVARIANCE_SHAPES)
+    def test_row_alone_equals_row_in_batch(self, fan_in, hidden, fan_out):
+        rng = np.random.default_rng(11)
+        net = DenseNet.create(fan_in, (hidden,), fan_out, rng)
+        rows = rng.standard_normal((384, fan_in))
+        alone = np.vstack([forward(net, row[None, :])[0] for row in rows])
+        for b in (3, 128, 384):
+            batched, _ = forward(net, rows[:b])
+            assert np.array_equal(batched, alone[:b]), f"batch of {b}"
+
+    @pytest.mark.parametrize("fan_in,hidden,fan_out", INVARIANCE_SHAPES)
+    def test_layout_does_not_change_bits(self, fan_in, hidden, fan_out):
+        rng = np.random.default_rng(12)
+        net = DenseNet.create(fan_in, (hidden,), fan_out, rng)
+        wide = rng.standard_normal((384, 2 * fan_in))
+        for b in (3, 128, 384):
+            strided = wide[:b, ::2]
+            fortran = np.asfortranarray(wide[:b, :fan_in])
+            for batch in (strided, fortran):
+                expected, _ = forward(net, np.ascontiguousarray(batch))
+                assert np.array_equal(forward(net, batch)[0], expected), f"batch of {b}"
+
+
 class TestBackward:
     def test_linear_derivatives(self):
         net = linear_net([[2.0]], [1.0])
@@ -116,7 +149,11 @@ class TestBackward:
         upstream = np.random.default_rng(3).standard_normal((batch.shape[0], 3))
         _, cache = forward(net, batch)
         grads, input_grads = backward(net, cache, upstream)
-        assert relative_error(input_grads, fd_input_grads(net, batch, upstream)) < 1e-6
+        input_only = input_gradient(net, cache, upstream)
+        fd_inputs = fd_input_grads(net, batch, upstream)
+        assert relative_error(input_grads, fd_inputs) < 1e-6
+        assert relative_error(input_only, fd_inputs) < 1e-6
+        assert np.array_equal(input_only, input_grads)
         for g, g_fd in zip(grads, fd_param_grads(net, batch, upstream)):
             assert relative_error(g, g_fd) < 1e-6
 
@@ -124,8 +161,9 @@ class TestBackward:
         net_a, batch = make_safe_net(3, (4,), 2, seed=4)
         net_b = net_a.copy()
         _, cache = forward(net_a, batch)
-        with pytest.raises(ValueError, match="belong"):
-            backward(net_b, cache, np.ones((batch.shape[0], 2)))
+        for grad_fn in (backward, input_gradient):
+            with pytest.raises(ValueError, match="belong"):
+                grad_fn(net_b, cache, np.ones((batch.shape[0], 2)))
 
     def test_stale_cache_rejected(self):
         net, batch = make_safe_net(3, (4,), 2, seed=5)
@@ -133,8 +171,9 @@ class TestBackward:
         state = AdamState.for_params(net.parameters(), alpha=0.01)
         grads = [np.ones_like(p) for p in net.parameters()]
         adam_step_net(net, grads, state)
-        with pytest.raises(ValueError, match="stale"):
-            backward(net, cache, np.ones((batch.shape[0], 2)))
+        for grad_fn in (backward, input_gradient):
+            with pytest.raises(ValueError, match="stale"):
+                grad_fn(net, cache, np.ones((batch.shape[0], 2)))
 
 
 class TestAdam:
