@@ -212,8 +212,10 @@ class PDQNAgent:
         n = len(transitions)
         g = np.zeros(n)
         last = transitions[-1]
-        acc = 0.0 if last.terminal else self.q_target(0.0, last.s_next, False)
-        for i in reversed(range(n)):
+        # the last step's return is its one-step target: r, or r + gamma * V(s')
+        acc = self.q_target(last.r, last.s_next, last.terminal)
+        g[-1] = acc
+        for i in reversed(range(n - 1)):
             acc = transitions[i].r + self.config.gamma * acc
             g[i] = acc
         return g

@@ -293,6 +293,22 @@ class TestMixedTargets:
         assert got[0] == pytest.approx(0.75 * y0 + 0.25 * g0)
         assert got[1] == pytest.approx(0.75 * y1 + 0.25 * g1)
 
+    @pytest.mark.parametrize("family", ["pdqn", "paddpg"])
+    def test_truncated_tail_discounted_once(self, family):
+        # one truncated step, r = 0, V(s') = 2, gamma = 0.5: the return is 1
+        if family == "pdqn":
+            agent = make_agent(seed=43, gamma=0.5)
+            target_nets = [*agent.qf_target.nets, agent.actor_target.net]
+            value_net = agent.qf_target.nets[0]
+        else:
+            agent = make_paddpg(seed=43, gamma=0.5)
+            target_nets = [agent.critic_target, agent.actor_target.net]
+            value_net = agent.critic_target
+        zero_nets(*target_nets)
+        value_net.layers[-1].biases[:] = 2.0
+        episode = [make_transition(SPACE, np.random.default_rng(44), terminal=False, r=0.0)]
+        assert agent.monte_carlo_returns(episode).tolist() == [1.0]
+
     def test_beta_out_of_range_rejected(self):
         agent = make_agent(seed=32)
         with pytest.raises(ValueError):
