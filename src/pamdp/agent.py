@@ -15,33 +15,32 @@ a scalar critic scores the whole continuous action.
 
 Both agents perform one gradient step per environment step once the replay
 buffer holds an initial fill, and move their target networks only through
-Polyak averaging after each update.
+Polyak averaging after each update. Everything else they have in common,
+from exploration to Monte Carlo returns, lives once in ``AgentBase``; each
+agent adds only the bootstrap value of s' and its update.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nncore
 from .nncore import AdamState, DenseNet, adam_step_net, backward, clip_grad_norm, forward, input_gradient
 from .policy import Actor, EpsilonSchedule, OUNoise, Passthrough, invert_gradients
-from .qfunction import (
-    JOINT,
-    MULTIPASS,
-    SEPARATE,
-    ActionSpaceSpec,
-    QFunction,
-    basis_mask,
-    sum_q_gradient,
-)
+from .qfunction import ActionSpaceSpec, QFunction, sum_q_gradient
 from .replay import ReplayBuffer, Transition
 
 
 @dataclass
 class AgentConfig:
-    """Hyperparameters shared by both agent families."""
+    """Hyperparameters shared by both agent families.
+
+    This is the one declaration of each hyperparameter: ``RunConfig``
+    inherits these fields, and its config-file keys and the checkpoint
+    header's ``config`` are derived from them.
+    """
 
     gamma: float = 0.9
     batch_size: int = 128
@@ -57,7 +56,7 @@ class AgentConfig:
     leaky_slope: float = 0.01
     epsilon_start: float = 1.0
     epsilon_end: float = 0.01
-    epsilon_horizon: int = 1000
+    epsilon_horizon: int = 0  # episodes; a run turns 0 into a tenth of its budget
     ou_theta: float = 0.15
     ou_sigma: float = 0.0001
     ou_mu: float = 0.0
@@ -77,6 +76,10 @@ class AgentConfig:
             raise ValueError("tau values must lie in (0, 1]")
         if not 0.0 <= self.beta_mix <= 1.0:
             raise ValueError("beta_mix must lie in [0, 1]")
+        if self.epsilon_horizon < 0:
+            raise ValueError("epsilon_horizon must be non-negative")
+        if not 0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0:
+            raise ValueError("epsilon schedule must satisfy 0 <= end <= start <= 1")
         self.hidden = tuple(int(h) for h in self.hidden)
 
 
@@ -113,7 +116,121 @@ def _stack_batch(transitions: list[Transition]):
     return s, k, x, r, s2, term, mc
 
 
-class PDQNAgent:
+def _mix(y: np.ndarray, mc: np.ndarray, beta: float) -> np.ndarray:
+    """The mixed target (1 - beta) * one-step target + beta * Monte Carlo return."""
+    return (1.0 - beta) * y + beta * mc
+
+
+class AgentBase:
+    """What both agent families share.
+
+    That is the bounded actor and its target, the replay buffer, the
+    epsilon schedule, OU noise over the emitted vector, both Adam states,
+    Polyak averaging of the target networks, and the Monte Carlo and
+    mixed-target bookkeeping. A subclass creates its value networks before
+    calling ``__init__`` here, which creates the actor, so the RNG draws
+    keep their order; it defines ``_bootstrap_targets`` (the value of s')
+    and its update.
+    """
+
+    def __init__(
+        self,
+        space: ActionSpaceSpec,
+        config: AgentConfig,
+        rng: np.random.Generator,
+        bounds: np.ndarray,
+        passthrough: Passthrough | None,
+        q_nets: list[DenseNet],
+        q_target_nets: list[DenseNet],
+    ):
+        self.space = space
+        self.config = config
+        self.bounds = bounds
+        sd, dim = space.state_dim, len(bounds)
+        actor_net = DenseNet.create(
+            sd, config.hidden, dim, rng, config.activation, config.leaky_slope
+        )
+        self.actor = Actor(actor_net, bounds, passthrough)
+        self.actor_target = self.actor.copy()
+        self._q_nets, self._q_target_nets = q_nets, q_target_nets
+        q_params = [p for net in q_nets for p in net.parameters()]
+        self.q_opt = AdamState.for_params(q_params, config.lr_q)
+        self.actor_opt = AdamState.for_params(actor_net.parameters(), config.lr_actor)
+        self.replay = ReplayBuffer(
+            config.replay_capacity,
+            state_dim=sd,
+            action_dim=dim,
+            num_actions=space.num_actions,
+            bounds=bounds,
+        )
+        self.epsilon = EpsilonSchedule(
+            config.epsilon_start, config.epsilon_end, max(config.epsilon_horizon, 1)
+        )
+        self.noise = OUNoise(dim, config.ou_theta, config.ou_sigma, config.ou_mu, config.ou_dt)
+
+    def begin_episode(self, episode: int) -> float:
+        self.noise.reset()
+        self.epsilon.current = self.epsilon.value(episode)
+        return self.epsilon.current
+
+    def _explore(self, s: np.ndarray, explore: bool, rng: np.random.Generator):
+        """The actor's output at s, noisy and clamped when exploring, and the
+        epsilon-uniform action index, or None where the greedy one is due."""
+        u = self.actor.forward(np.asarray(s)[None, :])[0]
+        if explore:
+            u = np.clip(u + self.noise.step(rng), self.bounds[:, 0], self.bounds[:, 1])
+        if explore and rng.random() < self.epsilon.current:
+            return u, int(rng.integers(self.space.num_actions))
+        return u, None
+
+    def monte_carlo_returns(self, transitions: list[Transition]) -> np.ndarray:
+        """Discounted return from each step to the episode's end.
+
+        The last step's return is its one-step target, so a truncated
+        (non-terminal) episode bootstraps its tail from the target networks.
+        """
+        last = transitions[-1]
+        g = np.empty(len(transitions))
+        g[-1] = self._bootstrap_targets(
+            np.array([last.r]), np.asarray(last.s_next)[None, :], np.array([last.terminal])
+        )[0]
+        for i in reversed(range(len(transitions) - 1)):
+            g[i] = transitions[i].r + self.config.gamma * g[i + 1]
+        return g
+
+    def nstep_mixed_target(self, transitions: list[Transition], beta: float) -> np.ndarray:
+        """(1 - beta) * one-step bootstrapped target + beta * Monte Carlo return."""
+        if not 0.0 <= beta <= 1.0:
+            raise ValueError("beta must lie in [0, 1]")
+        _, _, _, r, s2, term, _ = _stack_batch(transitions)
+        y = self._bootstrap_targets(r, s2, term)
+        return _mix(y, self.monte_carlo_returns(transitions), beta)
+
+    def _targets(self, batch) -> np.ndarray:
+        """Regression targets of a stacked batch: one-step bootstrapped, mixed
+        with the stored Monte Carlo returns when mixed targets are on."""
+        _, _, _, r, s2, term, mc = batch
+        y = self._bootstrap_targets(r, s2, term)
+        if not self.config.mixed_targets:
+            return y
+        if np.isnan(mc).any():
+            raise ValueError("mixed targets requested but transitions lack returns")
+        return _mix(y, mc, self.config.beta_mix)
+
+    def sync_targets(self):
+        """Polyak-average every target network toward its online network."""
+        for target, online in zip(self._q_target_nets, self._q_nets):
+            nncore.polyak_update_net(target, online, self.config.tau_q)
+        nncore.polyak_update_net(self.actor_target.net, self.actor.net, self.config.tau_actor)
+
+    def _sample_batch(self, rng: np.random.Generator):
+        """A stacked minibatch, or None until the buffer holds the initial fill."""
+        if len(self.replay) < max(self.config.initial_fill, self.config.batch_size):
+            return None
+        return _stack_batch(self.replay.sample(self.config.batch_size, rng))
+
+
+class PDQNAgent(AgentBase):
     """Q-over-parameterised-actions learner; `variant` picks the architecture."""
 
     def __init__(
@@ -124,37 +241,14 @@ class PDQNAgent:
         rng: np.random.Generator,
         passthrough: Passthrough | None = None,
     ):
-        self.space = space
         self.variant = variant
-        self.config = config
-        act, slope = config.activation, config.leaky_slope
-        self.qf = QFunction.create(variant, space, config.hidden, rng, act, slope)
+        self.qf = QFunction.create(
+            variant, space, config.hidden, rng, config.activation, config.leaky_slope
+        )
         self.qf_target = self.qf.copy()
-        actor_net = DenseNet.create(
-            space.state_dim, config.hidden, space.joint_dim, rng, act, slope
+        super().__init__(
+            space, config, rng, space.bounds, passthrough, self.qf.nets, self.qf_target.nets
         )
-        self.actor = Actor(actor_net, space.bounds, passthrough)
-        self.actor_target = self.actor.copy()
-        self.q_opt = AdamState.for_params(self.qf.parameters(), config.lr_q)
-        self.actor_opt = AdamState.for_params(self.actor.net.parameters(), config.lr_actor)
-        self.replay = ReplayBuffer(
-            config.replay_capacity,
-            state_dim=space.state_dim,
-            action_dim=space.joint_dim,
-            num_actions=space.num_actions,
-            bounds=space.bounds,
-        )
-        self.epsilon = EpsilonSchedule(
-            config.epsilon_start, config.epsilon_end, max(config.epsilon_horizon, 1)
-        )
-        self.noise = OUNoise(
-            space.joint_dim, config.ou_theta, config.ou_sigma, config.ou_mu, config.ou_dt
-        )
-
-    def begin_episode(self, episode: int) -> float:
-        self.noise.reset()
-        self.epsilon.current = self.epsilon.value(episode)
-        return self.epsilon.current
 
     # -- acting ---------------------------------------------------------
 
@@ -165,21 +259,13 @@ class PDQNAgent:
 
         Ties in the Q-values resolve to the lowest action index.
         """
-        x = self.actor.forward(np.asarray(s)[None, :])[0]
-        if explore:
-            x = np.clip(
-                x + self.noise.step(rng), self.space.bounds[:, 0], self.space.bounds[:, 1]
-            )
-        if explore and rng.random() < self.epsilon.current:
-            k = int(rng.integers(self.space.num_actions))
-        else:
+        x, k = self._explore(s, explore, rng)
+        if k is None:
             k = int(np.argmax(self.q_values(s, x)))
-        sl = self.space.block(k)
-        return ParameterisedAction(k, x[sl].copy(), x)
+        return ParameterisedAction(k, x[self.space.block(k)].copy(), x)
 
-    def q_values(self, s: np.ndarray, x: np.ndarray, target: bool = False) -> np.ndarray:
-        qf = self.qf_target if target else self.qf
-        return qf.evaluate(np.asarray(s)[None, :], np.asarray(x)[None, :])[0]
+    def q_values(self, s: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return self.qf.evaluate(np.asarray(s)[None, :], np.asarray(x)[None, :])[0]
 
     # -- targets --------------------------------------------------------
 
@@ -196,98 +282,32 @@ class PDQNAgent:
             y[live] += self.config.gamma * q2.max(axis=1)
         return y
 
-    def q_target(self, r: float, s_next: np.ndarray, terminal: bool) -> float:
-        return float(
-            self._bootstrap_targets(
-                np.array([r]), np.asarray(s_next)[None, :], np.array([terminal])
-            )[0]
-        )
-
-    def monte_carlo_returns(self, transitions: list[Transition]) -> np.ndarray:
-        """Discounted return from each step to the episode's end.
-
-        A truncated (non-terminal) final transition bootstraps its tail from
-        the target networks.
-        """
-        n = len(transitions)
-        g = np.zeros(n)
-        last = transitions[-1]
-        # the last step's return is its one-step target: r, or r + gamma * V(s')
-        acc = self.q_target(last.r, last.s_next, last.terminal)
-        g[-1] = acc
-        for i in reversed(range(n - 1)):
-            acc = transitions[i].r + self.config.gamma * acc
-            g[i] = acc
-        return g
-
-    def nstep_mixed_target(self, transitions: list[Transition], beta: float) -> np.ndarray:
-        """(1 - beta) * one-step bootstrapped target + beta * Monte Carlo return."""
-        if not 0.0 <= beta <= 1.0:
-            raise ValueError("beta must lie in [0, 1]")
-        s, k, x, r, s2, term, _ = _stack_batch(transitions)
-        y = self._bootstrap_targets(r, s2, term)
-        return (1.0 - beta) * y + beta * self.monte_carlo_returns(transitions)
-
     # -- updates --------------------------------------------------------
 
-    def _update_targets(self, batch):
-        s, k, x, r, s2, term, mc = batch
-        y = self._bootstrap_targets(r, s2, term)
-        if self.config.mixed_targets:
-            if np.isnan(mc).any():
-                raise ValueError("mixed targets requested but transitions lack returns")
-            y = (1.0 - self.config.beta_mix) * y + self.config.beta_mix * mc
-        return y
+    def q_update(self, batch) -> float:
+        """Half mean-squared error on the executed action's value only.
 
-    def q_update(self, transitions: list[Transition]) -> float:
-        """Half mean-squared error on the executed action's value only."""
-        batch = _stack_batch(transitions)
-        s, k, x, r, s2, term, _ = batch
-        y = self._update_targets(batch)
-        b = s.shape[0]
-        sd = self.space.state_dim
-
-        if self.variant in (JOINT, MULTIPASS):
-            if self.variant == JOINT:
-                rows = np.hstack([s, x])
-            else:
-                masked = np.zeros_like(x)
-                for i in range(self.space.num_actions):
-                    sel = k == i
-                    if sel.any():
-                        sl = self.space.block(i)
-                        masked[np.ix_(sel, np.arange(sl.start, sl.stop))] = x[sel][:, sl]
-                rows = np.hstack([s, masked])
-            out, cache = forward(self.qf.net, rows)
-            pred = out[np.arange(b), k]
-            resid = pred - y
+        ``batch`` is a stacked minibatch as ``_stack_batch`` returns it.
+        """
+        s, k, x = batch[:3]
+        y = self._targets(batch)
+        b = y.shape[0]
+        pred = np.empty(b)
+        grads = []
+        for p in self.qf.passes(s, x, k):
+            if not len(p.rows):  # a separate network no sample executed
+                grads += [np.zeros_like(w) for w in p.net.parameters()]
+                continue
+            out, cache = forward(p.net, p.rows)
+            pred[p.q_at] = out[p.out_at]
             upstream = np.zeros_like(out)
-            upstream[np.arange(b), k] = resid / b
-            grads, _ = backward(self.qf.net, cache, upstream)
-            grads = clip_grad_norm(grads, self.config.clip_grad)
-            nncore.adam_step(self.qf.parameters(), grads, self.q_opt)
-            for net in self.qf.nets:
-                net.mark_updated()
-        else:
-            pred = np.zeros(b)
-            grads = [np.zeros_like(p) for p in self.qf.parameters()]
-            per_net = 2 * len(self.qf.nets[0].layers)
-            for i, net in enumerate(self.qf.nets):
-                sel = k == i
-                if not sel.any():
-                    continue
-                sl = self.space.block(i)
-                out, cache = forward(net, np.hstack([s[sel], x[sel][:, sl]]))
-                pred[sel] = out[:, 0]
-                resid_i = (pred[sel] - y[sel]) / b
-                g, _ = backward(net, cache, resid_i[:, None])
-                grads[i * per_net : (i + 1) * per_net] = g
-            resid = pred - y
-            grads = clip_grad_norm(grads, self.config.clip_grad)
-            nncore.adam_step(self.qf.parameters(), grads, self.q_opt)
-            for net in self.qf.nets:
-                net.mark_updated()
-        return float(np.mean(0.5 * resid**2))
+            upstream[p.out_at] = (pred[p.q_at] - y[p.q_at]) / b
+            grads += backward(p.net, cache, upstream)[0]
+        grads = clip_grad_norm(grads, self.config.clip_grad)
+        nncore.adam_step(self.qf.parameters(), grads, self.q_opt)
+        for net in self.qf.nets:
+            net.mark_updated()
+        return float(np.mean(0.5 * (pred - y) ** 2))
 
     def actor_update(self, states: np.ndarray) -> float:
         """Descend the negative sum of action values at the actor's output.
@@ -306,33 +326,22 @@ class PDQNAgent:
         adam_step_net(self.actor.net, grads, self.actor_opt)
         return float(-np.mean(q.sum(axis=1)))
 
-    def sync_targets(self):
-        nncore.polyak_update(
-            self.qf_target.parameters(), self.qf.parameters(), self.config.tau_q
-        )
-        for net in self.qf_target.nets:
-            net.mark_updated()
-        nncore.polyak_update_net(
-            self.actor_target.net, self.actor.net, self.config.tau_actor
-        )
-
     def update_from_replay(self, rng: np.random.Generator):
         """One Q step and one actor step, then a soft target sync.
 
         No-op until the buffer holds the initial fill. Returns
         (q_loss, actor_loss) or None when skipped.
         """
-        threshold = max(self.config.initial_fill, self.config.batch_size)
-        if len(self.replay) < threshold:
+        batch = self._sample_batch(rng)
+        if batch is None:
             return None
-        batch = self.replay.sample(self.config.batch_size, rng)
         q_loss = self.q_update(batch)
-        actor_loss = self.actor_update(np.stack([t.s for t in batch]))
+        actor_loss = self.actor_update(batch[0])
         self.sync_targets()
         return q_loss, actor_loss
 
 
-class PADDPGAgent:
+class PADDPGAgent(AgentBase):
     """DDPG on the relaxed continuous action space.
 
     The actor maps the state to K discrete-selection scores followed by the
@@ -347,110 +356,58 @@ class PADDPGAgent:
         rng: np.random.Generator,
         passthrough: Passthrough | None = None,
     ):
-        self.space = space
-        self.config = config
         k, m, sd = space.num_actions, space.joint_dim, space.state_dim
-        self.action_dim = k + m
-        self.bounds = np.vstack([np.tile([-1.0, 1.0], (k, 1)), space.bounds])
-        act, slope = config.activation, config.leaky_slope
-        self.critic = DenseNet.create(sd + self.action_dim, config.hidden, 1, rng, act, slope)
+        bounds = np.vstack([np.tile([-1.0, 1.0], (k, 1)), space.bounds])
+        self.critic = DenseNet.create(
+            sd + k + m, config.hidden, 1, rng, config.activation, config.leaky_slope
+        )
         self.critic_target = self.critic.copy()
-        actor_net = DenseNet.create(sd, config.hidden, self.action_dim, rng, act, slope)
         if passthrough is not None and passthrough.weights.shape == (sd, m):
             # parameter-only passthrough: pad with zero rows for the K scores
             passthrough = Passthrough(
                 np.hstack([np.zeros((sd, k)), passthrough.weights]),
                 np.concatenate([np.zeros(k), passthrough.bias]),
             )
-        self.actor = Actor(actor_net, self.bounds, passthrough)
-        self.actor_target = self.actor.copy()
-        self.critic_opt = AdamState.for_params(self.critic.parameters(), config.lr_q)
-        self.actor_opt = AdamState.for_params(self.actor.net.parameters(), config.lr_actor)
-        self.replay = ReplayBuffer(
-            config.replay_capacity,
-            state_dim=sd,
-            action_dim=self.action_dim,
-            num_actions=k,
-            bounds=self.bounds,
+        super().__init__(
+            space, config, rng, bounds, passthrough, [self.critic], [self.critic_target]
         )
-        self.epsilon = EpsilonSchedule(
-            config.epsilon_start, config.epsilon_end, max(config.epsilon_horizon, 1)
-        )
-        self.noise = OUNoise(
-            self.action_dim, config.ou_theta, config.ou_sigma, config.ou_mu, config.ou_dt
-        )
-
-    def begin_episode(self, episode: int) -> float:
-        self.noise.reset()
-        self.epsilon.current = self.epsilon.value(episode)
-        return self.epsilon.current
 
     def select_action(
         self, s: np.ndarray, explore: bool, rng: np.random.Generator
     ) -> ParameterisedAction:
-        u = self.actor.forward(np.asarray(s)[None, :])[0]
-        if explore:
-            u = np.clip(u + self.noise.step(rng), self.bounds[:, 0], self.bounds[:, 1])
-        k_count = self.space.num_actions
-        if explore and rng.random() < self.epsilon.current:
-            k = int(rng.integers(k_count))
-        else:
-            k = int(np.argmax(u[:k_count]))
-        x_joint = u[k_count:]
-        sl = self.space.block(k)
-        return ParameterisedAction(k, x_joint[sl].copy(), x_joint.copy(), emitted=u)
-
-    def _critic_value(self, states, actions, target=False):
-        net = self.critic_target if target else self.critic
-        return forward(net, np.hstack([states, actions]))[0][:, 0]
-
-    def monte_carlo_returns(self, transitions: list[Transition]) -> np.ndarray:
-        n = len(transitions)
-        g = np.zeros(n)
-        last = transitions[-1]
-        if last.terminal:
-            tail = 0.0
-        else:
-            s2 = np.asarray(last.s_next)[None, :]
-            tail = float(self._critic_value(s2, self.actor_target.forward(s2), target=True)[0])
-        acc = tail
-        for i in reversed(range(n)):
-            acc = transitions[i].r + self.config.gamma * acc
-            g[i] = acc
-        return g
-
-    def nstep_mixed_target(self, transitions: list[Transition], beta: float) -> np.ndarray:
-        if not 0.0 <= beta <= 1.0:
-            raise ValueError("beta must lie in [0, 1]")
-        s, k, u, r, s2, term, _ = _stack_batch(transitions)
-        y = self._bootstrap_targets(r, s2, term)
-        return (1.0 - beta) * y + beta * self.monte_carlo_returns(transitions)
+        u, k = self._explore(s, explore, rng)
+        n = self.space.num_actions
+        if k is None:
+            k = int(np.argmax(u[:n]))
+        x = u[n:]
+        return ParameterisedAction(k, x[self.space.block(k)].copy(), x.copy(), emitted=u)
 
     def _bootstrap_targets(self, r, s_next, terminal):
+        """y = r + gamma * critic_target(s', actor_target(s')), 0 tail on
+        terminal transitions."""
         y = r.copy()
         live = ~terminal
         if live.any():
-            a2 = self.actor_target.forward(s_next[live])
-            y[live] += self.config.gamma * self._critic_value(s_next[live], a2, target=True)
+            s2 = s_next[live]
+            a2 = self.actor_target.forward(s2)
+            y[live] += self.config.gamma * forward(self.critic_target, np.hstack([s2, a2]))[0][:, 0]
         return y
 
-    def update(self, transitions: list[Transition]) -> tuple[float, float]:
+    def update(self, batch) -> tuple[float, float]:
         """Critic regression on the executed continuous vector, then actor
-        ascent on the critic with inverting gradients."""
-        batch = _stack_batch(transitions)
-        s, k, u, r, s2, term, mc = batch
+        ascent on the critic with inverting gradients.
+
+        ``batch`` is a stacked minibatch as ``_stack_batch`` returns it.
+        """
+        s, _, u = batch[:3]
         b = s.shape[0]
-        y = self._bootstrap_targets(r, s2, term)
-        if self.config.mixed_targets:
-            if np.isnan(mc).any():
-                raise ValueError("mixed targets requested but transitions lack returns")
-            y = (1.0 - self.config.beta_mix) * y + self.config.beta_mix * mc
+        y = self._targets(batch)
 
         out, cache = forward(self.critic, np.hstack([s, u]))
         resid = out[:, 0] - y
         grads, _ = backward(self.critic, cache, (resid / b)[:, None])
         grads = clip_grad_norm(grads, self.config.clip_grad)
-        adam_step_net(self.critic, grads, self.critic_opt)
+        adam_step_net(self.critic, grads, self.q_opt)
         critic_loss = float(np.mean(0.5 * resid**2))
 
         a, actor_cache, _ = self.actor.forward_training(s)
@@ -463,12 +420,24 @@ class PADDPGAgent:
         adam_step_net(self.actor.net, agrads, self.actor_opt)
         actor_loss = float(-np.mean(out[:, 0]))
 
-        nncore.polyak_update_net(self.critic_target, self.critic, self.config.tau_q)
-        nncore.polyak_update_net(self.actor_target.net, self.actor.net, self.config.tau_actor)
+        self.sync_targets()
         return critic_loss, actor_loss
 
     def update_from_replay(self, rng: np.random.Generator):
-        threshold = max(self.config.initial_fill, self.config.batch_size)
-        if len(self.replay) < threshold:
-            return None
-        return self.update(self.replay.sample(self.config.batch_size, rng))
+        batch = self._sample_batch(rng)
+        return None if batch is None else self.update(batch)
+
+
+def make_agent(
+    algorithm: str,
+    space: ActionSpaceSpec,
+    config: AgentConfig,
+    rng: np.random.Generator,
+    passthrough: Passthrough | None = None,
+):
+    """The agent an algorithm id names: ``paddpg`` or ``pdqn-<variant>``."""
+    if algorithm == "paddpg":
+        return PADDPGAgent(space, config, rng, passthrough)
+    if algorithm.startswith("pdqn-"):
+        return PDQNAgent(space, algorithm.removeprefix("pdqn-"), config, rng, passthrough)
+    raise ValueError(f"unknown algorithm {algorithm!r}")

@@ -21,7 +21,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .agent import AgentConfig, PADDPGAgent, PDQNAgent
+from .agent import AgentConfig, PADDPGAgent, PDQNAgent, make_agent
 from .policy import Passthrough
 from .qfunction import ActionSpaceSpec
 
@@ -53,19 +53,15 @@ def _agent_arrays(agent) -> list[tuple[str, np.ndarray]]:
             arrays += _net_arrays(f"q/net{i}", net)
         for i, net in enumerate(agent.qf_target.nets):
             arrays += _net_arrays(f"q_target/net{i}", net)
-        arrays += _net_arrays("actor", agent.actor.net)
-        arrays += _net_arrays("actor_target", agent.actor_target.net)
-        arrays += _opt_arrays("q_opt", agent.q_opt)
-        arrays += _opt_arrays("actor_opt", agent.actor_opt)
     elif isinstance(agent, PADDPGAgent):
         arrays += _net_arrays("critic", agent.critic)
         arrays += _net_arrays("critic_target", agent.critic_target)
-        arrays += _net_arrays("actor", agent.actor.net)
-        arrays += _net_arrays("actor_target", agent.actor_target.net)
-        arrays += _opt_arrays("q_opt", agent.critic_opt)
-        arrays += _opt_arrays("actor_opt", agent.actor_opt)
     else:
         raise TypeError(f"cannot checkpoint {type(agent).__name__}")
+    arrays += _net_arrays("actor", agent.actor.net)
+    arrays += _net_arrays("actor_target", agent.actor_target.net)
+    arrays += _opt_arrays("q_opt", agent.q_opt)
+    arrays += _opt_arrays("actor_opt", agent.actor_opt)
     if agent.actor.passthrough is not None:
         arrays.append(("passthrough/weights", agent.actor.passthrough.weights))
         arrays.append(("passthrough/bias", agent.actor.passthrough.bias))
@@ -75,10 +71,6 @@ def _agent_arrays(agent) -> list[tuple[str, np.ndarray]]:
 def save_checkpoint(path, agent, algorithm: str, env_id: str, env_overrides: dict,
                     meta: dict | None = None, rng_state: dict | None = None):
     arrays = _agent_arrays(agent)
-    if isinstance(agent, PDQNAgent):
-        q_opt, actor_opt = agent.q_opt, agent.actor_opt
-    else:
-        q_opt, actor_opt = agent.critic_opt, agent.actor_opt
     header = {
         "format": "pamdp-checkpoint",
         "version": FORMAT_VERSION,
@@ -92,11 +84,9 @@ def save_checkpoint(path, agent, algorithm: str, env_id: str, env_overrides: dic
             "bounds": agent.space.bounds.tolist(),
         },
         "optimizers": {
-            "q": {"t": q_opt.t, "alpha": q_opt.alpha, "beta1": q_opt.beta1,
-                  "beta2": q_opt.beta2, "eps": q_opt.eps},
-            "actor": {"t": actor_opt.t, "alpha": actor_opt.alpha,
-                      "beta1": actor_opt.beta1, "beta2": actor_opt.beta2,
-                      "eps": actor_opt.eps},
+            name: {"t": opt.t, "alpha": opt.alpha, "beta1": opt.beta1,
+                   "beta2": opt.beta2, "eps": opt.eps}
+            for name, opt in (("q", agent.q_opt), ("actor", agent.actor_opt))
         },
         "epsilon_current": agent.epsilon.current,
         "rng_state": rng_state,
@@ -140,7 +130,9 @@ def load_checkpoint(path):
     """Rebuild the agent. Returns (agent, header dict).
 
     A file that is not a readable checkpoint raises ValueError naming the
-    path and the byte offset where reading failed.
+    path and the byte offset where reading failed; a readable header that
+    does not rebuild an agent raises ValueError naming the path and the
+    header field.
     """
     with open(path, "rb") as fh:
         data = memoryview(fh.read())
@@ -151,54 +143,57 @@ def load_checkpoint(path):
         raise ValueError(f"unsupported checkpoint version {version} in {path}")
     hlen = int.from_bytes(_field(data, path, 8, 8, "header length"), "little")
     header = _parse_header(_field(data, path, HEADER_START, hlen, "header"), path)
+    agent, arrays = _rebuild(header, path)
 
-    space = ActionSpaceSpec(
-        state_dim=header["space"]["state_dim"],
-        param_dims=tuple(header["space"]["param_dims"]),
-        bounds=np.array(header["space"]["bounds"]),
-    )
-    cfg_fields = dict(header["config"])
-    cfg_fields["hidden"] = tuple(cfg_fields["hidden"])
-    config = AgentConfig(**cfg_fields)
-
-    manifest = header["arrays"]
-    passthrough = None
-    if any(e["name"].startswith("passthrough/") for e in manifest):
-        shapes = {e["name"]: tuple(e["shape"]) for e in manifest}
-        passthrough = Passthrough(
-            np.zeros(shapes["passthrough/weights"]), np.zeros(shapes["passthrough/bias"])
-        )
-
-    rng = np.random.default_rng(0)  # placeholder init, overwritten below
-    algorithm = header["algorithm"]
-    if algorithm == "paddpg":
-        agent = PADDPGAgent(space, config, rng, passthrough)
-    elif algorithm.startswith("pdqn-"):
-        agent = PDQNAgent(space, algorithm.removeprefix("pdqn-"), config, rng, passthrough)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r} in checkpoint")
-
-    arrays = _agent_arrays(agent)
-    if [n for n, _ in arrays] != [e["name"] for e in manifest]:
-        raise ValueError("checkpoint manifest does not match the rebuilt agent")
     offset = HEADER_START + hlen
-    for (name, dst), entry in zip(arrays, manifest):
-        shape = tuple(entry["shape"])
-        if dst.shape != shape:
-            raise ValueError(f"shape mismatch for {name}")
-        count = int(np.prod(shape)) if shape else 1
-        src = np.frombuffer(_field(data, path, offset, count * 8, f"array {name}"), dtype="<f8")
-        offset += count * 8
-        dst[...] = src.reshape(shape)
+    for name, dst in arrays:
+        count = dst.size * 8
+        src = np.frombuffer(_field(data, path, offset, count, f"array {name}"), dtype="<f8")
+        offset += count
+        dst[...] = src.reshape(dst.shape)
     if offset != len(data):
         raise ValueError(
             f"checkpoint {path} has trailing bytes after the payload, from byte offset {offset}"
         )
-
-    if isinstance(agent, PDQNAgent):
-        agent.q_opt.t = header["optimizers"]["q"]["t"]
-    else:
-        agent.critic_opt.t = header["optimizers"]["q"]["t"]
-    agent.actor_opt.t = header["optimizers"]["actor"]["t"]
-    agent.epsilon.current = header["epsilon_current"]
     return agent, header
+
+
+def _rebuild(header: dict, path):
+    """The agent the header describes, with its arrays still to be filled."""
+    field = "space"
+    try:
+        space = ActionSpaceSpec(
+            state_dim=header["space"]["state_dim"],
+            param_dims=tuple(header["space"]["param_dims"]),
+            bounds=np.array(header["space"]["bounds"]),
+        )
+        field = "config"
+        config = AgentConfig(**{**header["config"], "hidden": tuple(header["config"]["hidden"])})
+        field = "arrays"
+        shapes = {e["name"]: tuple(e["shape"]) for e in header["arrays"]}
+        passthrough = None
+        if "passthrough/weights" in shapes:
+            passthrough = Passthrough(
+                np.zeros(shapes["passthrough/weights"]), np.zeros(shapes["passthrough/bias"])
+            )
+        field = "algorithm"
+        # placeholder weights and draws: the payload overwrites every array
+        agent = make_agent(header["algorithm"], space, config, np.random.default_rng(0),
+                           passthrough)
+        field = "arrays"
+        arrays = _agent_arrays(agent)
+        if [(n, list(a.shape)) for n, a in arrays] != [
+            (e["name"], list(e["shape"])) for e in header["arrays"]
+        ]:
+            raise ValueError("the array manifest does not match the rebuilt agent")
+        field = "optimizers"
+        agent.q_opt.t = int(header["optimizers"]["q"]["t"])
+        agent.actor_opt.t = int(header["optimizers"]["actor"]["t"])
+        field = "epsilon_current"
+        agent.epsilon.current = float(header["epsilon_current"])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ValueError(
+            f"checkpoint {path}: header field {field!r} does not rebuild an agent "
+            f"({type(exc).__name__}: {exc})"
+        ) from None
+    return agent, arrays

@@ -20,11 +20,11 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .agent import AgentConfig, PADDPGAgent, PDQNAgent
+from .agent import AgentConfig, make_agent
 from .checkpoint import load_checkpoint, save_checkpoint
 from .envs import make_env, platform_default_passthrough
 from .replay import Transition, finalize_episode
@@ -38,7 +38,10 @@ SUMMARY_HEADER = ["algorithm", "env", "n_seeds", "mean", "std", "stderr"]
 
 
 @dataclass
-class RunConfig:
+class RunConfig(AgentConfig):
+    """One experiment: the agent's hyperparameters, inherited from
+    ``AgentConfig``, plus the run's own settings."""
+
     env: str = "platform"
     algorithm: str = "pdqn-multipass"
     episodes: int = 1000
@@ -46,28 +49,6 @@ class RunConfig:
     out_dir: str = "runs/out"
     eval_episodes: int = 1000
     max_episode_steps: int = 500
-
-    gamma: float = 0.9
-    batch_size: int = 128
-    replay_capacity: int = 10000
-    initial_fill: int = 128
-    lr_q: float = 1e-3
-    lr_actor: float = 1e-4
-    tau_q: float = 0.1
-    tau_actor: float = 0.001
-    clip_grad: float = 10.0
-    hidden: tuple[int, ...] = (128,)
-    activation: str = "relu"
-    leaky_slope: float = 0.01
-    mixed_targets: bool = False
-    beta_mix: float = 0.25
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.01
-    epsilon_horizon: int = 0  # 0 -> first 10% of the episode budget
-    ou_theta: float = 0.15
-    ou_sigma: float = 0.0001
-    ou_mu: float = 0.0
-    ou_dt: float = 1.0
 
     sweep_seeds: int = 5
     env_overrides: dict = field(default_factory=dict)
@@ -84,40 +65,17 @@ class RunConfig:
             raise ValueError("episode counts out of range")
         if not self.seeds:
             raise ValueError("need at least one seed")
-        if self.epsilon_horizon < 0 or self.sweep_seeds < 1:
-            raise ValueError("epsilon_horizon and sweep_seeds must be non-negative")
-        if not 0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0:
-            raise ValueError("epsilon schedule must satisfy 0 <= end <= start <= 1")
+        if self.sweep_seeds < 1:
+            raise ValueError("sweep_seeds must be positive")
         self.seeds = tuple(int(s) for s in self.seeds)
-        self.hidden = tuple(int(h) for h in self.hidden)
-        # constructing the agent config validates the shared hyperparameters
-        self.agent_config()
+        super().__post_init__()
 
     def agent_config(self) -> AgentConfig:
-        horizon = self.epsilon_horizon or max(1, self.episodes // 10)
-        return AgentConfig(
-            gamma=self.gamma,
-            batch_size=self.batch_size,
-            replay_capacity=self.replay_capacity,
-            initial_fill=self.initial_fill,
-            lr_q=self.lr_q,
-            lr_actor=self.lr_actor,
-            tau_q=self.tau_q,
-            tau_actor=self.tau_actor,
-            clip_grad=self.clip_grad,
-            hidden=self.hidden,
-            activation=self.activation,
-            leaky_slope=self.leaky_slope,
-            epsilon_start=self.epsilon_start,
-            epsilon_end=self.epsilon_end,
-            epsilon_horizon=horizon,
-            ou_theta=self.ou_theta,
-            ou_sigma=self.ou_sigma,
-            ou_mu=self.ou_mu,
-            ou_dt=self.ou_dt,
-            mixed_targets=self.mixed_targets,
-            beta_mix=self.beta_mix,
-        )
+        """The agent's share; a zero epsilon horizon becomes the first 10%
+        of the episode budget."""
+        values = {f.name: getattr(self, f.name) for f in fields(AgentConfig)}
+        values["epsilon_horizon"] = self.epsilon_horizon or max(1, self.episodes // 10)
+        return AgentConfig(**values)
 
 
 _SWEEPABLE = ("lr_q", "lr_actor", "tau_q", "tau_actor", "batch_size", "hidden")
@@ -138,36 +96,14 @@ def _parse_int_tuple(raw: str) -> tuple[int, ...]:
     return tuple(int(v) for v in raw.split(",") if v.strip())
 
 
-# every accepted top-level config key and how its value is parsed
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool,
+            "tuple[int, ...]": _parse_int_tuple}
+# every accepted top-level config key and how its value is parsed; the
+# sweep.* and platform.* keys set the remaining fields
 CONFIG_KEYS = {
-    "env": str,
-    "algorithm": str,
-    "episodes": int,
-    "seeds": _parse_int_tuple,
-    "out_dir": str,
-    "eval_episodes": int,
-    "max_episode_steps": int,
-    "gamma": float,
-    "batch_size": int,
-    "replay_capacity": int,
-    "initial_fill": int,
-    "lr_q": float,
-    "lr_actor": float,
-    "tau_q": float,
-    "tau_actor": float,
-    "clip_grad": float,
-    "hidden": _parse_int_tuple,
-    "activation": str,
-    "leaky_slope": float,
-    "mixed_targets": _parse_bool,
-    "beta_mix": float,
-    "epsilon_start": float,
-    "epsilon_end": float,
-    "epsilon_horizon": int,
-    "ou_theta": float,
-    "ou_sigma": float,
-    "ou_mu": float,
-    "ou_dt": float,
+    f.name: _PARSERS[f.type]
+    for f in fields(RunConfig)
+    if f.name not in ("sweep_seeds", "env_overrides", "grid")
 }
 
 
@@ -244,13 +180,8 @@ def seed_stream(seed: int) -> np.random.Generator:
 
 
 def build_agent(cfg: RunConfig, space, rng: np.random.Generator):
-    passthrough = None
-    if cfg.env == "platform":
-        passthrough = platform_default_passthrough(space)
-    if cfg.algorithm == "paddpg":
-        return PADDPGAgent(space, cfg.agent_config(), rng, passthrough)
-    variant = cfg.algorithm.removeprefix("pdqn-")
-    return PDQNAgent(space, variant, cfg.agent_config(), rng, passthrough)
+    passthrough = platform_default_passthrough(space) if cfg.env == "platform" else None
+    return make_agent(cfg.algorithm, space, cfg.agent_config(), rng, passthrough)
 
 
 def _fmt(value) -> str:
@@ -261,20 +192,29 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def run_episode(env, agent, rng, explore: bool, max_steps: int):
-    """One rollout. Returns (undiscounted return, steps, transitions)."""
+def run_episode(env, agent, rng, train: bool, max_steps: int):
+    """One rollout, greedy or, when ``train``, exploring with one update step
+    from replay after each env step.
+
+    Returns (undiscounted return, transitions, the (q_loss, actor_loss)
+    pairs of the updates that ran).
+    """
     s = env.reset()
-    transitions = []
+    transitions, losses = [], []
     total = 0.0
     for _ in range(max_steps):
-        action = agent.select_action(s, explore, rng)
+        action = agent.select_action(s, train, rng)
         s_next, r, terminal = env.step(action.k, action.x_k)
         transitions.append(Transition(s, action.k, action.emitted, r, s_next, terminal))
         total += r
+        if train:
+            step_losses = agent.update_from_replay(rng)
+            if step_losses is not None:
+                losses.append(step_losses)
         s = s_next
         if terminal:
             break
-    return total, len(transitions), transitions
+    return total, transitions, losses
 
 
 def _write_meta(path: str, meta: dict):
@@ -311,35 +251,17 @@ def train_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
             fh.flush()
             for episode in range(cfg.episodes):
                 eps = agent.begin_episode(episode)
-                s = env.reset()
-                transitions = []
-                total = 0.0
-                q_losses, a_losses = [], []
-                for _ in range(cfg.max_episode_steps):
-                    action = agent.select_action(s, True, rng)
-                    s_next, r, terminal = env.step(action.k, action.x_k)
-                    transitions.append(
-                        Transition(s, action.k, action.emitted, r, s_next, terminal)
-                    )
-                    total += r
-                    losses = agent.update_from_replay(rng)
-                    if losses is not None:
-                        q_losses.append(losses[0])
-                        a_losses.append(losses[1])
-                    s = s_next
-                    if terminal:
-                        break
-                finalize_episode(agent.replay, transitions, agent, cfg.beta_mix)
-                record = EpisodeRecord(
-                    seed=seed,
-                    episode=episode,
-                    ret=total,
-                    steps=len(transitions),
-                    epsilon=eps,
-                    q_loss=float(np.mean(q_losses)) if q_losses else float("nan"),
-                    actor_loss=float(np.mean(a_losses)) if a_losses else float("nan"),
+                total, transitions, losses = run_episode(
+                    env, agent, rng, True, cfg.max_episode_steps
                 )
-                fh.write(",".join(_fmt(v) for v in record.row()) + "\n")
+                finalize_episode(agent.replay, transitions, agent, cfg.beta_mix)
+                # losses are nan for episodes with no updates
+                if losses:
+                    q_loss, actor_loss = (float(np.mean(col)) for col in zip(*losses))
+                else:
+                    q_loss = actor_loss = float("nan")
+                row = [seed, episode, total, len(transitions), eps, q_loss, actor_loss]
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
                 fh.flush()
 
         save_checkpoint(
@@ -365,23 +287,6 @@ def train_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
 def train(cfg: RunConfig) -> list[dict]:
     """Train every configured seed; returns the per-seed artifact paths."""
     return [train_seed(cfg, seed, cfg.out_dir) for seed in cfg.seeds]
-
-
-@dataclass
-class EpisodeRecord:
-    """One training-log row; losses are nan for episodes with no updates."""
-
-    seed: int
-    episode: int
-    ret: float
-    steps: int
-    epsilon: float
-    q_loss: float
-    actor_loss: float
-
-    def row(self) -> list:
-        return [self.seed, self.episode, self.ret, self.steps, self.epsilon,
-                self.q_loss, self.actor_loss]
 
 
 @dataclass
@@ -442,10 +347,10 @@ def evaluate_checkpoint(ckpt_path: str, episodes: int, out_csv: str | None = Non
     returns, steps = [], []
     rows = []
     for episode in range(episodes):
-        total, n, _ = run_episode(env, agent, rng, False, 10**6)
+        total, transitions, _ = run_episode(env, agent, rng, False, 10**6)
         returns.append(total)
-        steps.append(n)
-        rows.append([seed, episode, total, n])
+        steps.append(len(transitions))
+        rows.append([seed, episode, total, len(transitions)])
     if out_csv is not None:
         with open(out_csv, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(EVAL_HEADER) + "\n")

@@ -81,11 +81,6 @@ class Actor:
         return Actor(self.net.copy(), self.bounds.copy(), self.passthrough)
 
 
-def actor_forward(actor: Actor, s: np.ndarray) -> np.ndarray:
-    """Single-state convenience wrapper; returns a 1-D bounded vector."""
-    return actor.forward(np.asarray(s)[None, :])[0]
-
-
 def invert_gradients(grad: np.ndarray, x: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """Bound-aware rescaling of an ascent gradient on the parameters.
 
@@ -141,10 +136,6 @@ class OUNoise:
         return self.state.copy()
 
 
-def ou_step(noise: OUNoise, rng: np.random.Generator) -> np.ndarray:
-    return noise.step(rng)
-
-
 class EpsilonSchedule:
     """Linear decay from start to end over `horizon` episodes, flat after."""
 
@@ -164,11 +155,6 @@ class EpsilonSchedule:
         if episode >= self.horizon:
             return self.end
         return self.start + (self.end - self.start) * (episode / self.horizon)
-
-
-def epsilon_step(sched: EpsilonSchedule, episode: int) -> float:
-    sched.current = sched.value(episode)
-    return sched.current
 
 
 def scale_params(x_env: np.ndarray, env_bounds: np.ndarray) -> np.ndarray:

@@ -20,6 +20,12 @@ one evaluation interface returning K action values:
     independence property, at the cost of duplicated parameters and no
     shared features.
 
+``QFunction.passes`` is the one place that tells the variants apart: for a
+batch and the actions asked for, it lists per network the input rows, the
+output each requested value is read from, and the joint-vector columns each
+row was fed. Evaluation, the actor's value gradient, the cross-gradient
+diagnostic and the agent's Q update all run on that description.
+
 ``cross_gradient_matrix`` makes the distinction measurable: its entry (i, j)
 is the gradient magnitude of Q_i with respect to block j, computed from
 exact input gradients.
@@ -27,7 +33,7 @@ exact input gradients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +43,7 @@ JOINT = "joint"
 MULTIPASS = "multipass"
 SEPARATE = "separate"
 VARIANTS = (JOINT, MULTIPASS, SEPARATE)
+_ALL = slice(None)
 
 
 @dataclass(frozen=True)
@@ -73,6 +80,11 @@ class ActionSpaceSpec:
         object.__setattr__(self, "bounds", b)
         offsets = np.concatenate([[0], np.cumsum(self.param_dims)])
         object.__setattr__(self, "_offsets", offsets)
+        # the action whose block holds each joint-vector column, and per
+        # action the columns of its block
+        owner = np.repeat(np.arange(len(self.param_dims)), self.param_dims)
+        object.__setattr__(self, "_owner", owner)
+        object.__setattr__(self, "_basis", np.arange(len(self.param_dims))[:, None] == owner)
 
     @property
     def num_actions(self) -> int:
@@ -96,6 +108,25 @@ def basis_mask(space: ActionSpaceSpec, params: np.ndarray, k: int) -> np.ndarray
     sl = space.block(k)
     out[..., sl] = params[..., sl]
     return out
+
+
+@dataclass
+class Pass:
+    """One network's share of a batch of Q-values.
+
+    The network runs on ``rows`` and the values it contributes are
+    ``q[q_at] = out[out_at]``. Each row feeds the network only some columns
+    of its sample's joint vector; the gradient of those values with respect
+    to them is ``grad[grad_at] = in_grad[in_at]``, where ``in_grad`` is the
+    gradient with respect to the rows.
+    """
+
+    net: DenseNet
+    rows: np.ndarray
+    q_at: tuple
+    out_at: tuple
+    grad_at: tuple
+    in_at: tuple
 
 
 class QFunction:
@@ -134,21 +165,19 @@ class QFunction:
         slope: float = 0.01,
     ) -> "QFunction":
         s, m, k = space.state_dim, space.joint_dim, space.num_actions
-        if variant in (JOINT, MULTIPASS):
-            nets = [DenseNet.create(s + m, hidden, k, rng, activation, slope)]
-        elif variant == SEPARATE:
+        if variant == SEPARATE:
             nets = [
                 DenseNet.create(s + mk, hidden, 1, rng, activation, slope)
                 for mk in space.param_dims
             ]
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
+        else:  # joint and multipass share the K-output network; __init__ rejects the rest
+            nets = [DenseNet.create(s + m, hidden, k, rng, activation, slope)]
         return cls(variant, space, nets)
 
     @property
     def net(self) -> DenseNet:
-        if self.variant == SEPARATE:
-            raise ValueError("separate variant has one network per action")
+        if len(self.nets) != 1:
+            raise ValueError(f"{self.variant} variant has one network per action")
         return self.nets[0]
 
     def parameters(self) -> list[np.ndarray]:
@@ -163,21 +192,53 @@ class QFunction:
     def copy(self) -> "QFunction":
         return QFunction(self.variant, self.space, [n.copy() for n in self.nets])
 
+    def passes(self, states: np.ndarray, params: np.ndarray, actions=None) -> list[Pass]:
+        """The one description of each variant: which rows reach which
+        network, and which outputs are read back.
+
+        With ``actions`` None every sample asks for all K values, and ``q``
+        is (B, K); otherwise sample b asks for action ``actions[b]`` only, and
+        ``q`` is (B,). Rows keep sample order: a row's output bits do not
+        depend on its batch, but GEMM sums over rows depend on their order.
+        """
+        space, b = self.space, states.shape[0]
+        k, sd = space.num_actions, space.state_dim
+        params_in = (_ALL, slice(sd, None))
+        if self.variant == SEPARATE:
+            # network i sees state ++ block i for the samples asking for action i
+            out = []
+            for i, net in enumerate(self.nets):
+                sl = space.block(i)
+                mine = _ALL if actions is None else np.flatnonzero(actions == i)
+                q_at = (_ALL, i) if actions is None else mine
+                rows = np.hstack([states[mine], params[mine, sl]])
+                out.append(Pass(net, rows, q_at, (_ALL, 0), (mine, sl), params_in))
+            return out
+        if self.variant == JOINT:
+            # one row per sample feeds every column; action a is output column a
+            rows = np.hstack([states, params])
+            out_at = _ALL if actions is None else (np.arange(b), actions)
+            return [Pass(self.net, rows, _ALL, out_at, _ALL, params_in)]
+        # multipass: the row of (sample b, action a) keeps block a only and is
+        # read at column a
+        if actions is None:
+            rows = multipass_rows(space, states, params)
+            row = np.arange(b * k).reshape(b, k)
+            # column j of sample b is fed by the row of the action owning j
+            fed_by = (row[:, space._owner], sd + np.arange(space.joint_dim))
+            return [Pass(self.net, rows, _ALL, (row, np.arange(k)), _ALL, fed_by)]
+        keep = space._basis[actions]
+        rows = np.hstack([states, np.where(keep, params, 0.0)])
+        rr, cols = np.nonzero(keep)
+        out_at = (np.arange(b), actions)
+        return [Pass(self.net, rows, _ALL, out_at, (rr, cols), (rr, sd + cols))]
+
     def evaluate(self, states: np.ndarray, params: np.ndarray) -> np.ndarray:
         """All K action values for a batch: (B, state_dim), (B, M) -> (B, K)."""
         states, params = _check_batch(self.space, states, params)
-        b, k = states.shape[0], self.space.num_actions
-        if self.variant == JOINT:
-            out, _ = forward(self.net, np.hstack([states, params]))
-            return out
-        if self.variant == MULTIPASS:
-            rows = multipass_rows(self.space, states, params)
-            out, _ = forward(self.net, rows)
-            return out.reshape(b, k, k)[:, np.arange(k), np.arange(k)]
-        q = np.empty((b, k))
-        for i, net in enumerate(self.nets):
-            out, _ = forward(net, np.hstack([states, params[:, self.space.block(i)]]))
-            q[:, i] = out[:, 0]
+        q = np.empty((states.shape[0], self.space.num_actions))
+        for p in self.passes(states, params):
+            q[p.q_at] = forward(p.net, p.rows)[0][p.out_at]
         return q
 
 
@@ -196,13 +257,11 @@ def _check_batch(space, states, params):
 def multipass_rows(space: ActionSpaceSpec, states: np.ndarray, params: np.ndarray) -> np.ndarray:
     """The K masked input rows per sample, sample-major: row b*K + k is
     state_b ++ (params_b masked to block k)."""
-    b, k = states.shape[0], space.num_actions
-    rows = np.zeros((b * k, space.state_dim + space.joint_dim))
-    for i in range(k):
-        sl = space.block(i)
-        rows[i::k, : space.state_dim] = states
-        rows[i::k, space.state_dim + sl.start : space.state_dim + sl.stop] = params[:, sl]
-    return rows
+    b, k, sd = states.shape[0], space.num_actions, space.state_dim
+    rows = np.zeros((b, k, sd + space.joint_dim))
+    rows[:, :, :sd] = states[:, None, :]
+    np.copyto(rows[:, :, sd:], params[:, None, :], where=space._basis)
+    return rows.reshape(b * k, -1)
 
 
 def _single(qf: QFunction, expected_variant: str, s, x) -> np.ndarray:
@@ -238,33 +297,20 @@ def sum_q_gradient(
     the chain rule.
     """
     states, params = _check_batch(qf.space, states, params)
-    space = qf.space
-    b, k, sd = states.shape[0], space.num_actions, space.state_dim
-    if qf.variant == JOINT:
-        out, cache = forward(qf.net, np.hstack([states, params]))
-        in_grads = input_gradient(qf.net, cache, np.ones((b, k)))
-        return in_grads[:, sd:], out
-    grad = np.zeros((b, space.joint_dim))
-    q = np.empty((b, k))
-    if qf.variant == MULTIPASS:
-        rows = multipass_rows(space, states, params)
-        out, cache = forward(qf.net, rows)
-        upstream = np.zeros((b * k, k))
-        for i in range(k):
-            upstream[i::k, i] = 1.0
-        in_grads = input_gradient(qf.net, cache, upstream)
-        for i in range(k):
-            sl = space.block(i)
-            q[:, i] = out[i::k, i]
-            # chain rule through the mask: only block i of row i survives
-            grad[:, sl] = in_grads[i::k, sd + sl.start : sd + sl.stop]
-        return grad, q
-    for i, net in enumerate(qf.nets):
-        sl = space.block(i)
-        out, cache = forward(net, np.hstack([states, params[:, sl]]))
-        in_grads = input_gradient(net, cache, np.ones((b, 1)))
-        q[:, i] = out[:, 0]
-        grad[:, sl] = in_grads[:, sd:]
+    weight = np.ones((states.shape[0], qf.space.num_actions))
+    return _weighted_q_gradient(qf, states, params, weight)
+
+
+def _weighted_q_gradient(qf: QFunction, states, params, weight):
+    """Gradient of sum_k weight[:, k] * Q_k per sample, and the (B, K) values."""
+    grad = np.zeros(params.shape)
+    q = np.empty(weight.shape)
+    for p in qf.passes(states, params):
+        out, cache = forward(p.net, p.rows)
+        q[p.q_at] = out[p.out_at]
+        upstream = np.zeros_like(out)
+        upstream[p.out_at] = weight[p.q_at]
+        grad[p.grad_at] = input_gradient(p.net, cache, upstream)[p.in_at]
     return grad, q
 
 
@@ -274,33 +320,13 @@ def cross_gradient_matrix(qf: QFunction, s: np.ndarray, x: np.ndarray) -> np.nda
     Off-diagonal blocks are exactly zero for multipass and separate
     variants; for the joint variant they are generically nonzero.
     """
-    s = np.asarray(s, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    space = qf.space
-    k, sd = space.num_actions, space.state_dim
+    states, params = _check_batch(qf.space, s, x)
+    k = qf.space.num_actions
     g = np.zeros((k, k))
-    if qf.variant == JOINT:
-        rows = np.hstack([np.tile(s, (k, 1)), np.tile(x, (k, 1))])
-        _, cache = forward(qf.net, rows)
-        in_grads = input_gradient(qf.net, cache, np.eye(k))
-        for i in range(k):
-            for j in range(k):
-                sl = space.block(j)
-                g[i, j] = np.linalg.norm(in_grads[i, sd + sl.start : sd + sl.stop])
-        return g
-    if qf.variant == MULTIPASS:
-        rows = multipass_rows(space, s[None, :], x[None, :])
-        _, cache = forward(qf.net, rows)
-        in_grads = input_gradient(qf.net, cache, np.eye(k))
-        for i in range(k):
-            sl = space.block(i)
-            g[i, i] = np.linalg.norm(in_grads[i, sd + sl.start : sd + sl.stop])
-        return g
-    for i, net in enumerate(qf.nets):
-        sl = space.block(i)
-        _, cache = forward(net, np.hstack([s, x[sl]])[None, :])
-        in_grads = input_gradient(net, cache, np.ones((1, 1)))
-        g[i, i] = np.linalg.norm(in_grads[0, sd:])
+    for i, weight in enumerate(np.eye(k)):
+        grad, _ = _weighted_q_gradient(qf, states, params, weight[None, :])
+        for j in range(k):
+            g[i, j] = np.linalg.norm(grad[0, qf.space.block(j)])
     return g
 
 

@@ -1,8 +1,10 @@
 """Transition storage: FIFO ring buffer with uniform sampling.
 
-Sampling is i.i.d. uniform with replacement over the filled slots.
-Episodes are pushed through ``finalize_episode`` so mixed-return
-annotations can be attached before storage.
+The buffer holds ``Transition`` objects; sampling is i.i.d. uniform with
+replacement over the filled slots. Episodes are pushed whole through
+``finalize_episode``, which attaches each transition's Monte Carlo return
+when the agent trains on mixed targets; updates mix it with a one-step
+target bootstrapped from the target networks of the moment.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ class Transition:
     r: float
     s_next: np.ndarray
     terminal: bool
-    mc_return: float | None = None  # trajectory-fixed Monte Carlo component
-    mixed_target: float | None = None  # episode-end mixed annotation
+    mc_return: float | None = None  # set at episode end for mixed targets only
 
 
 class ReplayBuffer:
@@ -93,16 +94,16 @@ class ReplayBuffer:
 
 
 def finalize_episode(buf: ReplayBuffer, transitions: list[Transition], agent, beta: float):
-    """Annotate a complete episode with mixed-return targets and store it.
+    """Store a complete episode.
 
-    The Monte Carlo component is fixed here; update code re-derives the
-    bootstrapped component from fresh target networks and re-mixes.
+    With the agent's ``mixed_targets`` on, each transition first gets its
+    Monte Carlo return, fixed here for the trajectory; updates mix it with
+    ``beta_mix`` from the agent's config. ``beta`` must lie in [0, 1].
     """
-    if not transitions:
-        return
-    mixed = agent.nstep_mixed_target(transitions, beta)
-    mc = agent.monte_carlo_returns(transitions)
-    for t, y, g in zip(transitions, mixed, mc):
-        t.mixed_target = float(y)
-        t.mc_return = float(g)
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError("beta must lie in [0, 1]")
+    if transitions and agent.config.mixed_targets:
+        for t, g in zip(transitions, agent.monte_carlo_returns(transitions)):
+            t.mc_return = float(g)
+    for t in transitions:
         buf.push(t)

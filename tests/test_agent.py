@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pamdp.agent import AgentConfig, PADDPGAgent, PDQNAgent, ParameterisedAction
+from pamdp.agent import AgentConfig, PADDPGAgent, PDQNAgent, ParameterisedAction, _stack_batch
 from pamdp.qfunction import ActionSpaceSpec, cross_gradient_matrix
 from pamdp.replay import Transition
 from conftest import fd_scalar_grad, relative_error
@@ -30,6 +30,10 @@ def zero_nets(*nets):
 
 def make_agent(variant="multipass", space=SPACE, seed=0, **cfg):
     return PDQNAgent(space, variant, small_config(**cfg), np.random.default_rng(seed))
+
+
+def one_step_target(agent, r, s_next, terminal):
+    return agent._bootstrap_targets(np.array([r]), s_next[None, :], np.array([terminal]))[0]
 
 
 def make_transition(space, rng, terminal=True, r=None, k=None):
@@ -98,11 +102,11 @@ def hand_set_agent():
 class TestQTarget:
     def test_terminal_is_reward(self):
         agent = make_agent(seed=7)
-        assert agent.q_target(1.0, np.zeros(2), True) == 1.0
+        assert one_step_target(agent, 1.0, np.zeros(2), True) == 1.0
 
     def test_gamma_zero_is_reward(self):
         agent = make_agent(seed=8, gamma=0.0)
-        assert agent.q_target(0.37, np.ones(2), False) == 0.37
+        assert one_step_target(agent, 0.37, np.ones(2), False) == 0.37
 
     def test_hand_set_two_action_network(self):
         agent = hand_set_agent()
@@ -111,7 +115,7 @@ class TestQTarget:
         q0 = 0.5 * 0.1 + 0.45 * 0.3 + 0.05 * 0.5 + 0.05
         q1 = 0.5 * -0.2 + 0.45 * 0.4 + 0.05 * -0.6 - 0.05
         expected = 0.0 + 0.9 * max(q0, q1)
-        assert agent.q_target(0.0, s_next, False) == pytest.approx(expected, rel=1e-12)
+        assert one_step_target(agent, 0.0, s_next, False) == pytest.approx(expected, rel=1e-12)
 
 
 class TestQUpdate:
@@ -121,7 +125,7 @@ class TestQUpdate:
         rng = np.random.default_rng(10)
         batch = [make_transition(SPACE, rng, terminal=True, r=0.0) for _ in range(4)]
         before = [p.copy() for p in agent.qf.parameters()]
-        loss = agent.q_update(batch)
+        loss = agent.q_update(_stack_batch(batch))
         assert loss == 0.0
         for p, q in zip(agent.qf.parameters(), before):
             assert (p == q).all()
@@ -131,14 +135,14 @@ class TestQUpdate:
         t = Transition(np.array([0.5]), 0, np.array([0.45, 0.05]), 1.0, np.array([0.0]), True)
         pred = 0.5 * 0.1 + 0.45 * 0.3 + 0.05 * 0.5 + 0.05  # = 0.26
         expected_loss = 0.5 * (pred - 1.0) ** 2
-        assert agent.q_update([t]) == pytest.approx(expected_loss, rel=1e-12)
+        assert agent.q_update(_stack_batch([t])) == pytest.approx(expected_loss, rel=1e-12)
 
     @pytest.mark.parametrize("variant", ["joint", "multipass", "separate"])
     def test_descends_frozen_minibatch(self, variant):
         agent = make_agent(variant, seed=11)
         rng = np.random.default_rng(12)
         batch = [make_transition(SPACE, rng, terminal=True) for _ in range(8)]
-        losses = [agent.q_update(batch) for _ in range(100)]
+        losses = [agent.q_update(_stack_batch(batch)) for _ in range(100)]
         assert losses[-1] < losses[0]
 
     def test_only_executed_action_head_gets_signal(self):
@@ -148,7 +152,7 @@ class TestQUpdate:
         rng = np.random.default_rng(14)
         batch = [make_transition(SPACE, rng, terminal=True, k=0) for _ in range(4)]
         before = [p.copy() for p in agent.qf.nets[1].parameters()]
-        agent.q_update(batch)
+        agent.q_update(_stack_batch(batch))
         for p, q in zip(agent.qf.nets[1].parameters(), before):
             assert (p == q).all()
 
@@ -233,7 +237,7 @@ class TestInvariants:
         batch = [make_transition(SPACE, rng) for _ in range(4)]
         before = [p.copy() for p in agent.qf_target.parameters()]
         before_actor = [p.copy() for p in agent.actor_target.net.parameters()]
-        agent.q_update(batch)
+        agent.q_update(_stack_batch(batch))
         agent.actor_update(np.stack([t.s for t in batch]))
         for p, q in zip(agent.qf_target.parameters(), before):
             assert (p == q).all()
@@ -364,7 +368,7 @@ class TestPADDPG:
             for _ in range(4)
         ]
         before = [p.copy() for p in agent.actor.net.parameters()]
-        agent.update(batch)
+        agent.update(_stack_batch(batch))
         for p, q in zip(agent.actor.net.parameters(), before):
             assert (p == q).all()
 
@@ -387,7 +391,7 @@ class TestPADDPG:
 
         u = np.array([0.5, -0.5, 0.2, -0.2])
         t = Transition(np.array([1.0]), 0, u, 0.7, np.array([0.0]), True)
-        critic_loss, actor_loss = agent.update([t])
+        critic_loss, actor_loss = agent.update(_stack_batch([t]))
 
         # critic: pred = [1, u] . w = 0.33, resid = -0.37
         pred = 0.1 + 0.5 * 0.2 + -0.5 * -0.3 + 0.2 * 0.4 + -0.2 * 0.5

@@ -99,6 +99,48 @@ class TestConfigParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
             parse_config_text("episodes = 5\nbogus_key = 1\n")
+        # run fields that the sweep.* and platform.* keys set are no keys themselves
+        for key in ("sweep_seeds", "env_overrides", "grid"):
+            with pytest.raises(ValueError, match="unknown config key"):
+                parse_config_text(f"{key} = 2\n")
+
+    # one non-default value per agent hyperparameter, as config-file text
+    HYPERPARAMETER_TEXT = {
+        "gamma": ("0.5", 0.5),
+        "batch_size": ("7", 7),
+        "replay_capacity": ("77", 77),
+        "initial_fill": ("9", 9),
+        "lr_q": ("0.02", 0.02),
+        "lr_actor": ("0.003", 0.003),
+        "tau_q": ("0.2", 0.2),
+        "tau_actor": ("0.05", 0.05),
+        "clip_grad": ("3.5", 3.5),
+        "hidden": ("16,8", (16, 8)),
+        "activation": ("leaky_relu", "leaky_relu"),
+        "leaky_slope": ("0.2", 0.2),
+        "epsilon_start": ("0.9", 0.9),
+        "epsilon_end": ("0.2", 0.2),
+        "epsilon_horizon": ("33", 33),
+        "ou_theta": ("0.3", 0.3),
+        "ou_sigma": ("0.02", 0.02),
+        "ou_mu": ("0.1", 0.1),
+        "ou_dt": ("0.5", 0.5),
+        "mixed_targets": ("true", True),
+        "beta_mix": ("0.6", 0.6),
+    }
+
+    def test_every_hyperparameter_reaches_the_agent_config(self):
+        from dataclasses import fields
+
+        from pamdp.agent import AgentConfig
+
+        table = self.HYPERPARAMETER_TEXT
+        assert sorted(table) == sorted(f.name for f in fields(AgentConfig))
+        text = "".join(f"{key} = {raw}\n" for key, (raw, _) in table.items())
+        agent_cfg = parse_config_text(text).agent_config()
+        for key, (_, value) in table.items():
+            assert getattr(agent_cfg, key) == value, key
+            assert getattr(AgentConfig(), key) != value, f"{key} default is the test value"
 
     def test_bad_value_reports_line(self):
         with pytest.raises(ValueError, match="line 1"):
@@ -288,6 +330,37 @@ class TestCheckpointRoundTrip:
         agent = PDQNAgent(space, "multipass", cfg, np.random.default_rng(3))
         save_checkpoint(path, agent, "pdqn-multipass", "bandit", {})
         return path.read_bytes()
+
+    def test_header_config_keeps_the_agent_config_fields(self, tmp_path):
+        path = tmp_path / "agent.ckpt"
+        data = self.saved_checkpoint(path)
+        hlen = int.from_bytes(data[8:16], "little")
+        header = json.loads(data[16 : 16 + hlen])
+        assert sorted(header["config"]) == sorted([
+            "gamma", "batch_size", "replay_capacity", "initial_fill", "lr_q", "lr_actor",
+            "tau_q", "tau_actor", "clip_grad", "hidden", "activation", "leaky_slope",
+            "epsilon_start", "epsilon_end", "epsilon_horizon", "ou_theta", "ou_sigma",
+            "ou_mu", "ou_dt", "mixed_targets", "beta_mix",
+        ])
+
+    @pytest.mark.parametrize("token, field", [
+        (b'"space"', "space"),
+        (b'"hidden"', "config"),
+        (b'"state_dim"', "space"),
+        (b"multipass", "algorithm"),
+    ], ids=["space", "hidden", "state_dim", "variant"])
+    def test_valid_json_header_flip_names_path_and_field(self, tmp_path, token, field):
+        path = tmp_path / "agent.ckpt"
+        data = bytearray(self.saved_checkpoint(path))
+        hlen = int.from_bytes(data[8:16], "little")
+        flipped = data.index(token, 16, 16 + hlen) + len(token) // 2
+        data[flipped] ^= 0x01  # another ASCII letter: the header stays valid JSON
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError) as excinfo:
+            load_checkpoint(path)
+        message = str(excinfo.value)
+        assert str(path) in message
+        assert f"header field {field!r}" in message
 
     @pytest.mark.parametrize("field", ["version", "header length", "header", "payload"])
     def test_truncated_file_names_path_and_offset(self, tmp_path, field):

@@ -9,10 +9,7 @@ from pamdp.policy import (
     EpsilonSchedule,
     OUNoise,
     Passthrough,
-    actor_forward,
-    epsilon_step,
     invert_gradients,
-    ou_step,
     scale_params,
     unscale_params,
 )
@@ -30,12 +27,12 @@ class TestActor:
         actor = Actor(zero_net(1, 3), BOUNDS3, p)
         s = np.array([1.0])
         expected = np.clip(np.array([0.5, -2.0, 0.4]), -1.0, 1.0)
-        assert np.allclose(actor_forward(actor, s), expected)
+        assert np.allclose(actor.forward(s[None, :])[0], expected)
 
     def test_hand_set_single_layer(self):
         net = DenseNet([Layer(np.array([[0.2], [0.3]]), np.array([-0.1]))])
         actor = Actor(net, np.array([[-1.0, 1.0]]))
-        got = actor_forward(actor, np.array([2.0, -1.0]))
+        got = actor.forward(np.array([[2.0, -1.0]]))[0]
         assert abs(got[0] - (0.2 * 2.0 + 0.3 * -1.0 - 0.1)) < 1e-15
 
     @given(st.integers(0, 10_000))
@@ -86,7 +83,7 @@ class TestOUNoise:
     def test_deterministic_mean_reversion(self):
         noise = OUNoise(1, theta=0.15, sigma=0.0, mu=0.0)
         noise.state[:] = 1.0
-        assert ou_step(noise, np.random.default_rng(0))[0] == 0.85
+        assert noise.step(np.random.default_rng(0))[0] == 0.85
 
     def test_reset_returns_to_mean(self):
         noise = OUNoise(3, mu=0.25)
@@ -113,13 +110,13 @@ class TestOUNoise:
 class TestEpsilonSchedule:
     def test_endpoints(self):
         sched = EpsilonSchedule(1.0, 0.1, horizon=100)
-        assert epsilon_step(sched, 0) == 1.0
-        assert epsilon_step(sched, 100) == 0.1
-        assert epsilon_step(sched, 5000) == 0.1
+        assert sched.value(0) == 1.0
+        assert sched.value(100) == 0.1
+        assert sched.value(5000) == 0.1
 
     def test_midpoint_is_arithmetic_mean(self):
         sched = EpsilonSchedule(0.8, 0.2, horizon=10)
-        assert epsilon_step(sched, 5) == pytest.approx(0.5)
+        assert sched.value(5) == pytest.approx(0.5)
 
     @given(st.integers(0, 500), st.integers(1, 500))
     @settings(max_examples=50)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pamdp.agent import AgentConfig, PDQNAgent
+from pamdp.agent import AgentConfig, PDQNAgent, _stack_batch
 from pamdp.qfunction import ActionSpaceSpec
 from pamdp.replay import ReplayBuffer, Transition, finalize_episode
 
@@ -76,10 +76,11 @@ class TestRingBuffer:
             buf.push(Transition(np.zeros(2), 0, np.array([2.0, 0.0]), 0.0, np.zeros(2), False))
 
 
-def constant_value_agent(bias, gamma=0.9):
+def constant_value_agent(bias, gamma=0.9, mixed_targets=True, beta_mix=0.25):
     """Agent whose target nets output fixed Q-values: zero weights, set bias."""
     cfg = AgentConfig(gamma=gamma, batch_size=2, replay_capacity=16, initial_fill=2,
-                      hidden=(4,), epsilon_horizon=1)
+                      hidden=(4,), epsilon_horizon=1, mixed_targets=mixed_targets,
+                      beta_mix=beta_mix)
     agent = PDQNAgent(SPACE, "multipass", cfg, np.random.default_rng(0))
     for net in agent.qf_target.nets + [agent.actor_target.net]:
         for layer in net.layers:
@@ -89,46 +90,55 @@ def constant_value_agent(bias, gamma=0.9):
     return agent
 
 
+def finalized(agent, episode, beta=0.25):
+    buf = ReplayBuffer(capacity=8)
+    finalize_episode(buf, episode, agent, beta)
+    return buf.contents()
+
+
 class TestFinalizeEpisode:
     def test_terminal_single_transition_is_its_reward(self):
         agent = constant_value_agent([3.0, 1.0])
-        buf = ReplayBuffer(capacity=8)
-        episode = [make_transition(0.7, terminal=True)]
-        finalize_episode(buf, episode, agent, beta=0.75)
-        (stored,) = buf.contents()
-        assert stored.mixed_target == 0.7
+        (stored,) = finalized(agent, [make_transition(0.7, terminal=True)], beta=0.75)
         assert stored.mc_return == 0.7
+        # without mixed targets no return is computed or stored
+        agent = constant_value_agent([3.0, 1.0], mixed_targets=False)
+        (stored,) = finalized(agent, [make_transition(0.7, terminal=True)], beta=0.75)
+        assert stored.mc_return is None
 
     def test_beta_zero_equals_one_step_targets(self):
-        agent = constant_value_agent([3.0, 1.0], gamma=0.9)
-        buf = ReplayBuffer(capacity=8)
-        episode = [make_transition(0.5), make_transition(1.0, terminal=True)]
-        finalize_episode(buf, episode, agent, beta=0.0)
-        stored = buf.contents()
-        # one-step targets against the constant target nets: r + gamma * max(bias)
-        assert stored[0].mixed_target == pytest.approx(0.5 + 0.9 * 3.0)
-        assert stored[1].mixed_target == pytest.approx(1.0)
+        agent = constant_value_agent([3.0, 1.0], gamma=0.9, beta_mix=0.0)
+        stored = finalized(agent, [make_transition(0.5), make_transition(1.0, terminal=True)])
+        assert [t.mc_return for t in stored] == pytest.approx([0.5 + 0.9 * 1.0, 1.0])
+        # the update targets mix in no return at beta_mix 0: r + gamma * max(bias)
+        targets = agent._targets(_stack_batch(stored))
+        assert targets.tolist() == pytest.approx([0.5 + 0.9 * 3.0, 1.0])
 
     def test_hand_mixed_three_step_episode(self):
-        agent = constant_value_agent([2.0, -1.0], gamma=0.9)
-        buf = ReplayBuffer(capacity=8)
         rewards = (0.1, 0.2, 1.0)
         episode = [
             make_transition(rewards[0]),
             make_transition(rewards[1]),
             make_transition(rewards[2], terminal=True),
         ]
-        finalize_episode(buf, episode, agent, beta=0.25)
-        stored = buf.contents()
         g2 = 1.0
         g1 = 0.2 + 0.9 * g2
         g0 = 0.1 + 0.9 * g1
         y0 = 0.1 + 0.9 * 2.0
         y1 = 0.2 + 0.9 * 2.0
         y2 = 1.0
-        for t, y, g in zip(stored, (y0, y1, y2), (g0, g1, g2)):
-            assert t.mc_return == pytest.approx(g)
-            assert t.mixed_target == pytest.approx(0.75 * y + 0.25 * g)
+        agent = constant_value_agent([2.0, -1.0], gamma=0.9, beta_mix=0.25)
+        stored = finalized(agent, episode)
+        assert [t.mc_return for t in stored] == pytest.approx([g0, g1, g2])
+        expected = [0.75 * y + 0.25 * g for y, g in zip((y0, y1, y2), (g0, g1, g2))]
+        assert agent._targets(_stack_batch(stored)).tolist() == pytest.approx(expected)
+        # mixed targets off: nothing stored, and updates use the one-step targets
+        for t in episode:
+            t.mc_return = None
+        agent = constant_value_agent([2.0, -1.0], gamma=0.9, mixed_targets=False)
+        stored = finalized(agent, episode)
+        assert [t.mc_return for t in stored] == [None, None, None]
+        assert agent._targets(_stack_batch(stored)).tolist() == pytest.approx([y0, y1, y2])
 
     def test_beta_out_of_range_rejected(self):
         agent = constant_value_agent([0.0, 0.0])
