@@ -103,6 +103,7 @@ class ParameterisedAction:
 
 
 def _stack_batch(transitions: list[Transition]):
+    """Transitions stacked as ``ReplayBuffer.sample_batch`` gathers its rows."""
     s = np.stack([np.asarray(t.s, dtype=np.float64) for t in transitions])
     k = np.array([t.k for t in transitions], dtype=np.int64)
     x = np.stack([np.asarray(t.x_joint, dtype=np.float64) for t in transitions])
@@ -227,7 +228,7 @@ class AgentBase:
         """A stacked minibatch, or None until the buffer holds the initial fill."""
         if len(self.replay) < max(self.config.initial_fill, self.config.batch_size):
             return None
-        return _stack_batch(self.replay.sample(self.config.batch_size, rng))
+        return self.replay.sample_batch(self.config.batch_size, rng)
 
 
 class PDQNAgent(AgentBase):
@@ -287,7 +288,8 @@ class PDQNAgent(AgentBase):
     def q_update(self, batch) -> float:
         """Half mean-squared error on the executed action's value only.
 
-        ``batch`` is a stacked minibatch as ``_stack_batch`` returns it.
+        ``batch`` is a stacked minibatch as ``ReplayBuffer.sample_batch``
+        returns it.
         """
         s, k, x = batch[:3]
         y = self._targets(batch)
@@ -397,7 +399,8 @@ class PADDPGAgent(AgentBase):
         """Critic regression on the executed continuous vector, then actor
         ascent on the critic with inverting gradients.
 
-        ``batch`` is a stacked minibatch as ``_stack_batch`` returns it.
+        ``batch`` is a stacked minibatch as ``ReplayBuffer.sample_batch``
+        returns it.
         """
         s, _, u = batch[:3]
         b = s.shape[0]

@@ -62,15 +62,13 @@ def _cmd_diagnose(args):
     """
     agent, header = load_checkpoint(args.checkpoint)
     env = make_env(header["env_id"], header["env_overrides"])
-    rng = seed_stream(0)
-    s = env.reset()
-    for _ in range(args.state_index):
-        action = agent.select_action(s, False, rng)
-        s, _, terminal = env.step(action.k, action.x_k)
-        if terminal:
-            raise SystemExit(
-                f"greedy episode ended before reaching state index {args.state_index}"
-            )
+    # one step past the index, so the probed state is the first of a transition
+    _, transitions, _ = harness.run_episode(
+        env, agent, seed_stream(0), False, args.state_index + 1
+    )
+    if len(transitions) <= args.state_index:
+        raise SystemExit(f"greedy episode ended before reaching state index {args.state_index}")
+    s = transitions[args.state_index].s
     qf = agent.qf_target if args.use_target else agent.qf
     x = agent.actor.forward(np.asarray(s)[None, :])[0]
     sl = agent.space.block(args.action)

@@ -3,8 +3,11 @@ import os
 import numpy as np
 import pytest
 
+from pamdp.checkpoint import load_checkpoint, save_checkpoint
 from pamdp.cli import main
-from pamdp.harness import read_csv
+from pamdp.envs import make_env
+from pamdp.harness import build_agent, parse_config_text, read_csv, seed_stream
+from pamdp.qfunction import q_sensitivity_sweep
 
 MINI_CONF = """
 env = bandit
@@ -27,6 +30,17 @@ def trained(tmp_path):
     conf.write_text(MINI_CONF + f"out_dir = {tmp_path / 'run'}\n")
     main(["train", "--config", str(conf)])
     return tmp_path
+
+
+@pytest.fixture
+def untrained_platform(tmp_path):
+    """Checkpoint of an untrained joint agent whose greedy Platform episode
+    lasts four steps."""
+    cfg = parse_config_text("env = platform\nalgorithm = pdqn-joint\nhidden = 8\n")
+    ckpt = tmp_path / "platform.ckpt"
+    agent = build_agent(cfg, make_env("platform", {}).spec, seed_stream(0))
+    save_checkpoint(ckpt, agent, "pdqn-joint", "platform", {})
+    return ckpt
 
 
 class TestTrainCommand:
@@ -76,6 +90,41 @@ class TestDiagnoseCommand:
               "--points", "3", "--use-target"])
         out = capsys.readouterr().out
         assert out.startswith("sweep_value,q_1,q_2")
+
+
+    def test_state_index_past_the_greedy_episode_rejected(self, trained):
+        # a bandit episode is one step: only state index 0 exists
+        ckpt = trained / "run" / "checkpoint_seed0.ckpt"
+        with pytest.raises(SystemExit, match="greedy episode ended before reaching state index 1"):
+            main(["diagnose-sensitivity", "--checkpoint", str(ckpt), "--action", "0",
+                  "--state-index", "1", "--points", "3"])
+
+    def test_state_index_of_the_terminal_step_rejected(self, untrained_platform):
+        # the greedy episode ends on its fourth step, so there is no state 4
+        with pytest.raises(SystemExit, match="before reaching state index 4"):
+            main(["diagnose-sensitivity", "--checkpoint", str(untrained_platform),
+                  "--action", "0", "--state-index", "4", "--points", "3"])
+
+    @pytest.mark.parametrize("state_index", [0, 3])
+    def test_probes_the_state_a_greedy_rollout_reaches(self, untrained_platform, tmp_path,
+                                                       state_index):
+        out = tmp_path / "sweep.csv"
+        main(["diagnose-sensitivity", "--checkpoint", str(untrained_platform), "--action", "2",
+              "--state-index", str(state_index), "--points", "5", "--out", str(out)])
+        # reference: step the greedy policy by hand from a fresh reset
+        agent, _ = load_checkpoint(untrained_platform)
+        env = make_env("platform", {})
+        s = env.reset()
+        for _ in range(state_index):
+            action = agent.select_action(s, False, seed_stream(0))
+            s, _, terminal = env.step(action.k, action.x_k)
+            assert not terminal
+        x = agent.actor.forward(s[None, :])[0]
+        grid = np.linspace(*agent.space.bounds[agent.space.block(2).start], 5)
+        table = q_sensitivity_sweep(agent.qf, s, x, 2, grid, 0)
+        rows = read_csv(str(out))
+        assert [float(r["sweep_value"]) for r in rows] == grid.tolist()
+        assert [[float(r[f"q_{i}"]) for i in (1, 2, 3)] for r in rows] == table.tolist()
 
 
 class TestSweepCommands:

@@ -1,11 +1,17 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pamdp.agent import AgentConfig, PDQNAgent, _stack_batch
+from pamdp import harness
+from pamdp.agent import AgentBase, AgentConfig, PDQNAgent, _stack_batch
 from pamdp.qfunction import ActionSpaceSpec
 from pamdp.replay import ReplayBuffer, Transition, finalize_episode
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 SPACE = ActionSpaceSpec(state_dim=2, param_dims=(1, 1))
 
@@ -74,6 +80,152 @@ class TestRingBuffer:
             buf.push(Transition(np.zeros(2), 5, np.zeros(2), 0.0, np.zeros(2), False))
         with pytest.raises(ValueError):
             buf.push(Transition(np.zeros(2), 0, np.array([2.0, 0.0]), 0.0, np.zeros(2), False))
+
+
+def random_transition(rng, mc_share=0.5):
+    """Random row; its Monte Carlo return is set with probability mc_share."""
+    mc = float(rng.normal()) if rng.random() < mc_share else None
+    return Transition(rng.normal(size=3), int(rng.integers(2)), rng.uniform(-1, 1, 2),
+                      float(rng.normal()), rng.normal(size=3), bool(rng.random() < 0.3), mc)
+
+
+class ObjectRing:
+    """The replay as a list of the pushed objects: append until full, then
+    overwrite the slot under a cursor, so slot i holds what row i holds."""
+
+    def __init__(self, capacity, transitions=()):
+        self.capacity, self.items, self.cursor = capacity, [], 0
+        for t in transitions:
+            self.push(t)
+
+    def push(self, t):
+        if len(self.items) < self.capacity:
+            self.items.append(t)
+        else:
+            self.items[self.cursor] = t
+            self.cursor = (self.cursor + 1) % self.capacity
+
+
+def assert_same_batch(a, b):
+    assert len(a) == len(b) == 7
+    for got, want in zip(a, b):
+        assert got.dtype == want.dtype and got.shape == want.shape
+    for got, want in zip(a[:6], b[:6]):
+        assert np.array_equal(got, want)
+    assert np.array_equal(a[6], b[6], equal_nan=True)
+
+
+class TestSampleBatch:
+    @pytest.mark.parametrize("capacity, pushes, mc_share", [
+        (50, 173, 0.5),    # wrapped more than three times
+        (1000, 65, 0.5),   # one row past the first allocation
+        (1000, 300, 0.5),  # past the second and third
+        (300, 300, 0.5),   # exactly full, cursor back at slot 0
+        (40, 90, 0.0),     # no Monte Carlo returns
+        (40, 90, 1.0),     # every return set
+    ])
+    def test_gather_equals_restacked_transitions(self, capacity, pushes, mc_share):
+        rng = np.random.default_rng(capacity + pushes)
+        pushed = [random_transition(rng, mc_share) for _ in range(pushes)]
+        buf = ReplayBuffer(capacity)
+        for t in pushed:
+            buf.push(t)
+        ring = ObjectRing(capacity, pushed).items
+        for seed in range(5):
+            batch = buf.sample_batch(257, np.random.default_rng(seed))
+            assert_same_batch(batch, _stack_batch(buf.sample(257, np.random.default_rng(seed))))
+            idx = np.random.default_rng(seed).integers(0, len(ring), 257)
+            assert_same_batch(batch, _stack_batch([ring[i] for i in idx]))
+        # the views read a missing return back as None
+        stored = [t.mc_return for t in buf.contents()]
+        assert (None in stored) == (mc_share < 1)
+        assert any(isinstance(m, float) for m in stored) == (mc_share > 0)
+        assert_same_batch(_stack_batch(buf.contents()),
+                          _stack_batch(pushed[-capacity:]))
+
+    def test_arrays_double_up_to_capacity(self):
+        buf = ReplayBuffer(capacity=300)
+        rng = np.random.default_rng(0)
+        lengths = []
+        for n in range(1, 401):
+            buf.push(random_transition(rng))
+            if n in (1, 64, 65, 128, 129, 256, 257, 300, 400):
+                lengths.append(len(buf._rows[0]))
+        assert lengths == [64, 64, 128, 128, 256, 256, 300, 300, 300]
+
+
+class TestDimensionlessBuffer:
+    def test_first_push_fixes_row_shapes(self):
+        buf = ReplayBuffer(capacity=8)
+        first = Transition(np.arange(3.0), 1, np.array([0.5, -0.5]), 1.0, np.ones(3), False)
+        buf.push(first)
+        assert buf._rows[0].shape[1:] == (3,) and buf._rows[2].shape[1:] == (2,)
+        before = _stack_batch(buf.contents())
+        # without the check each of these would broadcast into the stored
+        # row or fail halfway through writing it
+        for bad in (
+            Transition(np.zeros(1), 0, np.zeros(2), 0.0, np.zeros(3), False),
+            Transition(np.zeros(3), 0, np.zeros(2), 0.0, np.zeros(1), False),
+            Transition(np.zeros(3), 0, np.zeros(1), 0.0, np.zeros(3), False),
+            Transition(np.zeros(3), 0, np.zeros((2, 2)), 0.0, np.zeros(3), False),
+            Transition(np.zeros(4), 0, np.zeros(2), 0.0, np.zeros(4), False),
+        ):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                buf.push(bad)
+            assert len(buf) == 1
+            assert_same_batch(_stack_batch(buf.contents()), before)
+        buf.push(Transition(np.ones(3), 0, np.zeros(2), 2.0, np.zeros(3), True))
+        assert [t.r for t in buf.contents()] == [1.0, 2.0]
+
+    def test_first_push_needs_matching_state_shapes(self):
+        buf = ReplayBuffer(capacity=8)
+        with pytest.raises(ValueError, match="state dimension mismatch"):
+            buf.push(Transition(np.zeros(3), 0, np.zeros(2), 0.0, np.zeros(2), False))
+        assert len(buf) == 0 and buf.contents() == []
+
+
+def restacked_sampling(monkeypatch, stack):
+    """Make agents train on ``stack(buffer, batch_size, rng)`` in place of
+    the gathered rows, with the same threshold."""
+
+    def sample_batch(self, rng):
+        if len(self.replay) < max(self.config.initial_fill, self.config.batch_size):
+            return None
+        return _stack_batch(stack(self.replay, self.config.batch_size, rng))
+
+    monkeypatch.setattr(AgentBase, "_sample_batch", sample_batch)
+
+
+@pytest.mark.parametrize("config, episodes", [("bandit_oracle", 200), ("platform_desk", 60)])
+@pytest.mark.parametrize("algorithm", ["pdqn-multipass", "pdqn-joint", "pdqn-separate", "paddpg"])
+def test_training_bytes_match_restacked_sampling(tmp_path, monkeypatch, config, episodes,
+                                                 algorithm):
+    """Training on the gathered rows writes the CSV that restacking sampled
+    transitions writes, on whatever machine both run: the buffer's own
+    ``Transition`` views, and the pushed objects themselves as a list ring
+    holds them. Platform updates start after about 40 episodes for the
+    slower-filling algorithms."""
+    cfg = replace(harness.load_config(str(CONFIGS / f"{config}.conf")),
+                  algorithm=algorithm, episodes=episodes, seeds=(0,))
+    gathered = harness.train_seed(cfg, 0, str(tmp_path / "gathered"))["csv"]
+    assert any(r["q_loss"] != "nan" for r in harness.read_csv(gathered)), "no update ran"
+
+    restacked_sampling(monkeypatch, lambda buf, n, rng: buf.sample(n, rng))
+    views = harness.train_seed(cfg, 0, str(tmp_path / "views"))["csv"]
+
+    push = ReplayBuffer.push
+
+    def push_and_keep(self, t):
+        push(self, t)
+        self.__dict__.setdefault("objects", ObjectRing(self.capacity)).push(t)
+
+    monkeypatch.setattr(ReplayBuffer, "push", push_and_keep)
+    restacked_sampling(monkeypatch, lambda buf, n, rng: [
+        buf.objects.items[i] for i in buf.sample_indices(n, rng)])
+    objects = harness.train_seed(cfg, 0, str(tmp_path / "objects"))["csv"]
+    want = Path(gathered).read_bytes()
+    assert Path(views).read_bytes() == want
+    assert Path(objects).read_bytes() == want
 
 
 def constant_value_agent(bias, gamma=0.9, mixed_targets=True, beta_mix=0.25):
