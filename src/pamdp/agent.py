@@ -30,7 +30,7 @@ from . import nncore
 from .nncore import AdamState, DenseNet, adam_step_net, backward, clip_grad_norm, forward, input_gradient
 from .policy import Actor, EpsilonSchedule, OUNoise, Passthrough, invert_gradients
 from .qfunction import ActionSpaceSpec, QFunction, sum_q_gradient
-from .replay import ReplayBuffer, Transition
+from .replay import ReplayBuffer, Sample, Transition
 
 
 @dataclass
@@ -102,8 +102,11 @@ class ParameterisedAction:
             self.emitted = self.x_joint
 
 
-def _stack_batch(transitions: list[Transition]):
-    """Transitions stacked as ``ReplayBuffer.sample_batch`` gathers its rows."""
+def _stack_batch(transitions: list[Transition] | Sample):
+    """Transitions stacked as ``(s, k, x, r, s2, term, mc)``. A replay
+    ``Sample`` is stacked already and comes back as its arrays."""
+    if isinstance(transitions, Sample):
+        return transitions.arrays
     s = np.stack([np.asarray(t.s, dtype=np.float64) for t in transitions])
     k = np.array([t.k for t in transitions], dtype=np.int64)
     x = np.stack([np.asarray(t.x_joint, dtype=np.float64) for t in transitions])
@@ -228,7 +231,7 @@ class AgentBase:
         """A stacked minibatch, or None until the buffer holds the initial fill."""
         if len(self.replay) < max(self.config.initial_fill, self.config.batch_size):
             return None
-        return self.replay.sample_batch(self.config.batch_size, rng)
+        return _stack_batch(self.replay.sample(self.config.batch_size, rng))
 
 
 class PDQNAgent(AgentBase):
@@ -288,8 +291,7 @@ class PDQNAgent(AgentBase):
     def q_update(self, batch) -> float:
         """Half mean-squared error on the executed action's value only.
 
-        ``batch`` is a stacked minibatch as ``ReplayBuffer.sample_batch``
-        returns it.
+        ``batch`` is a stacked minibatch as ``_stack_batch`` returns it.
         """
         s, k, x = batch[:3]
         y = self._targets(batch)
@@ -399,8 +401,7 @@ class PADDPGAgent(AgentBase):
         """Critic regression on the executed continuous vector, then actor
         ascent on the critic with inverting gradients.
 
-        ``batch`` is a stacked minibatch as ``ReplayBuffer.sample_batch``
-        returns it.
+        ``batch`` is a stacked minibatch as ``_stack_batch`` returns it.
         """
         s, _, u = batch[:3]
         b = s.shape[0]

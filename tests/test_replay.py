@@ -115,12 +115,12 @@ def assert_same_batch(a, b):
     assert np.array_equal(a[6], b[6], equal_nan=True)
 
 
-class TestSampleBatch:
+class TestSample:
     @pytest.mark.parametrize("capacity, pushes, mc_share", [
         (50, 173, 0.5),    # wrapped more than three times
-        (1000, 65, 0.5),   # one row past the first allocation
-        (1000, 300, 0.5),  # past the second and third
+        (1000, 65, 0.5),   # partly filled, never wrapped
         (300, 300, 0.5),   # exactly full, cursor back at slot 0
+        (300, 301, 0.5),   # wrapped by one row
         (40, 90, 0.0),     # no Monte Carlo returns
         (40, 90, 1.0),     # every return set
     ])
@@ -132,10 +132,12 @@ class TestSampleBatch:
             buf.push(t)
         ring = ObjectRing(capacity, pushed).items
         for seed in range(5):
-            batch = buf.sample_batch(257, np.random.default_rng(seed))
-            assert_same_batch(batch, _stack_batch(buf.sample(257, np.random.default_rng(seed))))
+            sample = buf.sample(257, np.random.default_rng(seed))
+            assert _stack_batch(sample) is sample.arrays
+            # the Transition views, restacked as a list
+            assert_same_batch(sample.arrays, _stack_batch(list(sample)))
             idx = np.random.default_rng(seed).integers(0, len(ring), 257)
-            assert_same_batch(batch, _stack_batch([ring[i] for i in idx]))
+            assert_same_batch(sample.arrays, _stack_batch([ring[i] for i in idx]))
         # the views read a missing return back as None
         stored = [t.mc_return for t in buf.contents()]
         assert (None in stored) == (mc_share < 1)
@@ -143,15 +145,19 @@ class TestSampleBatch:
         assert_same_batch(_stack_batch(buf.contents()),
                           _stack_batch(pushed[-capacity:]))
 
-    def test_arrays_double_up_to_capacity(self):
-        buf = ReplayBuffer(capacity=300)
-        rng = np.random.default_rng(0)
-        lengths = []
-        for n in range(1, 401):
-            buf.push(random_transition(rng))
-            if n in (1, 64, 65, 128, 129, 256, 257, 300, 400):
-                lengths.append(len(buf._rows[0]))
-        assert lengths == [64, 64, 128, 128, 256, 256, 300, 300, 300]
+    def test_indexing_reads_one_row(self):
+        buf = ReplayBuffer(capacity=4)
+        for r in (1.0, 2.0, 3.0):
+            buf.push(make_transition(r, terminal=r == 2.0, k=int(r) % 2))
+        sample = buf.sample(6, np.random.default_rng(4))
+        assert len(sample) == 6
+        assert_same_batch(_stack_batch([sample[i] for i in range(6)]), sample.arrays)
+        assert_same_batch(_stack_batch([sample[i - 6] for i in range(6)]), sample.arrays)
+        for t in sample:
+            assert type(t.k) is int and type(t.r) is float and type(t.terminal) is bool
+            assert (t.k, t.terminal) == (int(t.r) % 2, t.r == 2.0) and t.mc_return is None
+        with pytest.raises(IndexError):
+            sample[6]
 
 
 class TestDimensionlessBuffer:
@@ -159,7 +165,7 @@ class TestDimensionlessBuffer:
         buf = ReplayBuffer(capacity=8)
         first = Transition(np.arange(3.0), 1, np.array([0.5, -0.5]), 1.0, np.ones(3), False)
         buf.push(first)
-        assert buf._rows[0].shape[1:] == (3,) and buf._rows[2].shape[1:] == (2,)
+        assert buf._rows[0].shape == (8, 3) and buf._rows[2].shape == (8, 2)
         before = _stack_batch(buf.contents())
         # without the check each of these would broadcast into the stored
         # row or fail halfway through writing it
@@ -184,34 +190,18 @@ class TestDimensionlessBuffer:
         assert len(buf) == 0 and buf.contents() == []
 
 
-def restacked_sampling(monkeypatch, stack):
-    """Make agents train on ``stack(buffer, batch_size, rng)`` in place of
-    the gathered rows, with the same threshold."""
-
-    def sample_batch(self, rng):
-        if len(self.replay) < max(self.config.initial_fill, self.config.batch_size):
-            return None
-        return _stack_batch(stack(self.replay, self.config.batch_size, rng))
-
-    monkeypatch.setattr(AgentBase, "_sample_batch", sample_batch)
-
-
 @pytest.mark.parametrize("config, episodes", [("bandit_oracle", 200), ("platform_desk", 60)])
 @pytest.mark.parametrize("algorithm", ["pdqn-multipass", "pdqn-joint", "pdqn-separate", "paddpg"])
 def test_training_bytes_match_restacked_sampling(tmp_path, monkeypatch, config, episodes,
                                                  algorithm):
-    """Training on the gathered rows writes the CSV that restacking sampled
-    transitions writes, on whatever machine both run: the buffer's own
-    ``Transition`` views, and the pushed objects themselves as a list ring
-    holds them. Platform updates start after about 40 episodes for the
-    slower-filling algorithms."""
+    """Training on the gathered rows writes the CSV that restacking the
+    pushed objects writes, drawn from a list ring with the same indices, on
+    whatever machine both run. Platform updates start after about 40
+    episodes for the slower-filling algorithms."""
     cfg = replace(harness.load_config(str(CONFIGS / f"{config}.conf")),
                   algorithm=algorithm, episodes=episodes, seeds=(0,))
     gathered = harness.train_seed(cfg, 0, str(tmp_path / "gathered"))["csv"]
     assert any(r["q_loss"] != "nan" for r in harness.read_csv(gathered)), "no update ran"
-
-    restacked_sampling(monkeypatch, lambda buf, n, rng: buf.sample(n, rng))
-    views = harness.train_seed(cfg, 0, str(tmp_path / "views"))["csv"]
 
     push = ReplayBuffer.push
 
@@ -219,13 +209,17 @@ def test_training_bytes_match_restacked_sampling(tmp_path, monkeypatch, config, 
         push(self, t)
         self.__dict__.setdefault("objects", ObjectRing(self.capacity)).push(t)
 
+    def restacked_objects(self, rng):
+        buf = self.replay
+        if len(buf) < max(self.config.initial_fill, self.config.batch_size):
+            return None
+        idx = buf.sample_indices(self.config.batch_size, rng)
+        return _stack_batch([buf.objects.items[i] for i in idx])
+
     monkeypatch.setattr(ReplayBuffer, "push", push_and_keep)
-    restacked_sampling(monkeypatch, lambda buf, n, rng: [
-        buf.objects.items[i] for i in buf.sample_indices(n, rng)])
+    monkeypatch.setattr(AgentBase, "_sample_batch", restacked_objects)
     objects = harness.train_seed(cfg, 0, str(tmp_path / "objects"))["csv"]
-    want = Path(gathered).read_bytes()
-    assert Path(views).read_bytes() == want
-    assert Path(objects).read_bytes() == want
+    assert Path(objects).read_bytes() == Path(gathered).read_bytes()
 
 
 def constant_value_agent(bias, gamma=0.9, mixed_targets=True, beta_mix=0.25):
