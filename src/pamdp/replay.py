@@ -3,10 +3,9 @@
 The buffer stores each field of a transition in its own ring array: the
 state ``s``, the action index ``k``, the emitted action vector ``x``, the
 reward ``r``, the next state ``s_next``, the terminal flag and the Monte
-Carlo return, NaN where there is none. The arrays are allocated at the
-first push, with row shapes from the declared dimensions or, without them,
-from that push, and double as the buffer fills until they hold
-``capacity`` rows. Sampling is i.i.d. uniform with replacement over the
+Carlo return, NaN where there is none. The arrays hold ``capacity`` rows
+and are allocated at the first push, with row shapes from the declared
+dimensions or, without them, from that push. Sampling is i.i.d. uniform with replacement over the
 filled slots. ``sample`` gathers the drawn rows into a ``Sample``: stacked
 arrays, which is what updates train on, that read as ``Transition``
 objects when iterated; ``contents`` rebuilds the stored transitions the
@@ -23,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# rows of the first allocation; each later one doubles, up to capacity
-_FIRST_ROWS = 64
 _DTYPES = (np.float64, np.int64, np.float64, np.float64, np.float64, bool, np.float64)
 
 
@@ -114,22 +111,11 @@ class ReplayBuffer:
         mc = np.nan if t.mc_return is None else float(t.mc_return)
         return s, np.int64(t.k), x, float(t.r), s2, bool(t.terminal), mc
 
-    def _grow(self, row: tuple):
-        """Allocate the ring arrays, or double them while the buffer fills.
-        Allocating ``capacity`` rows at once raises peak RSS by about 1 MB
-        in Platform training, though np.empty pages are lazy."""
-        n = _FIRST_ROWS if self._rows is None else 2 * len(self._rows[0])
-        n = min(n, self.capacity)
-        new = tuple(np.empty((n, *np.shape(v)), dtype) for v, dtype in zip(row, _DTYPES))
-        if self._rows is not None:
-            for a, old in zip(new, self._rows):
-                a[: self._size] = old
-        self._rows = new
-
     def push(self, t: Transition):
         row = self._row(t)
-        if self._rows is None or self._size == len(self._rows[0]) < self.capacity:
-            self._grow(row)
+        if self._rows is None:
+            self._rows = tuple(np.empty((self.capacity, *np.shape(v)), dtype)
+                               for v, dtype in zip(row, _DTYPES))
         for a, v in zip(self._rows, row):
             a[self._cursor] = v
         self._cursor = (self._cursor + 1) % self.capacity
