@@ -5,14 +5,14 @@ state ``s``, the action index ``k``, the emitted action vector ``x``, the
 reward ``r``, the next state ``s_next``, the terminal flag and the Monte
 Carlo return, NaN where there is none. The arrays hold ``capacity`` rows
 and are allocated at the first push, with row shapes from the declared
-dimensions or, without them, from that push. Sampling is i.i.d. uniform with replacement over the
-filled slots. ``sample`` gathers the drawn rows into a ``Sample``: stacked
-arrays, which is what updates train on, that read as ``Transition``
-objects when iterated; ``contents`` rebuilds the stored transitions the
-same way. Episodes are pushed whole through ``finalize_episode``, which
-attaches each transition's Monte Carlo return when the agent trains on
-mixed targets; updates mix it with a one-step target bootstrapped from the
-target networks of the moment.
+dimensions or, without them, from that push. Sampling is i.i.d. uniform
+with replacement over the filled slots. ``sample`` gathers the drawn rows
+into a ``Sample``: stacked arrays, which is what updates train on, that
+read as ``Transition`` objects when iterated; ``contents`` rebuilds the
+stored transitions the same way. Episodes are pushed whole through
+``finalize_episode``, which attaches each transition's Monte Carlo return
+when the agent trains on mixed targets; updates mix it with a one-step
+target bootstrapped from the target networks of the moment.
 """
 
 from __future__ import annotations
