@@ -13,6 +13,7 @@ import argparse
 
 import numpy as np
 
+from pamdp.harness import write_sensitivity_csv
 from pamdp.nncore import DenseNet
 from pamdp.qfunction import (
     ActionSpaceSpec,
@@ -67,11 +68,8 @@ def main():
                     f"moves argmax over {sorted(winners)} (probe {probe})"
                 )
                 if args.out:
-                    k = SPACE.num_actions
                     with open(args.out, "w", encoding="utf-8") as fh:
-                        fh.write("sweep_value," + ",".join(f"q_{i+1}" for i in range(k)) + "\n")
-                        for v, row in zip(grid, table):
-                            fh.write(",".join(repr(float(c)) for c in (v, *row)) + "\n")
+                        write_sensitivity_csv(fh, grid, table)
                     print(f"sweep table written to {args.out}")
                 return
     print("\nno flip found (unusually smooth draw); rerun with another --seed")

@@ -11,13 +11,16 @@ and separate variants only the own-action term survives.
 
 ``PADDPGAgent`` is the relaxed-continuous baseline: the actor emits K
 discrete-selection scores in [-1, 1] next to the joint parameter vector, and
-a scalar critic scores the whole continuous action.
+a scalar critic scores the whole continuous action. That critic is the joint
+Q-function of a relaxed space with one action whose parameter block is the
+whole (K + M)-vector, so ``PADDPGAgent`` subclasses ``PDQNAgent`` and keeps
+only that space, acting by the argmax of the selection scores, and updating
+with every sample on the one relaxed action.
 
 Both agents perform one gradient step per environment step once the replay
 buffer holds an initial fill, and move their target networks only through
-Polyak averaging after each update. Everything else they have in common,
-from exploration to Monte Carlo returns, lives once in ``AgentBase``; each
-agent adds only the bootstrap value of s' and its update.
+Polyak averaging after each update. The Q regression, the actor's
+value-gradient step and the bootstrap target are each written once.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nncore
-from .nncore import AdamState, DenseNet, adam_step_net, backward, clip_grad_norm, forward, input_gradient
+from .nncore import AdamState, DenseNet, adam_step_net, backward, clip_grad_norm, forward
 from .policy import Actor, EpsilonSchedule, OUNoise, Passthrough, invert_gradients
-from .qfunction import ActionSpaceSpec, QFunction, sum_q_gradient
+from .qfunction import JOINT, ActionSpaceSpec, QFunction, sum_q_gradient
 from .replay import ReplayBuffer, Sample, Transition
 
 
@@ -125,52 +128,58 @@ def _mix(y: np.ndarray, mc: np.ndarray, beta: float) -> np.ndarray:
     return (1.0 - beta) * y + beta * mc
 
 
-class AgentBase:
-    """What both agent families share.
+class PDQNAgent:
+    """Q-over-parameterised-actions learner; `variant` picks the architecture.
 
-    That is the bounded actor and its target, the replay buffer, the
+    The agent holds the Q-function and its target, the bounded actor over
+    the Q-function's joint vector and its target, the replay buffer, the
     epsilon schedule, OU noise over the emitted vector, both Adam states,
     Polyak averaging of the target networks, and the Monte Carlo and
-    mixed-target bookkeeping. A subclass creates its value networks before
-    calling ``__init__`` here, which creates the actor, so the RNG draws
-    keep their order; it defines ``_bootstrap_targets`` (the value of s')
-    and its update.
+    mixed-target bookkeeping.
     """
 
     def __init__(
         self,
         space: ActionSpaceSpec,
+        variant: str,
         config: AgentConfig,
         rng: np.random.Generator,
-        bounds: np.ndarray,
-        passthrough: Passthrough | None,
-        q_nets: list[DenseNet],
-        q_target_nets: list[DenseNet],
+        passthrough: Passthrough | None = None,
     ):
         self.space = space
         self.config = config
-        self.bounds = bounds
-        sd, dim = space.state_dim, len(bounds)
+        self.variant = variant
+        # the Q-function's networks draw first, then the actor's
+        self.qf = QFunction.create(
+            variant, self._q_space(), config.hidden, rng, config.activation, config.leaky_slope
+        )
+        self.qf_target = self.qf.copy()
+        self.bounds = self.qf.space.bounds
+        sd, dim = space.state_dim, len(self.bounds)
         actor_net = DenseNet.create(
             sd, config.hidden, dim, rng, config.activation, config.leaky_slope
         )
-        self.actor = Actor(actor_net, bounds, passthrough)
+        self.actor = Actor(actor_net, self.bounds, passthrough)
         self.actor_target = self.actor.copy()
-        self._q_nets, self._q_target_nets = q_nets, q_target_nets
-        q_params = [p for net in q_nets for p in net.parameters()]
-        self.q_opt = AdamState.for_params(q_params, config.lr_q)
+        self.q_opt = AdamState.for_params(self.qf.parameters(), config.lr_q)
         self.actor_opt = AdamState.for_params(actor_net.parameters(), config.lr_actor)
         self.replay = ReplayBuffer(
             config.replay_capacity,
             state_dim=sd,
             action_dim=dim,
             num_actions=space.num_actions,
-            bounds=bounds,
+            bounds=self.bounds,
         )
         self.epsilon = EpsilonSchedule(
             config.epsilon_start, config.epsilon_end, max(config.epsilon_horizon, 1)
         )
         self.noise = OUNoise(dim, config.ou_theta, config.ou_sigma, config.ou_mu, config.ou_dt)
+
+    def _q_space(self) -> ActionSpaceSpec:
+        """The action space the Q-function and the actor work in."""
+        return self.space
+
+    # -- acting ---------------------------------------------------------
 
     def begin_episode(self, episode: int) -> float:
         self.noise.reset()
@@ -186,6 +195,36 @@ class AgentBase:
         if explore and rng.random() < self.epsilon.current:
             return u, int(rng.integers(self.space.num_actions))
         return u, None
+
+    def select_action(
+        self, s: np.ndarray, explore: bool, rng: np.random.Generator
+    ) -> ParameterisedAction:
+        """Greedy over Q at the actor's (noisy) parameters; eps-uniform k.
+
+        Ties in the Q-values resolve to the lowest action index.
+        """
+        x, k = self._explore(s, explore, rng)
+        if k is None:
+            k = int(np.argmax(self.q_values(s, x)))
+        return ParameterisedAction(k, x[self.space.block(k)].copy(), x)
+
+    def q_values(self, s: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return self.qf.evaluate(np.asarray(s)[None, :], np.asarray(x)[None, :])[0]
+
+    # -- targets --------------------------------------------------------
+
+    def _bootstrap_targets(
+        self, r: np.ndarray, s_next: np.ndarray, terminal: np.ndarray
+    ) -> np.ndarray:
+        """y = r + gamma * max_k Q_target(s', k, actor_target(s')), 0 tail on
+        terminal transitions."""
+        y = r.copy()
+        live = ~terminal
+        if live.any():
+            x2 = self.actor_target.forward(s_next[live])
+            q2 = self.qf_target.evaluate(s_next[live], x2)
+            y[live] += self.config.gamma * q2.max(axis=1)
+        return y
 
     def monte_carlo_returns(self, transitions: list[Transition]) -> np.ndarray:
         """Discounted return from each step to the episode's end.
@@ -220,71 +259,6 @@ class AgentBase:
         if np.isnan(mc).any():
             raise ValueError("mixed targets requested but transitions lack returns")
         return _mix(y, mc, self.config.beta_mix)
-
-    def sync_targets(self):
-        """Polyak-average every target network toward its online network."""
-        for target, online in zip(self._q_target_nets, self._q_nets):
-            nncore.polyak_update_net(target, online, self.config.tau_q)
-        nncore.polyak_update_net(self.actor_target.net, self.actor.net, self.config.tau_actor)
-
-    def _sample_batch(self, rng: np.random.Generator):
-        """A stacked minibatch, or None until the buffer holds the initial fill."""
-        if len(self.replay) < max(self.config.initial_fill, self.config.batch_size):
-            return None
-        return _stack_batch(self.replay.sample(self.config.batch_size, rng))
-
-
-class PDQNAgent(AgentBase):
-    """Q-over-parameterised-actions learner; `variant` picks the architecture."""
-
-    def __init__(
-        self,
-        space: ActionSpaceSpec,
-        variant: str,
-        config: AgentConfig,
-        rng: np.random.Generator,
-        passthrough: Passthrough | None = None,
-    ):
-        self.variant = variant
-        self.qf = QFunction.create(
-            variant, space, config.hidden, rng, config.activation, config.leaky_slope
-        )
-        self.qf_target = self.qf.copy()
-        super().__init__(
-            space, config, rng, space.bounds, passthrough, self.qf.nets, self.qf_target.nets
-        )
-
-    # -- acting ---------------------------------------------------------
-
-    def select_action(
-        self, s: np.ndarray, explore: bool, rng: np.random.Generator
-    ) -> ParameterisedAction:
-        """Greedy over Q at the actor's (noisy) parameters; eps-uniform k.
-
-        Ties in the Q-values resolve to the lowest action index.
-        """
-        x, k = self._explore(s, explore, rng)
-        if k is None:
-            k = int(np.argmax(self.q_values(s, x)))
-        return ParameterisedAction(k, x[self.space.block(k)].copy(), x)
-
-    def q_values(self, s: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return self.qf.evaluate(np.asarray(s)[None, :], np.asarray(x)[None, :])[0]
-
-    # -- targets --------------------------------------------------------
-
-    def _bootstrap_targets(
-        self, r: np.ndarray, s_next: np.ndarray, terminal: np.ndarray
-    ) -> np.ndarray:
-        """y = r + gamma * max_k Q_target(s', k, actor_target(s')), 0 tail on
-        terminal transitions."""
-        y = r.copy()
-        live = ~terminal
-        if live.any():
-            x2 = self.actor_target.forward(s_next[live])
-            q2 = self.qf_target.evaluate(s_next[live], x2)
-            y[live] += self.config.gamma * q2.max(axis=1)
-        return y
 
     # -- updates --------------------------------------------------------
 
@@ -321,36 +295,51 @@ class PDQNAgent(AgentBase):
         """
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         b = states.shape[0]
-        x, cache, _ = self.actor.forward_training(states)
+        x, cache = self.actor.forward_training(states)
         grad_x, q = sum_q_gradient(self.qf, states, x)
-        adjusted = invert_gradients(grad_x, x, self.space.bounds)
+        adjusted = invert_gradients(grad_x, x, self.bounds)
         upstream = -adjusted / b
         grads, _ = backward(self.actor.net, cache, upstream)
         grads = clip_grad_norm(grads, self.config.clip_grad)
         adam_step_net(self.actor.net, grads, self.actor_opt)
         return float(-np.mean(q.sum(axis=1)))
 
-    def update_from_replay(self, rng: np.random.Generator):
-        """One Q step and one actor step, then a soft target sync.
+    def sync_targets(self):
+        """Polyak-average every target network toward its online network."""
+        for target, online in zip(self.qf_target.nets, self.qf.nets):
+            nncore.polyak_update_net(target, online, self.config.tau_q)
+        nncore.polyak_update_net(self.actor_target.net, self.actor.net, self.config.tau_actor)
 
-        No-op until the buffer holds the initial fill. Returns
-        (q_loss, actor_loss) or None when skipped.
-        """
-        batch = self._sample_batch(rng)
-        if batch is None:
-            return None
+    def update(self, batch) -> tuple[float, float]:
+        """One Q step and one actor step on a stacked minibatch, then a soft
+        target sync. Returns (q_loss, actor_loss)."""
         q_loss = self.q_update(batch)
         actor_loss = self.actor_update(batch[0])
         self.sync_targets()
         return q_loss, actor_loss
 
+    def _sample_batch(self, rng: np.random.Generator):
+        """A stacked minibatch, or None until the buffer holds the initial fill."""
+        if len(self.replay) < max(self.config.initial_fill, self.config.batch_size):
+            return None
+        return _stack_batch(self.replay.sample(self.config.batch_size, rng))
 
-class PADDPGAgent(AgentBase):
+    def update_from_replay(self, rng: np.random.Generator):
+        """``update`` on a replay minibatch; None, and no update, until the
+        buffer holds the initial fill."""
+        batch = self._sample_batch(rng)
+        return None if batch is None else self.update(batch)
+
+
+class PADDPGAgent(PDQNAgent):
     """DDPG on the relaxed continuous action space.
 
     The actor maps the state to K discrete-selection scores followed by the
     joint parameter vector; all K + M slots are bounded, explored with OU
     noise, and updated through inverting gradients against a scalar critic.
+    That critic is the joint Q-function of a space with one action whose
+    parameter block is the whole (K + M)-vector, so the Q regression, the
+    actor step and the bootstrap target are P-DQN's.
     """
 
     def __init__(
@@ -361,24 +350,24 @@ class PADDPGAgent(AgentBase):
         passthrough: Passthrough | None = None,
     ):
         k, m, sd = space.num_actions, space.joint_dim, space.state_dim
-        bounds = np.vstack([np.tile([-1.0, 1.0], (k, 1)), space.bounds])
-        self.critic = DenseNet.create(
-            sd + k + m, config.hidden, 1, rng, config.activation, config.leaky_slope
-        )
-        self.critic_target = self.critic.copy()
         if passthrough is not None and passthrough.weights.shape == (sd, m):
             # parameter-only passthrough: pad with zero rows for the K scores
             passthrough = Passthrough(
                 np.hstack([np.zeros((sd, k)), passthrough.weights]),
                 np.concatenate([np.zeros(k), passthrough.bias]),
             )
-        super().__init__(
-            space, config, rng, bounds, passthrough, [self.critic], [self.critic_target]
-        )
+        super().__init__(space, JOINT, config, rng, passthrough)
+
+    def _q_space(self) -> ActionSpaceSpec:
+        """One action over K selection scores in [-1, 1] ++ the joint vector."""
+        k, space = self.space.num_actions, self.space
+        bounds = np.vstack([np.tile([-1.0, 1.0], (k, 1)), space.bounds])
+        return ActionSpaceSpec(space.state_dim, (k + space.joint_dim,), bounds)
 
     def select_action(
         self, s: np.ndarray, explore: bool, rng: np.random.Generator
     ) -> ParameterisedAction:
+        """Greedy over the actor's (noisy) selection scores; eps-uniform k."""
         u, k = self._explore(s, explore, rng)
         n = self.space.num_actions
         if k is None:
@@ -386,50 +375,16 @@ class PADDPGAgent(AgentBase):
         x = u[n:]
         return ParameterisedAction(k, x[self.space.block(k)].copy(), x.copy(), emitted=u)
 
-    def _bootstrap_targets(self, r, s_next, terminal):
-        """y = r + gamma * critic_target(s', actor_target(s')), 0 tail on
-        terminal transitions."""
-        y = r.copy()
-        live = ~terminal
-        if live.any():
-            s2 = s_next[live]
-            a2 = self.actor_target.forward(s2)
-            y[live] += self.config.gamma * forward(self.critic_target, np.hstack([s2, a2]))[0][:, 0]
-        return y
-
     def update(self, batch) -> tuple[float, float]:
-        """Critic regression on the executed continuous vector, then actor
-        ascent on the critic with inverting gradients.
+        """The P-DQN update with every sample on the relaxed space's one
+        action: critic regression on the executed (K + M)-vector, then actor
+        ascent on the critic with inverting gradients."""
+        s, k, *rest = batch
+        return super().update((s, np.zeros_like(k), *rest))
 
-        ``batch`` is a stacked minibatch as ``_stack_batch`` returns it.
-        """
-        s, _, u = batch[:3]
-        b = s.shape[0]
-        y = self._targets(batch)
-
-        out, cache = forward(self.critic, np.hstack([s, u]))
-        resid = out[:, 0] - y
-        grads, _ = backward(self.critic, cache, (resid / b)[:, None])
-        grads = clip_grad_norm(grads, self.config.clip_grad)
-        adam_step_net(self.critic, grads, self.q_opt)
-        critic_loss = float(np.mean(0.5 * resid**2))
-
-        a, actor_cache, _ = self.actor.forward_training(s)
-        out, cache = forward(self.critic, np.hstack([s, a]))
-        in_grads = input_gradient(self.critic, cache, np.ones((b, 1)))
-        grad_a = in_grads[:, s.shape[1] :]
-        adjusted = invert_gradients(grad_a, a, self.bounds)
-        agrads, _ = backward(self.actor.net, actor_cache, -adjusted / b)
-        agrads = clip_grad_norm(agrads, self.config.clip_grad)
-        adam_step_net(self.actor.net, agrads, self.actor_opt)
-        actor_loss = float(-np.mean(out[:, 0]))
-
-        self.sync_targets()
-        return critic_loss, actor_loss
-
-    def update_from_replay(self, rng: np.random.Generator):
-        batch = self._sample_batch(rng)
-        return None if batch is None else self.update(batch)
+    # the benchmark's tracer looks these up in this class's own namespace
+    update_from_replay = PDQNAgent.update_from_replay
+    _bootstrap_targets = PDQNAgent._bootstrap_targets
 
 
 def make_agent(

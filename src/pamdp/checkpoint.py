@@ -48,14 +48,14 @@ def _opt_arrays(prefix: str, opt) -> list[tuple[str, np.ndarray]]:
 
 def _agent_arrays(agent) -> list[tuple[str, np.ndarray]]:
     arrays = []
-    if isinstance(agent, PDQNAgent):
+    if isinstance(agent, PADDPGAgent):  # a PDQNAgent too; keeps its format-v1 names
+        arrays += _net_arrays("critic", agent.qf.net)
+        arrays += _net_arrays("critic_target", agent.qf_target.net)
+    elif isinstance(agent, PDQNAgent):
         for i, net in enumerate(agent.qf.nets):
             arrays += _net_arrays(f"q/net{i}", net)
         for i, net in enumerate(agent.qf_target.nets):
             arrays += _net_arrays(f"q_target/net{i}", net)
-    elif isinstance(agent, PADDPGAgent):
-        arrays += _net_arrays("critic", agent.critic)
-        arrays += _net_arrays("critic_target", agent.critic_target)
     else:
         raise TypeError(f"cannot checkpoint {type(agent).__name__}")
     arrays += _net_arrays("actor", agent.actor.net)

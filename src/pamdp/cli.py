@@ -10,9 +10,10 @@ from dataclasses import replace
 import numpy as np
 
 from . import harness
+from .agent import PADDPGAgent
 from .checkpoint import load_checkpoint
 from .envs import make_env
-from .harness import format_summary, load_config, seed_stream
+from .harness import format_summary, load_config, seed_stream, write_sensitivity_csv
 from .qfunction import q_sensitivity_sweep
 
 
@@ -61,6 +62,11 @@ def _cmd_diagnose(args):
     output there.
     """
     agent, header = load_checkpoint(args.checkpoint)
+    if isinstance(agent, PADDPGAgent):
+        raise SystemExit(
+            f"the sensitivity sweep needs a P-DQN checkpoint; {args.checkpoint} holds "
+            f"a {header['algorithm']} agent"
+        )
     env = make_env(header["env_id"], header["env_overrides"])
     # one step past the index, so the probed state is the first of a transition
     _, transitions, _ = harness.run_episode(
@@ -75,15 +81,11 @@ def _cmd_diagnose(args):
     lo, hi = agent.space.bounds[sl.start + args.coordinate]
     grid = np.linspace(lo, hi, args.points)
     table = q_sensitivity_sweep(qf, s, x, args.action, grid, args.coordinate)
-    k = agent.space.num_actions
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        out.write("sweep_value," + ",".join(f"q_{i + 1}" for i in range(k)) + "\n")
-        for value, row in zip(grid, table):
-            out.write(repr(float(value)) + "," + ",".join(repr(float(q)) for q in row) + "\n")
-    finally:
-        if args.out:
-            out.close()
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            write_sensitivity_csv(fh, grid, table)
+    else:
+        write_sensitivity_csv(sys.stdout, grid, table)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -384,6 +384,14 @@ def write_summary_csv(path: str, summaries: list[EvalSummary]):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def write_sensitivity_csv(fh, grid, table):
+    """A ``q_sensitivity_sweep`` table as CSV text: ``sweep_value,q_1..q_K``,
+    one row per grid value."""
+    fh.write("sweep_value," + ",".join(f"q_{i + 1}" for i in range(table.shape[1])) + "\n")
+    for value, row in zip(grid, table):
+        fh.write(",".join(repr(float(c)) for c in (value, *row)) + "\n")
+
+
 def read_csv(path: str) -> list[dict]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         return list(csv.DictReader(fh))

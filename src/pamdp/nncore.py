@@ -212,7 +212,10 @@ def _layer_deltas(
     delta = upstream
     for i in reversed(range(len(net.layers))):
         layer = net.layers[i]
-        dzs[i] = delta * _activation_grad(cache.preacts[i], layer.activation, layer.slope)
+        # the activation gradient is a fresh array, so it takes the product
+        # in place of a second array of the same size
+        dzs[i] = _activation_grad(cache.preacts[i], layer.activation, layer.slope)
+        dzs[i] *= delta
         delta = dzs[i] @ layer.weights.T
     return dzs, delta
 

@@ -58,15 +58,9 @@ class Actor:
         self.passthrough = passthrough
 
     def forward(self, states: np.ndarray) -> np.ndarray:
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        raw = forward(self.net, states)[0]
-        if self.passthrough is not None:
-            raw = raw + self.passthrough.apply(states)
-        return np.clip(raw, self.bounds[:, 0], self.bounds[:, 1])
+        return self.forward_training(states)[0]
 
-    def forward_training(
-        self, states: np.ndarray
-    ) -> tuple[np.ndarray, ForwardCache, np.ndarray]:
+    def forward_training(self, states: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
         """Clamped output plus the network cache needed to backpropagate.
 
         The clamp is treated as pass-through during updates; bounding of the
@@ -75,7 +69,7 @@ class Actor:
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         out, cache = forward(self.net, states)
         raw = out if self.passthrough is None else out + self.passthrough.apply(states)
-        return np.clip(raw, self.bounds[:, 0], self.bounds[:, 1]), cache, raw
+        return np.clip(raw, self.bounds[:, 0], self.bounds[:, 1]), cache
 
     def copy(self) -> "Actor":
         return Actor(self.net.copy(), self.bounds.copy(), self.passthrough)

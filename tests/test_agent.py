@@ -1,10 +1,18 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from pamdp import harness
 from pamdp.agent import AgentConfig, PADDPGAgent, PDQNAgent, ParameterisedAction, _stack_batch
+from pamdp.nncore import adam_step_net, backward, clip_grad_norm, forward, input_gradient
+from pamdp.policy import invert_gradients
 from pamdp.qfunction import ActionSpaceSpec, cross_gradient_matrix
 from pamdp.replay import Transition
 from conftest import fd_scalar_grad, relative_error
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 SPACE = ActionSpaceSpec(state_dim=2, param_dims=(1, 1))
 SPACE3 = ActionSpaceSpec(state_dim=4, param_dims=(1, 2, 1))
@@ -306,8 +314,8 @@ class TestMixedTargets:
             value_net = agent.qf_target.nets[0]
         else:
             agent = make_paddpg(seed=43, gamma=0.5)
-            target_nets = [agent.critic_target, agent.actor_target.net]
-            value_net = agent.critic_target
+            target_nets = [agent.qf_target.net, agent.actor_target.net]
+            value_net = agent.qf_target.net
         zero_nets(*target_nets)
         value_net.layers[-1].biases[:] = 2.0
         episode = [make_transition(SPACE, np.random.default_rng(44), terminal=False, r=0.0)]
@@ -360,7 +368,7 @@ class TestPADDPG:
 
     def test_constant_critic_leaves_actor_unchanged(self):
         agent = make_paddpg(seed=40)
-        zero_nets(agent.critic, agent.critic_target)
+        zero_nets(agent.qf.net, agent.qf_target.net)
         rng = np.random.default_rng(41)
         batch = [
             Transition(rng.standard_normal(2), 0, rng.uniform(-1, 1, 4), 0.0,
@@ -379,14 +387,14 @@ class TestPADDPG:
                                                 tau_actor=0.5),
                             np.random.default_rng(42))
         w = np.array([[0.1], [0.2], [-0.3], [0.4], [0.5]])
-        agent.critic.layers[0].weights[:] = w
-        agent.critic.layers[0].biases[:] = 0.0
-        agent.critic_target.layers[0].weights[:] = w
-        agent.critic_target.layers[0].biases[:] = 0.0
+        agent.qf.net.layers[0].weights[:] = w
+        agent.qf.net.layers[0].biases[:] = 0.0
+        agent.qf_target.net.layers[0].weights[:] = w
+        agent.qf_target.net.layers[0].biases[:] = 0.0
         a_w = np.array([[0.2, -0.1, 0.3, 0.05]])
         agent.actor.net.layers[0].weights[:] = a_w
         agent.actor.net.layers[0].biases[:] = 0.0
-        for net in (agent.critic, agent.critic_target, agent.actor.net):
+        for net in (agent.qf.net, agent.qf_target.net, agent.actor.net):
             net.mark_updated()
 
         u = np.array([0.5, -0.5, 0.2, -0.2])
@@ -400,20 +408,75 @@ class TestPADDPG:
         # fresh Adam: each parameter moves by lr * g / (|g| + eps)
         g_w = resid * np.array([1.0, 0.5, -0.5, 0.2, -0.2])
         expected_w = w[:, 0] - 0.01 * g_w / (np.abs(g_w) + 1e-8)
-        assert np.allclose(agent.critic.layers[0].weights[:, 0], expected_w, atol=1e-12)
+        assert np.allclose(agent.qf.net.layers[0].weights[:, 0], expected_w, atol=1e-12)
         # critic target after one tau=0.5 Polyak step
         expected_target = 0.5 * expected_w + 0.5 * w[:, 0]
         assert np.allclose(
-            agent.critic_target.layers[0].weights[:, 0], expected_target, atol=1e-12
+            agent.qf_target.net.layers[0].weights[:, 0], expected_target, atol=1e-12
         )
         # actor: ascent gradient = updated critic action weights, inverted
         # against the actor output a = (0.2, -0.1, 0.3, 0.05) at s = 1
         a = np.array([0.2, -0.1, 0.3, 0.05])
-        g_a = agent.critic.layers[0].weights[1:, 0]
+        g_a = agent.qf.net.layers[0].weights[1:, 0]
         scale = np.where(g_a > 0, (1.0 - a) / 2.0, (a + 1.0) / 2.0)
         adjusted = g_a * scale
         expected_actor = a_w[0] - 0.01 * -adjusted / (np.abs(adjusted) + 1e-8)
         assert np.allclose(agent.actor.net.layers[0].weights[0], expected_actor, atol=1e-12)
+
+
+def inline_paddpg_update(self, batch):
+    """PA-DDPG's step written out on its scalar critic, as before it ran as
+    P-DQN over the relaxed space: critic regression on state ++ executed
+    vector, then the actor step through the critic's input gradient."""
+    critic, k = self.qf.net, self.space.num_actions
+    bounds = np.vstack([np.tile([-1.0, 1.0], (k, 1)), self.space.bounds])
+    s, _, u = batch[:3]
+    b = s.shape[0]
+    y = self._targets(batch)
+    out, cache = forward(critic, np.hstack([s, u]))
+    resid = out[:, 0] - y
+    grads, _ = backward(critic, cache, (resid / b)[:, None])
+    adam_step_net(critic, clip_grad_norm(grads, self.config.clip_grad), self.q_opt)
+    critic_loss = float(np.mean(0.5 * resid**2))
+
+    a, actor_cache = self.actor.forward_training(s)
+    out, cache = forward(critic, np.hstack([s, a]))
+    grad_a = input_gradient(critic, cache, np.ones((b, 1)))[:, s.shape[1]:]
+    adjusted = invert_gradients(grad_a, a, bounds)
+    agrads, _ = backward(self.actor.net, actor_cache, -adjusted / b)
+    adam_step_net(self.actor.net, clip_grad_norm(agrads, self.config.clip_grad), self.actor_opt)
+    self.sync_targets()
+    return critic_loss, float(-np.mean(out[:, 0]))
+
+
+def inline_paddpg_targets(self, r, s_next, terminal):
+    """y = r + gamma * critic_target(s', actor_target(s')), 0 tail on
+    terminal transitions."""
+    y = r.copy()
+    live = ~terminal
+    if live.any():
+        s2 = s_next[live]
+        a2 = self.actor_target.forward(s2)
+        y[live] += self.config.gamma * forward(self.qf_target.net, np.hstack([s2, a2]))[0][:, 0]
+    return y
+
+
+@pytest.mark.parametrize("mixed_targets", [False, True])
+@pytest.mark.parametrize("config, episodes", [("bandit_oracle", 200), ("platform_desk", 60)])
+def test_paddpg_training_bytes_match_inline_critic(tmp_path, monkeypatch, config, episodes,
+                                                   mixed_targets):
+    """PA-DDPG run as P-DQN over the one-action relaxed space writes the
+    training CSV of the inline scalar-critic step. Platform updates start
+    after about 40 episodes."""
+    cfg = replace(harness.load_config(str(CONFIGS / f"{config}.conf")), algorithm="paddpg",
+                  episodes=episodes, seeds=(0,), mixed_targets=mixed_targets)
+    shared = harness.train_seed(cfg, 0, str(tmp_path / "shared"))["csv"]
+    assert any(r["q_loss"] != "nan" for r in harness.read_csv(shared)), "no update ran"
+
+    monkeypatch.setattr(PADDPGAgent, "update", inline_paddpg_update)
+    monkeypatch.setattr(PADDPGAgent, "_bootstrap_targets", inline_paddpg_targets)
+    inline = harness.train_seed(cfg, 0, str(tmp_path / "inline"))["csv"]
+    assert Path(inline).read_bytes() == Path(shared).read_bytes()
 
 
 class TestParameterisedAction:

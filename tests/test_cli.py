@@ -105,6 +105,18 @@ class TestDiagnoseCommand:
             main(["diagnose-sensitivity", "--checkpoint", str(untrained_platform),
                   "--action", "0", "--state-index", "4", "--points", "3"])
 
+    def test_paddpg_checkpoint_rejected(self, tmp_path):
+        # the relaxed critic scores one action, not K: no per-action table
+        cfg = parse_config_text("env = bandit\nalgorithm = paddpg\nhidden = 8\n")
+        ckpt = tmp_path / "paddpg.ckpt"
+        agent = build_agent(cfg, make_env("bandit", {}).spec, seed_stream(0))
+        save_checkpoint(ckpt, agent, "paddpg", "bandit", {})
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(SystemExit, match="needs a P-DQN checkpoint; .* holds a paddpg agent"):
+            main(["diagnose-sensitivity", "--checkpoint", str(ckpt), "--action", "0",
+                  "--points", "3", "--out", str(out)])
+        assert not out.exists()
+
     @pytest.mark.parametrize("state_index", [0, 3])
     def test_probes_the_state_a_greedy_rollout_reaches(self, untrained_platform, tmp_path,
                                                        state_index):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pamdp import harness
-from pamdp.agent import AgentBase, AgentConfig, PDQNAgent, _stack_batch
+from pamdp.agent import AgentConfig, PDQNAgent, _stack_batch
 from pamdp.qfunction import ActionSpaceSpec
 from pamdp.replay import ReplayBuffer, Transition, finalize_episode
 
@@ -213,7 +213,7 @@ def test_training_bytes_match_restacked_sampling(tmp_path, monkeypatch, config, 
         return _stack_batch([buf.objects.items[i] for i in idx])
 
     monkeypatch.setattr(ReplayBuffer, "push", push_and_keep)
-    monkeypatch.setattr(AgentBase, "_sample_batch", restacked_objects)
+    monkeypatch.setattr(PDQNAgent, "_sample_batch", restacked_objects)
     objects = harness.train_seed(cfg, 0, str(tmp_path / "objects"))["csv"]
     assert Path(objects).read_bytes() == Path(gathered).read_bytes()
 
