@@ -226,7 +226,8 @@ def train_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
     """Train one seed; writes train_seed<seed>.csv and checkpoint, returns paths.
 
     meta_seed<seed>.json says "running" during training, then "complete", or
-    "failed" with the error text if training raised.
+    "failed" with the error text and ``failed_episode``, the episode that
+    raised (null when it was not an episode).
     """
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"train_seed{seed}.csv")
@@ -245,6 +246,7 @@ def train_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
         "status": "running",
     }
     _write_meta(meta_path, meta)
+    episode = None  # the episode in progress, None outside the loop
     try:
         with open(csv_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(TRAIN_HEADER) + "\n")
@@ -263,6 +265,7 @@ def train_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
                 row = [seed, episode, total, len(transitions), eps, q_loss, actor_loss]
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
                 fh.flush()
+        episode = None
 
         save_checkpoint(
             ckpt_path,
@@ -277,6 +280,7 @@ def train_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
         # interrupts too: a dead run must not be left marked as running
         meta["status"] = "failed"
         meta["error"] = f"{type(exc).__name__}: {exc}"
+        meta["failed_episode"] = episode
         _write_meta(meta_path, meta)
         raise
     meta["status"] = "complete"

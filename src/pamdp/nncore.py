@@ -12,12 +12,23 @@ them alone, without the parameter gradients.
 Everything operates on plain ``np.ndarray`` in float64. Layer weights have
 shape ``(fan_in, fan_out)``, activations act row-wise on ``(batch, dim)``
 matrices.
+
+Forward and backward passes allocate nothing as large as a hidden layer:
+each network keeps its layers' pre-activations, activations and deltas in
+arrays it reuses from call to call (and shares with its copies), grown to
+the largest batch seen. Allocated per call, a 384 x 128 float64 array of a
+multipass update lies above glibc's mmap threshold and would be mapped,
+faulted in and unmapped on every update. So a forward cache lives until the
+next forward of the same network or of a copy; using it later raises. What
+a caller receives, the output and every gradient, is always a new array.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,21 +45,24 @@ def he_init(fan_in: int, shape: tuple[int, ...], rng: np.random.Generator) -> np
     return rng.standard_normal(shape) * math.sqrt(2.0 / fan_in)
 
 
-def _activate(z: np.ndarray, kind: str, slope: float) -> np.ndarray:
+def _activate(z: np.ndarray, kind: str, slope: float, out: np.ndarray):
+    """Write act(z) into `out`."""
     if kind == RELU:
-        return np.maximum(z, 0.0)
-    if kind == LEAKY_RELU:
-        return np.where(z > 0.0, z, slope * z)
-    return z
+        np.maximum(z, 0.0, out=out)
+    elif kind == LEAKY_RELU:
+        np.multiply(z, slope, out=out)
+        np.putmask(out, z > 0.0, z)
+    else:
+        np.copyto(out, z)
 
 
-def _activation_grad(z: np.ndarray, kind: str, slope: float) -> np.ndarray:
-    # Subgradient at exactly 0 is 0 for relu and `slope` for leaky_relu.
+def _scale_by_activation_grad(delta: np.ndarray, z: np.ndarray, kind: str, slope: float):
+    """In place: delta *= act'(z), with subgradient 0 (relu) or `slope`
+    (leaky_relu) at exactly 0."""
     if kind == RELU:
-        return (z > 0.0).astype(np.float64)
-    if kind == LEAKY_RELU:
-        return np.where(z > 0.0, 1.0, slope)
-    return np.ones_like(z)
+        np.multiply(delta, z > 0.0, out=delta)
+    elif kind == LEAKY_RELU:
+        np.multiply(delta, np.where(z > 0.0, 1.0, slope), out=delta)
 
 
 @dataclass
@@ -75,11 +89,85 @@ class Layer:
             raise ValueError("layer parameters must be finite")
 
 
+class _RowViews(NamedTuple):
+    """Leading-row views of one layer's reusable arrays for a call on n rows."""
+
+    z3: np.ndarray  # (n, 1, width) pre-activations, as the stacked product writes them
+    z: np.ndarray  # (n, width), the same memory
+    a: np.ndarray  # (n, width) activations
+    a3: np.ndarray  # (n, 1, width), the same memory, the next layer's product input
+    delta: np.ndarray  # (n, width) backpropagated delta
+
+
+def _mapped(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float64 array in an anonymous memory map of its own.
+
+    Long-lived arrays taken from the malloc heap sit between the short-lived
+    ones and keep freed heap memory from going back to the OS; a map of its
+    own is returned whole when the array is dropped.
+    """
+    count = math.prod(shape)
+    if count == 0:
+        return np.empty(shape)
+    return np.frombuffer(mmap.mmap(-1, 8 * count), dtype=np.float64).reshape(shape)
+
+
+class _LayerArrays:
+    """Reusable per-layer arrays of a network and of its copies.
+
+    They hold up to ``rows`` rows and grow to the largest row count seen; a
+    call on n rows works in C-contiguous leading-row views ``[:n]``, made
+    once per n. Every :meth:`take` bumps ``generation``, which outdates the
+    caches of the forwards before it. The output layer keeps only its
+    stacked product here: what ``forward`` returns is always a new array.
+    """
+
+    def __init__(self, widths: list[int]):
+        self.widths = widths  # hidden widths, then the output width
+        self.generation = 0
+        self._allocate(0)
+
+    def _allocate(self, rows: int):
+        self.rows = rows
+        self._z = [_mapped((rows, 1, w)) for w in self.widths]
+        self._a = [_mapped((rows, w)) for w in self.widths[:-1]]
+        self._delta = [_mapped((rows, w)) for w in self.widths[:-1]]
+        self._views: dict[int, list[_RowViews]] = {}
+
+    def views(self, n: int) -> list[_RowViews]:
+        """Per hidden layer, then for the output layer (``a`` and ``delta``
+        unused), the views for n rows; n must not exceed ``rows``."""
+        views = self._views.get(n)
+        if views is None:
+            views = self._views[n] = [
+                _RowViews(z[:n], z[:n, 0], a[:n], a[:n, None, :], d[:n])
+                for z, a, d in zip(self._z, self._a, self._delta)
+            ]
+            out = self._z[-1][:n]
+            views.append(_RowViews(out, out[:, 0], None, None, None))
+        return views
+
+    def take(self, n: int) -> tuple[int, list[_RowViews]]:
+        """The views for a forward on n rows and the generation it starts."""
+        if n > self.rows:
+            self._allocate(n)
+        self.generation += 1
+        return self.generation, self.views(n)
+
+    def __reduce__(self):
+        # copy.deepcopy and pickle start over with empty arrays: copied
+        # views would no longer alias the arrays they view
+        return _LayerArrays, (self.widths,)
+
+
 class DenseNet:
     """Feedforward stack of dense layers; the output layer is always linear.
 
     ``version`` counts in-place parameter updates so that a forward cache can
     be recognised as stale by :func:`backward` and :func:`input_gradient`.
+    The layers' working arrays are reused from forward to forward and shared
+    with :meth:`copy`, so a cache also goes stale at the next forward of this
+    network or of a copy.
     """
 
     def __init__(self, layers: list[Layer]):
@@ -94,6 +182,7 @@ class DenseNet:
             raise ValueError("final layer must be linear")
         self.layers = layers
         self.version = 0
+        self._arrays = _LayerArrays([l.weights.shape[1] for l in layers])
 
     @classmethod
     def create(
@@ -141,12 +230,17 @@ class DenseNet:
         return sum(p.size for p in self.parameters())
 
     def copy(self) -> "DenseNet":
-        return DenseNet(
+        """Same parameters in new arrays; the working arrays are shared, as a
+        target network and its online network never hold a cache across each
+        other's forward."""
+        twin = DenseNet(
             [
                 Layer(l.weights.copy(), l.biases.copy(), l.activation, l.slope)
                 for l in self.layers
             ]
         )
+        twin._arrays = self._arrays
+        return twin
 
     def mark_updated(self):
         self.version += 1
@@ -154,10 +248,16 @@ class DenseNet:
 
 @dataclass
 class ForwardCache:
-    """Intermediate activations retained for one backward pass."""
+    """Intermediate activations retained for one backward pass.
+
+    The hidden layers' entries are views of the network's reusable arrays,
+    valid until the next forward of the network or of a copy sharing them
+    (``generation`` tells).
+    """
 
     net_id: int
     version: int
+    generation: int
     inputs: list  # input to each layer, inputs[0] is the batch itself
     preacts: list  # pre-activation z for each layer
 
@@ -165,29 +265,45 @@ class ForwardCache:
 def forward(net: DenseNet, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Evaluate the network on a ``(batch, input_dim)`` matrix.
 
-    Pure: does not touch network state; identical inputs give bit-identical
-    outputs.
+    Identical inputs give bit-identical outputs. The output is a new array;
+    the hidden layers are computed in the network's reusable arrays, so the
+    returned cache serves backward passes only until the next forward of
+    this network or of a copy of it.
     """
     batch = np.ascontiguousarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != net.input_dim:
         raise ValueError(
             f"batch shape {batch.shape} incompatible with input_dim {net.input_dim}"
         )
+    n = batch.shape[0]
+    generation, views = net._arrays.take(n)
     inputs, preacts = [], []
-    a = batch
-    for layer in net.layers:
+    a, a3 = batch, batch[:, None, :]
+    # a stacked product runs one vector-matrix BLAS call per row, so an input
+    # row gives bit-identical outputs alone or inside any batch (a single
+    # `a @ W` GEMM does not). The batch is C-contiguous: a strided or
+    # Fortran-ordered one can take another kernel and other bits than its
+    # contiguous copy. The reused arrays' row views are C-contiguous too
+    for layer, v in zip(net.layers[:-1], views):
         inputs.append(a)
-        # a stacked product runs one vector-matrix BLAS call per row, so an
-        # input row gives bit-identical outputs alone or inside any batch
-        # (a single `a @ W` GEMM does not). The batch is C-contiguous: a
-        # strided or Fortran-ordered one can take another kernel and other
-        # bits than its contiguous copy
-        z = (a[:, None, :] @ layer.weights)[:, 0] + layer.biases
-        preacts.append(z)
-        a = _activate(z, layer.activation, layer.slope)
-    if not np.isfinite(a).all():
-        raise FloatingPointError("non-finite values in network output")
-    return a, ForwardCache(id(net), net.version, inputs, preacts)
+        np.matmul(a3, layer.weights, out=v.z3)
+        np.add(v.z, layer.biases, out=v.z)
+        preacts.append(v.z)
+        _activate(v.z, layer.activation, layer.slope, v.a)
+        a, a3 = v.a, v.a3
+    last, v = net.layers[-1], views[-1]
+    inputs.append(a)
+    np.matmul(a3, last.weights, out=v.z3)
+    out = v.z + last.biases
+    preacts.append(out)
+    # the sum of finite entries is finite unless it overflows, so the
+    # elementwise test runs only then
+    if not math.isfinite(out.sum()) and not np.isfinite(out).all():
+        widths = "->".join(str(w) for w in (net.input_dim, *net._arrays.widths))
+        raise FloatingPointError(
+            f"non-finite values in the output of a {widths} network on {n} rows"
+        )
+    return out, ForwardCache(id(net), net.version, generation, inputs, preacts)
 
 
 def _layer_deltas(
@@ -197,27 +313,28 @@ def _layer_deltas(
 
     Returns ``(dz, input_grads)``: dz[i] is the gradient with respect to
     layer i's pre-activation, input_grads the gradient with respect to the
-    batch.
+    batch. A hidden layer's dz lives in the network's reusable delta array.
     """
     if cache.net_id != id(net):
         raise ValueError("cache does not belong to this network")
     if cache.version != net.version:
         raise ValueError("stale cache: network parameters were updated after forward")
-    upstream = np.asarray(upstream, dtype=np.float64)
-    expected = (cache.inputs[0].shape[0], net.output_dim)
-    if upstream.shape != expected:
-        raise ValueError(f"upstream shape {upstream.shape}, expected {expected}")
+    if cache.generation != net._arrays.generation:
+        raise ValueError("stale cache: a later forward reused the network's arrays")
+    # the output layer's dz: contiguous, as the GEMMs on it must take the
+    # kernels a fresh array takes
+    upstream = np.ascontiguousarray(upstream, dtype=np.float64)
+    n = cache.inputs[0].shape[0]
+    if upstream.shape != (n, net.output_dim):
+        raise ValueError(f"upstream shape {upstream.shape}, expected {(n, net.output_dim)}")
 
-    dzs: list[np.ndarray] = [None] * len(net.layers)
-    delta = upstream
-    for i in reversed(range(len(net.layers))):
+    dzs = [v.delta for v in net._arrays.views(n)]
+    dzs[-1] = upstream
+    for i in reversed(range(len(net.layers) - 1)):
         layer = net.layers[i]
-        # the activation gradient is a fresh array, so it takes the product
-        # in place of a second array of the same size
-        dzs[i] = _activation_grad(cache.preacts[i], layer.activation, layer.slope)
-        dzs[i] *= delta
-        delta = dzs[i] @ layer.weights.T
-    return dzs, delta
+        np.matmul(dzs[i + 1], net.layers[i + 1].weights.T, out=dzs[i])
+        _scale_by_activation_grad(dzs[i], cache.preacts[i], layer.activation, layer.slope)
+    return dzs, dzs[0] @ net.layers[0].weights.T
 
 
 def backward(

@@ -211,7 +211,42 @@ class TestTrain:
         meta = json.load(open(os.path.join(cfg.out_dir, "meta_seed0.json")))
         assert meta["status"] == "failed"
         assert meta["error"] == "FloatingPointError: injected"
+        assert meta["failed_episode"] == 0
         assert not os.path.exists(os.path.join(cfg.out_dir, "checkpoint_seed0.ckpt"))
+
+    def test_crash_names_episode_network_and_rows(self, tmp_path, monkeypatch):
+        from pamdp.agent import PDQNAgent
+
+        begin = PDQNAgent.begin_episode
+
+        def poison_actor_at_episode_3(self, episode):
+            if episode == 3:
+                self.actor.net.layers[-1].biases[0] = np.inf
+            return begin(self, episode)
+
+        monkeypatch.setattr(PDQNAgent, "begin_episode", poison_actor_at_episode_3)
+        cfg = bandit_cfg(tmp_path)
+        # the bandit actor maps 1 state to 2 parameters through 8 hidden units
+        message = "non-finite values in the output of a 1->8->2 network on 1 rows"
+        with pytest.raises(FloatingPointError, match=message):
+            train_seed(cfg, 0, cfg.out_dir)
+        meta = json.load(open(os.path.join(cfg.out_dir, "meta_seed0.json")))
+        assert (meta["status"], meta["failed_episode"]) == ("failed", 3)
+        assert meta["error"] == f"FloatingPointError: {message}"
+        rows = read_csv(os.path.join(cfg.out_dir, "train_seed0.csv"))
+        assert [int(r["episode"]) for r in rows] == [0, 1, 2]
+
+    def test_crash_after_the_episodes_names_no_episode(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(harness, "save_checkpoint", refuse)
+        cfg = bandit_cfg(tmp_path)
+        with pytest.raises(OSError, match="disk full"):
+            train_seed(cfg, 0, cfg.out_dir)
+        meta = json.load(open(os.path.join(cfg.out_dir, "meta_seed0.json")))
+        assert (meta["status"], meta["failed_episode"]) == ("failed", None)
+        assert len(read_csv(os.path.join(cfg.out_dir, "train_seed0.csv"))) == cfg.episodes
 
     def test_seed_stream_is_per_seed_independent(self):
         a = seed_stream(0).standard_normal(4)

@@ -1,13 +1,20 @@
+import copy
 import math
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pamdp import harness, nncore
+from pamdp.envs import make_env
 from pamdp.nncore import (
     AdamState,
     DenseNet,
+    ForwardCache,
     Layer,
     adam_step,
     adam_step_net,
@@ -20,6 +27,8 @@ from pamdp.nncore import (
     polyak_update,
 )
 from conftest import fd_input_grads, fd_param_grads, make_safe_net, relative_error
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestHeInit:
@@ -94,29 +103,59 @@ class TestForward:
             DenseNet([Layer(np.ones((2, 3)), np.zeros(3)), Layer(np.ones((4, 1)), np.zeros(1))])
 
 
-# shapes training uses: the Platform joint/multipass Q-net (12 -> 128 -> 3),
-# the Platform PA-DDPG actor (9 -> 128 -> 6), the bandit Q-net (3 -> 64 -> 2)
-INVARIANCE_SHAPES = [(12, 128, 3), (9, 128, 6), (3, 64, 2)]
+def training_shapes() -> list[tuple[int, ...]]:
+    """Layer widths, input first, of every network the agents of all four
+    algorithms build for the bandit and the desk Platform configs."""
+    shapes = set()
+    for config in ("bandit_oracle", "platform_desk"):
+        cfg = harness.load_config(str(CONFIGS / f"{config}.conf"))
+        spec = make_env(cfg.env, cfg.env_overrides).spec
+        for algorithm in harness.ALGORITHMS:
+            agent = harness.build_agent(
+                replace(cfg, algorithm=algorithm), spec, np.random.default_rng(0)
+            )
+            for net in [*agent.qf.nets, agent.actor.net]:
+                shapes.add((net.input_dim, *(l.weights.shape[1] for l in net.layers)))
+    return sorted(shapes)
+
+
+INVARIANCE_SHAPES = training_shapes()
+
+
+def shape_id(widths):
+    return "-".join(map(str, widths))
+
+
+def net_of(widths, rng, activation="relu"):
+    return DenseNet.create(widths[0], widths[1:-1], widths[-1], rng, activation)
 
 
 class TestBatchInvariance:
     """A row's output bits depend on the row alone: not on the batch size,
     its position in the batch, or the memory layout of the batch."""
 
-    @pytest.mark.parametrize("fan_in,hidden,fan_out", INVARIANCE_SHAPES)
-    def test_row_alone_equals_row_in_batch(self, fan_in, hidden, fan_out):
+    def test_shapes_include_every_training_network(self):
+        # the joint/multipass Q-net, the separate Q-nets, the PA-DDPG critic
+        # and both actors on Platform; the bandit's Q-net and separate nets
+        for widths in [(12, 128, 3), (10, 128, 1), (15, 128, 1), (9, 128, 3),
+                       (9, 128, 6), (3, 64, 2), (2, 64, 1)]:
+            assert widths in INVARIANCE_SHAPES
+
+    @pytest.mark.parametrize("widths", INVARIANCE_SHAPES, ids=shape_id)
+    def test_row_alone_equals_row_in_batch(self, widths):
         rng = np.random.default_rng(11)
-        net = DenseNet.create(fan_in, (hidden,), fan_out, rng)
-        rows = rng.standard_normal((384, fan_in))
+        net = net_of(widths, rng)
+        rows = rng.standard_normal((384, widths[0]))
         alone = np.vstack([forward(net, row[None, :])[0] for row in rows])
         for b in (3, 128, 384):
             batched, _ = forward(net, rows[:b])
             assert np.array_equal(batched, alone[:b]), f"batch of {b}"
 
-    @pytest.mark.parametrize("fan_in,hidden,fan_out", INVARIANCE_SHAPES)
-    def test_layout_does_not_change_bits(self, fan_in, hidden, fan_out):
+    @pytest.mark.parametrize("widths", INVARIANCE_SHAPES, ids=shape_id)
+    def test_layout_does_not_change_bits(self, widths):
         rng = np.random.default_rng(12)
-        net = DenseNet.create(fan_in, (hidden,), fan_out, rng)
+        net = net_of(widths, rng)
+        fan_in = widths[0]
         wide = rng.standard_normal((384, 2 * fan_in))
         for b in (3, 128, 384):
             strided = wide[:b, ::2]
@@ -174,6 +213,159 @@ class TestBackward:
         for grad_fn in (backward, input_gradient):
             with pytest.raises(ValueError, match="stale"):
                 grad_fn(net, cache, np.ones((batch.shape[0], 2)))
+
+
+def fresh_copy(net):
+    """The same parameters in a network with working arrays of its own."""
+    return DenseNet(
+        [Layer(l.weights.copy(), l.biases.copy(), l.activation, l.slope) for l in net.layers]
+    )
+
+
+def allocating_forward(net, batch):
+    """Reference: the forward pass that allocated every layer's arrays anew."""
+    batch = np.ascontiguousarray(batch, dtype=np.float64)
+    if batch.ndim != 2 or batch.shape[1] != net.input_dim:
+        raise ValueError(f"batch shape {batch.shape} incompatible with input_dim {net.input_dim}")
+    inputs, preacts = [], []
+    a = batch
+    for layer in net.layers:
+        inputs.append(a)
+        z = (a[:, None, :] @ layer.weights)[:, 0] + layer.biases
+        preacts.append(z)
+        if layer.activation == "relu":
+            a = np.maximum(z, 0.0)
+        elif layer.activation == "leaky_relu":
+            a = np.where(z > 0.0, z, layer.slope * z)
+        else:
+            a = z
+    if not np.isfinite(a).all():
+        raise FloatingPointError("non-finite values in network output")
+    return a, ForwardCache(id(net), net.version, None, inputs, preacts)
+
+
+def allocating_layer_deltas(net, cache, upstream):
+    """Reference: backpropagation through fresh activation-gradient arrays."""
+    if cache.net_id != id(net):
+        raise ValueError("cache does not belong to this network")
+    if cache.version != net.version:
+        raise ValueError("stale cache: network parameters were updated after forward")
+    upstream = np.asarray(upstream, dtype=np.float64)
+    expected = (cache.inputs[0].shape[0], net.output_dim)
+    if upstream.shape != expected:
+        raise ValueError(f"upstream shape {upstream.shape}, expected {expected}")
+    dzs = [None] * len(net.layers)
+    delta = upstream
+    for i in reversed(range(len(net.layers))):
+        layer, z = net.layers[i], cache.preacts[i]
+        if layer.activation == "relu":
+            dzs[i] = (z > 0.0).astype(np.float64)
+        elif layer.activation == "leaky_relu":
+            dzs[i] = np.where(z > 0.0, 1.0, layer.slope)
+        else:
+            dzs[i] = np.ones_like(z)
+        dzs[i] *= delta
+        delta = dzs[i] @ layer.weights.T
+    return dzs, delta
+
+
+def results_of(net, batch, upstream):
+    """Everything a caller receives from forward, backward and
+    input_gradient on one batch."""
+    out, cache = forward(net, batch)
+    grads, input_grads = backward(net, cache, upstream)
+    return [out, input_grads, input_gradient(net, cache, upstream), *grads], cache
+
+
+class TestReusedArrays:
+    """Hidden layers are computed in arrays that a network reuses and shares
+    with its copies; everything returned to a caller is a new array."""
+
+    @pytest.mark.parametrize("later", ["same", "copy"])
+    def test_later_forward_makes_cache_stale(self, later):
+        net, batch = make_safe_net(3, (4, 5), 2, seed=6)
+        _, cache = forward(net, batch)
+        # a network with arrays of its own leaves the cache usable
+        forward(fresh_copy(net), batch)
+        backward(net, cache, np.ones((batch.shape[0], 2)))
+        forward(net if later == "same" else net.copy(), batch[:1])
+        for grad_fn in (backward, input_gradient):
+            with pytest.raises(ValueError, match="stale"):
+                grad_fn(net, cache, np.ones((batch.shape[0], 2)))
+
+    def test_deep_copy_computes_like_the_original(self):
+        net, batch = make_safe_net(3, (4, 5), 2, seed=8)
+        forward(net, batch)
+        twin = copy.deepcopy(net)
+        upstream = np.ones((batch.shape[0], 2))
+        for got, expected in zip(results_of(twin, batch, upstream)[0],
+                                 results_of(net, batch, upstream)[0]):
+            assert np.array_equal(got, expected)
+
+    def test_successive_results_share_no_memory(self):
+        net, batch = make_safe_net(3, (4, 5), 2, seed=7)
+        upstream = np.ones((batch.shape[0], 2))
+        first, _ = results_of(net, batch, upstream)
+        second, cache = results_of(net, batch, upstream)
+        reused = cache.inputs[1:] + cache.preacts[:-1]
+        for a in first:
+            for b in second + reused:
+                assert not np.shares_memory(a, b)
+        for i, a in enumerate(second):
+            for b in second[i + 1:] + reused:
+                assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("activation", ["relu", "leaky_relu", "linear"])
+    def test_row_counts_in_any_order_match_fresh_network(self, activation):
+        rng = np.random.default_rng(13)
+        net = DenseNet.create(12, (64, 32), 3, rng, activation)
+        rows = rng.standard_normal((384, 12))
+        for b in (3, 384, 128, 1):
+            upstream = rng.standard_normal((b, 3))
+            got, cache = results_of(net, rows[:b], upstream)
+            fresh, _ = results_of(fresh_copy(net), rows[:b], upstream)
+            assert all(np.array_equal(g, f) for g, f in zip(got, fresh)), f"batch of {b}"
+            # and bit for bit what the allocating passes computed
+            out, ref_cache = allocating_forward(net, rows[:b])
+            dzs, input_grads = allocating_layer_deltas(net, ref_cache, upstream)
+            grads = [g for a, dz in zip(ref_cache.inputs, dzs) for g in (a.T @ dz, dz.sum(axis=0))]
+            reference = [out, input_grads, input_grads, *grads]
+            assert all(np.array_equal(g, r) for g, r in zip(got, reference)), f"batch of {b}"
+            assert all(np.array_equal(z, r) for z, r in zip(cache.preacts, ref_cache.preacts))
+
+
+@pytest.mark.parametrize("config, episodes", [("bandit_oracle", 200), ("platform_desk", 60)])
+@pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
+def test_training_bytes_match_allocating_passes(tmp_path, monkeypatch, config, episodes,
+                                                algorithm):
+    """Training with the reused arrays writes the CSV that the allocating
+    forward and backward write, on whatever machine both run. Platform
+    updates start after about 40 episodes for the slower-filling
+    algorithms."""
+    cfg = replace(harness.load_config(str(CONFIGS / f"{config}.conf")),
+                  algorithm=algorithm, episodes=episodes, seeds=(0,))
+    reused = harness.train_seed(cfg, 0, str(tmp_path / "reused"))["csv"]
+    assert any(r["q_loss"] != "nan" for r in harness.read_csv(reused)), "no update ran"
+
+    calls = {"forward": 0, "deltas": 0}
+
+    def counted_forward(net, batch):
+        calls["forward"] += 1
+        return allocating_forward(net, batch)
+
+    def counted_deltas(net, cache, upstream):
+        calls["deltas"] += 1
+        return allocating_layer_deltas(net, cache, upstream)
+
+    # every module that imported forward by name calls it through its own
+    # global
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("pamdp") and getattr(module, "forward", None) is forward:
+            monkeypatch.setattr(module, "forward", counted_forward)
+    monkeypatch.setattr(nncore, "_layer_deltas", counted_deltas)
+    allocating = harness.train_seed(cfg, 0, str(tmp_path / "allocating"))["csv"]
+    assert calls["forward"] > 0 and calls["deltas"] > 0
+    assert Path(allocating).read_bytes() == Path(reused).read_bytes()
 
 
 class TestAdam:
