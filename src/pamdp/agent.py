@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nncore
-from .nncore import AdamState, DenseNet, adam_step_net, backward, clip_grad_norm, forward
+from .nncore import AdamState, DenseNet, backward, clip_grad_norm, forward
 from .policy import Actor, EpsilonSchedule, OUNoise, Passthrough, invert_gradients
 from .qfunction import JOINT, ActionSpaceSpec, QFunction, sum_q_gradient
 from .replay import ReplayBuffer, Sample, Transition
@@ -161,8 +161,8 @@ class PDQNAgent:
         )
         self.actor = Actor(actor_net, self.bounds, passthrough)
         self.actor_target = self.actor.copy()
-        self.q_opt = AdamState.for_params(self.qf.parameters(), config.lr_q)
-        self.actor_opt = AdamState.for_params(actor_net.parameters(), config.lr_actor)
+        self.q_opt = AdamState.for_params([n.flat for n in self.qf.nets], config.lr_q)
+        self.actor_opt = AdamState.for_params([actor_net.flat], config.lr_actor)
         self.replay = ReplayBuffer(
             config.replay_capacity,
             state_dim=sd,
@@ -271,20 +271,18 @@ class PDQNAgent:
         y = self._targets(batch)
         b = y.shape[0]
         pred = np.empty(b)
-        grads = []
+        grads = []  # one buffer per network
         for p in self.qf.passes(s, x, k):
             if not len(p.rows):  # a separate network no sample executed
-                grads += [np.zeros_like(w) for w in p.net.parameters()]
+                grads.append(np.zeros_like(p.net.flat))
                 continue
             out, cache = forward(p.net, p.rows)
             pred[p.q_at] = out[p.out_at]
             upstream = np.zeros_like(out)
             upstream[p.out_at] = (pred[p.q_at] - y[p.q_at]) / b
-            grads += backward(p.net, cache, upstream)[0]
-        grads = clip_grad_norm(grads, self.config.clip_grad)
-        nncore.adam_step(self.qf.parameters(), grads, self.q_opt)
-        for net in self.qf.nets:
-            net.mark_updated()
+            grads.append(np.empty_like(p.net.flat))
+            backward(p.net, cache, upstream, out=grads[-1])
+        self._step(self.qf.nets, grads, self.q_opt)
         return float(np.mean(0.5 * (pred - y) ** 2))
 
     def actor_update(self, states: np.ndarray) -> float:
@@ -299,16 +297,27 @@ class PDQNAgent:
         grad_x, q = sum_q_gradient(self.qf, states, x)
         adjusted = invert_gradients(grad_x, x, self.bounds)
         upstream = -adjusted / b
-        grads, _ = backward(self.actor.net, cache, upstream)
-        grads = clip_grad_norm(grads, self.config.clip_grad)
-        adam_step_net(self.actor.net, grads, self.actor_opt)
+        grads = np.empty_like(self.actor.net.flat)
+        backward(self.actor.net, cache, upstream, out=grads)
+        self._step([self.actor.net], [grads], self.actor_opt)
         return float(-np.mean(q.sum(axis=1)))
+
+    def _step(self, nets: list[DenseNet], grads: list[np.ndarray], opt: AdamState):
+        """Clip the networks' gradient buffers jointly, then one Adam step."""
+        grads = clip_grad_norm(grads, self.config.clip_grad)
+        nncore.adam_step([net.flat for net in nets], grads, opt)
+        for net in nets:
+            net.mark_updated()
 
     def sync_targets(self):
         """Polyak-average every target network toward its online network."""
-        for target, online in zip(self.qf_target.nets, self.qf.nets):
-            nncore.polyak_update_net(target, online, self.config.tau_q)
-        nncore.polyak_update_net(self.actor_target.net, self.actor.net, self.config.tau_actor)
+        for targets, onlines, tau in (
+            (self.qf_target.nets, self.qf.nets, self.config.tau_q),
+            ([self.actor_target.net], [self.actor.net], self.config.tau_actor),
+        ):
+            nncore.polyak_update([t.flat for t in targets], [o.flat for o in onlines], tau)
+            for target in targets:
+                target.mark_updated()
 
     def update(self, batch) -> tuple[float, float]:
         """One Q step and one actor step on a stacked minibatch, then a soft

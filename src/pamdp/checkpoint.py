@@ -39,8 +39,11 @@ def _net_arrays(prefix: str, net) -> list[tuple[str, np.ndarray]]:
 
 
 def _opt_arrays(prefix: str, opt) -> list[tuple[str, np.ndarray]]:
+    # one moment buffer per network, named per parameter array it holds
+    ms = [a for m in opt.m for a in m.parts()]
+    vs = [a for v in opt.v for a in v.parts()]
     out = []
-    for i, (m, v) in enumerate(zip(opt.m, opt.v)):
+    for i, (m, v) in enumerate(zip(ms, vs)):
         out.append((f"{prefix}/m{i}", m))
         out.append((f"{prefix}/v{i}", v))
     return out

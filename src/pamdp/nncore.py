@@ -21,10 +21,22 @@ multipass update lies above glibc's mmap threshold and would be mapped,
 faulted in and unmapped on every update. So a forward cache lives until the
 next forward of the same network or of a copy; using it later raises. What
 a caller receives, the output and every gradient, is always a new array.
+
+A network's parameters ``[W0, b0, W1, b1, ...]`` live back to back in one
+1-D float64 buffer, ``DenseNet.flat`` (a :class:`FlatArrays`); each layer's
+weights and biases are C-contiguous views of it. :func:`backward` writes the
+parameter gradients into a new buffer of the same layout, and an agent's
+Adam moments ``m`` and ``v`` are buffers of that layout too. So
+:func:`adam_step`, :func:`clip_grad_norm` and :func:`polyak_update` run
+once per network, not once per parameter array; as every operation is
+elementwise, the bits are those of the per-array steps. The one sum,
+the global gradient norm, still adds one sum of squares per parameter
+array, in parameter order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import mmap
 from dataclasses import dataclass, field
@@ -87,6 +99,55 @@ class Layer:
             raise ValueError(f"unknown activation {self.activation!r}")
         if not (np.isfinite(self.weights).all() and np.isfinite(self.biases).all()):
             raise ValueError("layer parameters must be finite")
+
+
+class FlatArrays(np.ndarray):
+    """A 1-D float64 buffer holding arrays of ``shapes`` back to back.
+
+    ``parts()`` views them, C-contiguous and in order. A copy, an
+    elementwise result, a deep copy and a pickle keep the layout; a slice of
+    another length has none (``shapes`` None).
+    """
+
+    shapes = None
+
+    def __new__(cls, shapes):
+        shapes = tuple(tuple(s) for s in shapes)
+        flat = super().__new__(cls, sum(math.prod(s) for s in shapes))
+        flat.shapes = shapes
+        return flat
+
+    def __array_finalize__(self, obj):
+        if obj is not None and obj.shape == self.shape:
+            self.shapes = getattr(obj, "shapes", None)
+
+    def __reduce__(self):
+        rebuild, args, state = super().__reduce__()
+        return rebuild, args, (state, self.shapes)
+
+    def __setstate__(self, state):
+        state, self.shapes = state
+        super().__setstate__(state)
+
+    def parts(self) -> list[np.ndarray]:
+        """Plain-ndarray views of the held arrays, in order."""
+        return _views(np.asarray(self), self.shapes)
+
+
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of a 1-D array shaped like ``shapes``."""
+    return [flat[start:stop].reshape(shape) for start, stop, shape in _spans(shapes)]
+
+
+@functools.cache
+def _spans(shapes: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """``(start, stop, shape)`` of each array in a buffer laid out as ``shapes``."""
+    out, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        out.append((start, stop, shape))
+        start = stop
+    return tuple(out)
 
 
 class _RowViews(NamedTuple):
@@ -163,6 +224,8 @@ class _LayerArrays:
 class DenseNet:
     """Feedforward stack of dense layers; the output layer is always linear.
 
+    The parameters are copied into one buffer, ``flat``, and the network's
+    layers hold views of it (the given ``Layer`` objects are left alone).
     ``version`` counts in-place parameter updates so that a forward cache can
     be recognised as stale by :func:`backward` and :func:`input_gradient`.
     The layers' working arrays are reused from forward to forward and shared
@@ -180,7 +243,14 @@ class DenseNet:
                 )
         if layers[-1].activation != LINEAR:
             raise ValueError("final layer must be linear")
-        self.layers = layers
+        arrays = [a for l in layers for a in (l.weights, l.biases)]
+        self.flat = FlatArrays([a.shape for a in arrays])
+        parts = self.flat.parts()
+        for part, a in zip(parts, arrays):
+            part[...] = a
+        self.layers = [
+            Layer(w, b, l.activation, l.slope) for l, w, b in zip(layers, parts[::2], parts[1::2])
+        ]
         self.version = 0
         self._arrays = _LayerArrays([l.weights.shape[1] for l in layers])
 
@@ -219,7 +289,8 @@ class DenseNet:
         return self.layers[-1].weights.shape[1]
 
     def parameters(self) -> list[np.ndarray]:
-        """Live parameter arrays, ordered [W0, b0, W1, b1, ...]."""
+        """Live parameter arrays, ordered [W0, b0, W1, b1, ...]: views of
+        ``flat``."""
         out = []
         for layer in self.layers:
             out.append(layer.weights)
@@ -227,23 +298,28 @@ class DenseNet:
         return out
 
     def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
+        return self.flat.size
 
     def copy(self) -> "DenseNet":
-        """Same parameters in new arrays; the working arrays are shared, as a
-        target network and its online network never hold a cache across each
-        other's forward."""
-        twin = DenseNet(
-            [
-                Layer(l.weights.copy(), l.biases.copy(), l.activation, l.slope)
-                for l in self.layers
-            ]
-        )
-        twin._arrays = self._arrays
-        return twin
+        """Same parameters in a buffer of its own; the working arrays are
+        shared, as a target network and its online network never hold a
+        cache across each other's forward."""
+        return _sharing(self.layers, self._arrays)
+
+    def __reduce__(self):
+        # copy.deepcopy and pickle rebuild the buffer, so the copied layers
+        # view it again; networks that shared working arrays share the copy
+        return _sharing, (self.layers, self._arrays)
 
     def mark_updated(self):
         self.version += 1
+
+
+def _sharing(layers: list[Layer], arrays: _LayerArrays) -> DenseNet:
+    """A network of these layers' parameters that works in ``arrays``."""
+    net = DenseNet(layers)
+    net._arrays = arrays
+    return net
 
 
 @dataclass
@@ -338,19 +414,26 @@ def _layer_deltas(
 
 
 def backward(
-    net: DenseNet, cache: ForwardCache, upstream: np.ndarray
+    net: DenseNet, cache: ForwardCache, upstream: np.ndarray, out: FlatArrays | None = None
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Exact gradients of ``sum(upstream * outputs)``.
 
     Returns ``(param_grads, input_grads)`` where param_grads matches the
     ordering of ``net.parameters()`` and input_grads has the batch's shape.
-    The cache must come from a :func:`forward` call on this exact network
-    with no parameter updates in between.
+    The parameter gradients are views of one buffer laid out like
+    ``net.flat``: ``out`` if given, else a new one. The cache must come from
+    a :func:`forward` call on this exact network with no parameter updates
+    in between.
     """
     dzs, input_grads = _layer_deltas(net, cache, upstream)
-    param_grads = []
-    for a, dz in zip(cache.inputs, dzs):
-        param_grads += [a.T @ dz, dz.sum(axis=0)]
+    if out is None:
+        out = np.empty_like(net.flat)
+    elif getattr(out, "shapes", None) != net.flat.shapes:
+        raise ValueError(f"gradient buffer is not laid out as {net.flat.shapes}")
+    param_grads = out.parts()
+    for a, dz, w, b in zip(cache.inputs, dzs, param_grads[::2], param_grads[1::2]):
+        np.matmul(a.T, dz, out=w)
+        np.add.reduce(dz, axis=0, out=b)
     return param_grads, input_grads
 
 
@@ -365,7 +448,13 @@ def input_gradient(net: DenseNet, cache: ForwardCache, upstream: np.ndarray) -> 
 
 @dataclass
 class AdamState:
-    """Adam accumulators for a fixed list of parameter arrays."""
+    """Adam accumulators for a fixed list of parameter arrays.
+
+    The moments are laid out like the parameters: an agent's hold one
+    buffer per network, views of which name them per parameter array in a
+    checkpoint. ``scratch`` holds a step's temporaries, two arrays per
+    moment, made at the first step.
+    """
 
     m: list
     v: list
@@ -374,6 +463,7 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    scratch: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @classmethod
     def for_params(cls, params: list[np.ndarray], alpha: float, **kwargs) -> "AdamState":
@@ -393,20 +483,44 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
     for p, g, m in zip(params, grads, state.m):
         if p.shape != g.shape or p.shape != m.shape:
             raise ValueError(f"shape mismatch: param {p.shape} vs grad {g.shape}")
+    if len(state.scratch) != len(state.m):
+        state.scratch = [(np.empty(m.shape), np.empty(m.shape)) for m in state.m]
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, g, m, v, (s1, s2) in zip(params, grads, state.m, state.v, state.scratch):
+        p, g, m, v = np.asarray(p), np.asarray(g), np.asarray(m), np.asarray(v)
+        # m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * g**2, then
+        # p -= alpha * (m / bc1) / (sqrt(v / bc2) + eps), in this order
         m *= b1
-        m += (1.0 - b1) * g
+        np.multiply(g, 1.0 - b1, out=s1)
+        m += s1
         v *= b2
-        v += (1.0 - b2) * np.square(g)
-        p -= state.alpha * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        np.square(g, out=s2)
+        s2 *= 1.0 - b2
+        v += s2
+        np.divide(m, bc1, out=s1)
+        s1 *= state.alpha
+        np.divide(v, bc2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += state.eps
+        s1 /= s2
+        p -= s1
 
 
 def global_grad_norm(grads: list[np.ndarray]) -> float:
-    return math.sqrt(sum(float(np.sum(np.square(g))) for g in grads))
+    """L2 norm over all arrays, from one sum of squares per array in order.
+    A flat buffer counts as the arrays it holds, so a gradient has the same
+    norm, to the bit, as one buffer or as its per-parameter arrays."""
+    sums = []
+    for g in grads:
+        squares = np.square(np.asarray(g))
+        shapes = getattr(g, "shapes", None)
+        arrays = [squares] if shapes is None else _views(squares, shapes)
+        # np.sum's own reduction, without its Python-level dispatch
+        sums += [float(np.add.reduce(a, axis=None)) for a in arrays]
+    return math.sqrt(sum(sums))
 
 
 def clip_grad_norm(grads: list[np.ndarray], max_norm: float) -> list[np.ndarray]:
@@ -417,10 +531,11 @@ def clip_grad_norm(grads: list[np.ndarray], max_norm: float) -> list[np.ndarray]
     """
     if max_norm <= 0.0:
         raise ValueError("max_norm must be positive")
-    for g in grads:
-        if not np.isfinite(g).all():
-            raise ValueError("non-finite gradient entries")
     norm = global_grad_norm(grads)
+    # the squares of finite entries sum to a finite total unless it
+    # overflows, so the elementwise test runs only then
+    if not math.isfinite(norm) and not all(np.isfinite(g).all() for g in grads):
+        raise ValueError("non-finite gradient entries")
     if norm <= max_norm:
         return list(grads)
     scale = max_norm / norm
@@ -436,16 +551,16 @@ def polyak_update(target_params: list[np.ndarray], online_params: list[np.ndarra
     for t, o in zip(target_params, online_params):
         if t.shape != o.shape:
             raise ValueError(f"shape mismatch: {t.shape} vs {o.shape}")
+        t = np.asarray(t)
         t *= 1.0 - tau
-        t += tau * o
+        t += tau * np.asarray(o)
 
 
 def adam_step_net(net: DenseNet, grads: list[np.ndarray], state: AdamState):
-    """Adam on a network's live parameters; bumps the version counter."""
-    adam_step(net.parameters(), grads, state)
+    """Adam on a network's buffer from per-parameter gradients, as
+    :func:`backward` returns them, with ``state`` made for ``[net.flat]``;
+    bumps the version counter."""
+    if [g.shape for g in grads] != list(net.flat.shapes):
+        raise ValueError("gradients do not match the network's parameters")
+    adam_step([net.flat], [np.concatenate([g.ravel() for g in grads])], state)
     net.mark_updated()
-
-
-def polyak_update_net(target: DenseNet, online: DenseNet, tau: float):
-    polyak_update(target.parameters(), online.parameters(), tau)
-    target.mark_updated()

@@ -170,6 +170,10 @@ class QFunction:
                 DenseNet.create(s + mk, hidden, 1, rng, activation, slope)
                 for mk in space.param_dims
             ]
+            # the K networks have the same widths and run one at a time, so
+            # they share one set of working arrays (and so do their copies)
+            for net in nets[1:]:
+                net._arrays = nets[0]._arrays
         else:  # joint and multipass share the K-output network; __init__ rejects the rest
             nets = [DenseNet.create(s + m, hidden, k, rng, activation, slope)]
         return cls(variant, space, nets)

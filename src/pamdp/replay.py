@@ -78,6 +78,10 @@ class ReplayBuffer:
         self.action_dim = action_dim
         self.num_actions = num_actions
         self.bounds = None if bounds is None else np.asarray(bounds, dtype=np.float64)
+        if self.bounds is not None:
+            # the bounds widened by a rounding allowance, one column each
+            self._low = self.bounds[:, 0] - 1e-12
+            self._high = self.bounds[:, 1] + 1e-12
         # (s, k, x, r, s_next, terminal, mc_return), allocated at the first push
         self._rows: tuple[np.ndarray, ...] | None = None
         self._size = 0
@@ -89,9 +93,10 @@ class ReplayBuffer:
     def _row(self, t: Transition) -> tuple:
         """The transition as one row of the ring arrays, or ValueError."""
         s, s2, x = (np.asarray(a, dtype=np.float64) for a in (t.s, t.s_next, t.x_joint))
-        if not (np.isfinite(s).all() and np.isfinite(s2).all() and np.isfinite(x).all()):
+        # one finiteness test over the three arrays, whatever their shapes
+        if not np.isfinite(np.concatenate((s.ravel(), s2.ravel(), x.ravel()))).all():
             raise ValueError("transition contains non-finite values")
-        if not np.isfinite(t.r):
+        if not math.isfinite(t.r):
             raise ValueError("non-finite reward")
         if self._rows is not None:
             state_shape, action_shape = self._rows[0].shape[1:], self._rows[2].shape[1:]
@@ -104,10 +109,8 @@ class ReplayBuffer:
             raise ValueError("action vector dimension mismatch")
         if self.num_actions is not None and not 0 <= t.k < self.num_actions:
             raise ValueError(f"action index {t.k} out of range")
-        if self.bounds is not None:
-            eps = 1e-12
-            if (x < self.bounds[:, 0] - eps).any() or (x > self.bounds[:, 1] + eps).any():
-                raise ValueError("action vector outside bounds")
+        if self.bounds is not None and ((x < self._low) | (x > self._high)).any():
+            raise ValueError("action vector outside bounds")
         mc = np.nan if t.mc_return is None else float(t.mc_return)
         return s, np.int64(t.k), x, float(t.r), s2, bool(t.terminal), mc
 

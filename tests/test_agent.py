@@ -1,11 +1,15 @@
+import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pamdp import harness
+from pamdp import agent as agent_module
+from pamdp import harness, nncore
 from pamdp.agent import AgentConfig, PADDPGAgent, PDQNAgent, ParameterisedAction, _stack_batch
+from pamdp.checkpoint import load_checkpoint, save_checkpoint
 from pamdp.nncore import adam_step_net, backward, clip_grad_norm, forward, input_gradient
 from pamdp.policy import invert_gradients
 from pamdp.qfunction import ActionSpaceSpec, cross_gradient_matrix
@@ -256,6 +260,111 @@ class TestInvariants:
             (p != q).any() for p, q in zip(agent.qf_target.parameters(), before)
         )
         assert moved
+
+
+class TestFlatBuffers:
+    """Each update step passes one buffer per network to Adam, the clip and
+    Polyak averaging."""
+
+    @pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
+    def test_update_passes_one_buffer_per_network(self, monkeypatch, algorithm):
+        space = SPACE3
+        agent = agent_module.make_agent(algorithm, space, small_config(), np.random.default_rng(31))
+        calls = []
+        for name in ("adam_step", "clip_grad_norm", "polyak_update"):
+            original = getattr(nncore, name)
+
+            def record(*args, name=name, original=original):
+                calls.append((name, args))
+                return original(*args)
+
+            monkeypatch.setattr(nncore, name, record)
+            monkeypatch.setattr(agent_module, name, record, raising=False)
+        rng = np.random.default_rng(32)
+        batch = _stack_batch([make_transition(space, rng) for _ in range(6)])
+        if algorithm == "paddpg":
+            batch = (batch[0], batch[1], rng.uniform(-1, 1, (6, 3 + space.joint_dim)), *batch[3:])
+        agent.update(batch)
+
+        q_nets, actor = agent.qf.nets, agent.actor.net
+        assert len(q_nets) == (3 if algorithm == "pdqn-separate" else 1)
+        assert [name for name, _ in calls] == [
+            "clip_grad_norm", "adam_step", "clip_grad_norm", "adam_step",
+            "polyak_update", "polyak_update"]
+        (_, (q_grads, _)), (_, q_adam), (_, (a_grads, _)), (_, a_adam) = calls[:4]
+        for grads, nets in ((q_grads, q_nets), (a_grads, [actor])):
+            assert [g.shapes for g in grads] == [net.flat.shapes for net in nets]
+            assert all(g.ndim == 1 for g in grads)
+        for (params, _, state), nets, opt in ((q_adam, q_nets, agent.q_opt),
+                                              (a_adam, [actor], agent.actor_opt)):
+            assert [id(p) for p in params] == [id(net.flat) for net in nets]
+            assert state is opt and len(state.m) == len(state.v) == len(nets)
+        (_, q_polyak), (_, a_polyak) = calls[4:]
+        assert [id(t) for t in q_polyak[0]] == [id(net.flat) for net in agent.qf_target.nets]
+        assert [id(o) for o in q_polyak[1]] == [id(net.flat) for net in q_nets]
+        assert [id(t) for t in a_polyak[0]] == [id(agent.actor_target.net.flat)]
+        assert [id(o) for o in a_polyak[1]] == [id(actor.flat)]
+
+    @pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
+    def test_loaded_checkpoint_fills_the_buffers(self, tmp_path, algorithm):
+        agent = agent_module.make_agent(algorithm, SPACE3, small_config(), np.random.default_rng(33))
+        rng = np.random.default_rng(34)
+        for _ in range(8):
+            t = make_transition(SPACE3, rng)
+            if algorithm == "paddpg":
+                t.x_joint = rng.uniform(-1, 1, 3 + SPACE3.joint_dim)
+            agent.replay.push(t)
+        for _ in range(3):
+            agent.update_from_replay(rng)
+        path = tmp_path / "agent.ckpt"
+        save_checkpoint(path, agent, algorithm, "chain", {})
+        loaded, _ = load_checkpoint(path)
+        payload = payload_arrays(path)
+
+        def held(prefix):
+            return np.concatenate([a for name, a in payload.items()
+                                   if name.startswith(f"{prefix}/layer")])
+
+        if algorithm == "paddpg":
+            q, q_target = ["critic"], ["critic_target"]
+        else:
+            q = [f"q/net{i}" for i in range(len(agent.qf.nets))]
+            q_target = [f"q_target/net{i}" for i in range(len(agent.qf.nets))]
+        for prefixes, nets in ((q, loaded.qf.nets), (q_target, loaded.qf_target.nets),
+                               (["actor"], [loaded.actor.net]),
+                               (["actor_target"], [loaded.actor_target.net])):
+            for prefix, net in zip(prefixes, nets, strict=True):
+                assert np.array_equal(net.flat, held(prefix))
+                assert all(np.shares_memory(p, net.flat) for p in net.parameters())
+        for name, opt, twin in (("q_opt", agent.q_opt, loaded.q_opt),
+                                ("actor_opt", agent.actor_opt, loaded.actor_opt)):
+            assert [m.shapes for m in twin.m] == [m.shapes for m in opt.m]
+            # the format's names and order: m<i>, v<i> per parameter array
+            shapes = [shape for m in opt.m for shape in m.shapes]
+            assert [(n, a.size) for n, a in payload.items() if n.startswith(f"{name}/")] == [
+                (f"{name}/{k}{i}", math.prod(shape)) for i, shape in enumerate(shapes)
+                for k in "mv"]
+            for moment in ("m", "v"):
+                stored = [a for n, a in payload.items() if n.startswith(f"{name}/{moment}")]
+                buffers = getattr(twin, moment)
+                assert np.array_equal(np.concatenate(buffers), np.concatenate(stored))
+                assert np.array_equal(np.concatenate(buffers),
+                                      np.concatenate(getattr(opt, moment)))
+                assert np.concatenate(buffers).any()
+
+
+def payload_arrays(path) -> dict:
+    """The arrays of a checkpoint file by name, read with the header's
+    manifest."""
+    data = Path(path).read_bytes()
+    size = int.from_bytes(data[8:16], "little")
+    offset = 16 + size
+    arrays = {}
+    for entry in json.loads(data[16:offset])["arrays"]:
+        count = math.prod(entry["shape"])
+        arrays[entry["name"]] = np.frombuffer(data, "<f8", count, offset)
+        offset += 8 * count
+    return arrays
 
 
 class TestMixedTargets:

@@ -1,5 +1,6 @@
 import copy
 import math
+import pickle
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -14,6 +15,7 @@ from pamdp.envs import make_env
 from pamdp.nncore import (
     AdamState,
     DenseNet,
+    FlatArrays,
     ForwardCache,
     Layer,
     adam_step,
@@ -207,7 +209,7 @@ class TestBackward:
     def test_stale_cache_rejected(self):
         net, batch = make_safe_net(3, (4,), 2, seed=5)
         _, cache = forward(net, batch)
-        state = AdamState.for_params(net.parameters(), alpha=0.01)
+        state = AdamState.for_params([net.flat], alpha=0.01)
         grads = [np.ones_like(p) for p in net.parameters()]
         adam_step_net(net, grads, state)
         for grad_fn in (backward, input_gradient):
@@ -334,6 +336,144 @@ class TestReusedArrays:
             assert all(np.array_equal(z, r) for z, r in zip(cache.preacts, ref_cache.preacts))
 
 
+def address(a):
+    return a.__array_interface__["data"][0]
+
+
+def assert_back_to_back(arrays, buffer=None):
+    """The arrays are C-contiguous and follow each other in memory; with a
+    `buffer`, they are views filling it in order."""
+    at = address(arrays[0] if buffer is None else buffer)
+    for a in arrays:
+        assert a.flags.c_contiguous and address(a) == at
+        assert buffer is None or np.shares_memory(a, buffer)
+        at += a.nbytes
+    assert buffer is None or at == address(buffer) + buffer.nbytes
+
+
+class TestFlatLayout:
+    """A network's parameters, its gradients and its Adam moments each live
+    in one buffer per network, as views shaped like the per-array ones."""
+
+    def test_parameters_and_gradients_view_one_buffer(self):
+        net, batch = make_safe_net(3, (4, 5), 2, seed=9)
+        assert_back_to_back(net.parameters(), net.flat)
+        assert net.flat.shapes == tuple(p.shape for p in net.parameters())
+        assert net.num_parameters() == net.flat.size
+        _, cache = forward(net, batch)
+        upstream = np.ones((batch.shape[0], 2))
+        grads, _ = backward(net, cache, upstream)
+        assert_back_to_back(grads)
+        assert not any(np.shares_memory(g, net.flat) for g in grads)
+        buffer = np.empty_like(net.flat)
+        into_buffer, _ = backward(net, cache, upstream, out=buffer)
+        assert_back_to_back(into_buffer, buffer)
+        assert all(np.array_equal(a, b) for a, b in zip(into_buffer, grads))
+        for wrong in (np.empty(net.flat.size), np.empty_like(net.copy().flat)[:-1]):
+            with pytest.raises(ValueError, match="laid out"):
+                backward(net, cache, upstream, out=wrong)
+
+    def test_writes_to_the_buffer_reach_the_layers(self):
+        net, batch = make_safe_net(3, (4,), 2, seed=10)
+        net.flat[:] = 0.0
+        net.flat[-2:] = [1.5, -2.0]  # the output biases
+        assert forward(net, batch)[0].tolist() == [[1.5, -2.0]] * batch.shape[0]
+
+    def test_given_layers_are_left_alone(self):
+        layers = [Layer(np.ones((2, 3)), np.zeros(3), "relu"), Layer(np.ones((3, 1)), np.zeros(1))]
+        weights = layers[0].weights
+        net = DenseNet(layers)
+        assert layers[0].weights is weights and not np.shares_memory(weights, net.flat)
+
+    def test_copy_owns_its_buffer(self):
+        net, batch = make_safe_net(3, (4,), 2, seed=11)
+        twin = net.copy()
+        assert not np.shares_memory(twin.flat, net.flat)
+        assert np.array_equal(twin.flat, net.flat) and twin.flat.shapes == net.flat.shapes
+        assert_back_to_back(twin.parameters(), twin.flat)
+        net.flat += 1.0
+        assert not np.array_equal(twin.flat, net.flat)
+
+    @pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+    def test_copies_keep_the_views_aliased(self, how):
+        net, batch = make_safe_net(3, (4, 5), 2, seed=12)
+        target = net.copy()
+        copy_of = copy.deepcopy if how == "deepcopy" else lambda x: pickle.loads(pickle.dumps(x))
+        twin, twin_target = copy_of([net, target])
+        for original, copied in ((net, twin), (target, twin_target)):
+            assert np.array_equal(copied.flat, original.flat)
+            assert copied.flat.shapes == original.flat.shapes
+            assert not np.shares_memory(copied.flat, original.flat)
+            assert_back_to_back(copied.parameters(), copied.flat)
+        # the copies share working arrays as the originals do
+        assert twin._arrays is twin_target._arrays and twin._arrays is not net._arrays
+        twin.flat[:] = 0.0
+        assert (forward(twin, batch)[0] == 0.0).all()
+        assert (forward(net, batch)[0] != 0.0).any()
+
+    @pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle", "scaled"])
+    def test_buffer_copies_keep_the_layout(self, how):
+        flat = FlatArrays([(2, 3), (3,)])
+        flat[:] = np.arange(9.0)
+        twin = {"copy": flat.copy, "deepcopy": lambda: copy.deepcopy(flat),
+                "pickle": lambda: pickle.loads(pickle.dumps(flat)),
+                "scaled": lambda: flat * 1.0}[how]()
+        assert type(twin) is FlatArrays and twin.shapes == ((2, 3), (3,))
+        assert [p.tolist() for p in twin.parts()] == [[[0, 1, 2], [3, 4, 5]], [6, 7, 8]]
+        assert flat[:3].shapes is None
+
+    def test_adam_moments_are_laid_out_like_the_parameters(self):
+        net, _ = make_safe_net(3, (4,), 2, seed=13)
+        state = AdamState.for_params([net.flat], alpha=0.01)
+        for moments in (state.m, state.v):
+            (buffer,) = moments
+            assert type(buffer) is FlatArrays and buffer.shapes == net.flat.shapes
+            assert not np.shares_memory(buffer, net.flat) and not buffer.any()
+
+    @pytest.mark.parametrize("max_norm", [1e9, 1.0])
+    def test_flat_step_matches_per_array_step_to_the_bit(self, max_norm):
+        """Three Adam steps, clips and Polyak averages over the buffers
+        compute the bits of the same steps over the per-parameter arrays."""
+        net, batch = make_safe_net(3, (16, 8), 2, seed=16)
+        upstream = np.random.default_rng(17).standard_normal((batch.shape[0], 2))
+        target, twin, twin_target = net.copy(), net.copy(), net.copy()
+        flat_state = AdamState.for_params([net.flat], alpha=0.01)
+        array_state = AdamState.for_params(twin.parameters(), alpha=0.01)
+        for step in range(3):
+            _, cache = forward(net, batch)
+            grads = np.empty_like(net.flat)
+            backward(net, cache, upstream, out=grads)
+            clipped = clip_grad_norm([grads], max_norm)
+            assert (clipped[0] is grads) == (max_norm == 1e9)
+            if step == 0:
+                # one sum over the whole buffer has other bits: the test
+                # would see it
+                whole = math.sqrt(float(np.sum(np.square(np.asarray(grads)))))
+                assert whole != global_grad_norm([grads]) > 1.0
+            adam_step([net.flat], clipped, flat_state)
+            net.mark_updated()
+            polyak_update([target.flat], [net.flat], 0.1)
+
+            _, cache = forward(twin, batch)
+            per_array, _ = backward(twin, cache, upstream)
+            adam_step(twin.parameters(), reference_clip(per_array, max_norm), array_state)
+            twin.mark_updated()
+            polyak_update(twin_target.parameters(), twin.parameters(), 0.1)
+        assert np.array_equal(net.flat, twin.flat)
+        assert np.array_equal(target.flat, twin_target.flat)
+        assert all(np.array_equal(m, a)
+                   for m, a in zip(flat_state.m[0].parts() + flat_state.v[0].parts(),
+                                   array_state.m + array_state.v))
+
+
+def reference_clip(grads, max_norm):
+    """The per-array clip: one sum of squares per array, added in order."""
+    norm = math.sqrt(sum(float(np.sum(np.square(g))) for g in grads))
+    if norm <= max_norm:
+        return list(grads)
+    return [g * (max_norm / norm) for g in grads]
+
+
 @pytest.mark.parametrize("config, episodes", [("bandit_oracle", 200), ("platform_desk", 60)])
 @pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
 def test_training_bytes_match_allocating_passes(tmp_path, monkeypatch, config, episodes,
@@ -366,6 +506,82 @@ def test_training_bytes_match_allocating_passes(tmp_path, monkeypatch, config, e
     allocating = harness.train_seed(cfg, 0, str(tmp_path / "allocating"))["csv"]
     assert calls["forward"] > 0 and calls["deltas"] > 0
     assert Path(allocating).read_bytes() == Path(reused).read_bytes()
+
+
+def per_array(buffers):
+    """The per-parameter arrays a list of buffers holds, in order."""
+    return [a for b in buffers for a in b.parts()]
+
+
+def per_array_adam_step(params, grads, state):
+    """Reference: Adam over each parameter array in turn, with fresh
+    temporaries."""
+    state.t += 1
+    b1, b2 = state.beta1, state.beta2
+    bc1 = 1.0 - b1**state.t
+    bc2 = 1.0 - b2**state.t
+    for p, g, m, v in zip(per_array(params), per_array(grads), per_array(state.m),
+                          per_array(state.v)):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * np.square(g)
+        p -= state.alpha * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+
+
+def per_array_clip(grads, max_norm):
+    """Reference: the clip over the per-parameter arrays, written back into
+    buffers."""
+    out = [np.empty_like(g) for g in grads]
+    for dst, src in zip(per_array(out), reference_clip(per_array(grads), max_norm)):
+        dst[...] = src
+    return out
+
+
+def per_array_polyak(targets, onlines, tau):
+    """Reference: Polyak averaging of each parameter array in turn."""
+    for t, o in zip(per_array(targets), per_array(onlines)):
+        t *= 1.0 - tau
+        t += tau * o
+
+
+PER_ARRAY_CASES = [
+    *((config, episodes, algorithm, False)
+      for config, episodes in (("bandit_oracle", 200), ("platform_desk", 60))
+      for algorithm in harness.ALGORITHMS),
+    ("platform_desk", 60, "pdqn-separate", True),
+]
+
+
+@pytest.mark.parametrize("config, episodes, algorithm, mixed_targets", PER_ARRAY_CASES)
+def test_training_bytes_match_per_array_steps(tmp_path, monkeypatch, config, episodes,
+                                              algorithm, mixed_targets):
+    """Adam, clipping and Polyak averaging over one buffer per network write
+    the training CSV and the checkpoint that the per-array steps write."""
+    cfg = replace(harness.load_config(str(CONFIGS / f"{config}.conf")), algorithm=algorithm,
+                  episodes=episodes, seeds=(0,), mixed_targets=mixed_targets)
+    flat = harness.train_seed(cfg, 0, str(tmp_path / "flat"))
+    assert any(r["q_loss"] != "nan" for r in harness.read_csv(flat["csv"])), "no update ran"
+
+    calls = {}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return call
+
+    references = {"adam_step": per_array_adam_step, "clip_grad_norm": per_array_clip,
+                  "polyak_update": per_array_polyak}
+    for name, reference in references.items():
+        original = getattr(nncore, name)
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("pamdp") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted(name, reference))
+    arrays = harness.train_seed(cfg, 0, str(tmp_path / "arrays"))
+    assert set(calls) == set(references)
+    for kind in ("csv", "checkpoint"):
+        assert Path(arrays[kind]).read_bytes() == Path(flat[kind]).read_bytes(), kind
 
 
 class TestAdam:
@@ -422,6 +638,19 @@ class TestClipGradNorm:
             clip_grad_norm([np.array([np.nan])], 1.0)
         with pytest.raises(ValueError):
             clip_grad_norm([np.array([np.inf])], 1.0)
+
+    def test_non_finite_entry_of_a_buffer_rejected(self):
+        flat = FlatArrays([(2, 2), (2,)])
+        flat[:] = 1.0
+        flat[4] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            clip_grad_norm([np.ones(3), flat], 1.0)
+
+    def test_overflowing_norm_scales_to_zero(self):
+        # finite entries whose squares overflow: the norm is inf, the scale 0
+        with np.errstate(over="ignore"):
+            out = clip_grad_norm([np.array([1e200, 1.0])], 1.0)
+        assert out[0].tolist() == [0.0, 0.0]
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8), st.floats(0.01, 100))
     @settings(max_examples=100)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pamdp.nncore import DenseNet, Layer, forward
+from pamdp.nncore import DenseNet, Layer, backward, forward, input_gradient
 from pamdp.qfunction import (
     JOINT,
     MULTIPASS,
@@ -147,6 +147,19 @@ class TestSeparate:
         qf_joint = QFunction(JOINT, space, [net])
         s, x = random_point(space, 13)
         assert (q_separate(qf_sep, s, x) == q_joint(qf_joint, s, x)).all()
+
+    def test_networks_share_one_set_of_working_arrays(self):
+        qf = make_qf(SEPARATE, seed=16)
+        target = qf.copy()
+        assert len({id(net._arrays) for net in qf.nets + target.nets}) == 1
+        s, x = random_point(SPACE, 17)
+        rows = [np.hstack([s, x[SPACE.block(i)]])[None, :] for i in range(3)]
+        for i, j in ((0, 1), (2, 0), (1, 1)):
+            _, cache = forward(qf.nets[i], rows[i])
+            forward(target.nets[j], rows[j])
+            for grad_fn in (backward, input_gradient):
+                with pytest.raises(ValueError, match="stale cache"):
+                    grad_fn(qf.nets[i], cache, np.ones((1, 1)))
 
     def test_parameter_count_exceeds_joint(self):
         space = ActionSpaceSpec(state_dim=9, param_dims=(1, 1, 1))
