@@ -10,9 +10,15 @@ Usage:
 import argparse
 from dataclasses import replace
 
-from pamdp.harness import RunConfig, evaluate_run, format_summary, train, write_summary_csv
-
-ALGORITHMS = ("pdqn-multipass", "pdqn-separate", "pdqn-joint", "paddpg")
+from pamdp.harness import (
+    ALGORITHMS,
+    CONFIG_KEYS,
+    RunConfig,
+    evaluate_run,
+    format_summary,
+    train,
+    write_summary_csv,
+)
 
 
 def main():
@@ -26,7 +32,7 @@ def main():
     base = RunConfig(
         env="platform",
         episodes=args.episodes,
-        seeds=tuple(int(s) for s in args.seeds.split(",")),
+        seeds=CONFIG_KEYS["seeds"](args.seeds),
         eval_episodes=args.eval_episodes,
         out_dir=args.out,
         ou_sigma=0.1,

@@ -171,7 +171,7 @@ def _rebuild(header: dict, path):
             bounds=np.array(header["space"]["bounds"]),
         )
         field = "config"
-        config = AgentConfig(**{**header["config"], "hidden": tuple(header["config"]["hidden"])})
+        config = AgentConfig(**header["config"])
         field = "arrays"
         shapes = {e["name"]: tuple(e["shape"]) for e in header["arrays"]}
         passthrough = None

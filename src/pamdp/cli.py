@@ -20,7 +20,7 @@ from .qfunction import q_sensitivity_sweep
 def _cmd_train(args):
     cfg = load_config(args.config)
     if args.seeds:
-        cfg = replace(cfg, seeds=tuple(int(s) for s in args.seeds.split(",")))
+        cfg = replace(cfg, seeds=harness.CONFIG_KEYS["seeds"](args.seeds))
     if args.out:
         cfg = replace(cfg, out_dir=args.out)
     paths = harness.train(cfg)

@@ -68,12 +68,12 @@ class PlatformConfig:
     """
 
     length: float = 100.0
-    platforms: tuple = ((0.0, 30.0), (38.0, 68.0), (74.0, 100.0))
+    platforms: tuple[tuple[float, float], ...] = ((0.0, 30.0), (38.0, 68.0), (74.0, 100.0))
     enemy_speed: float = 1.0
     enemy_inset: float = 2.0
-    run_law: tuple = (3.0, 12.0)
-    hop_law: tuple = (5.0, 15.0)
-    leap_law: tuple = (20.0, 15.0)
+    run_law: tuple[float, float] = (3.0, 12.0)
+    hop_law: tuple[float, float] = (5.0, 15.0)
+    leap_law: tuple[float, float] = (20.0, 15.0)
 
     def __post_init__(self):
         plats = tuple((float(a), float(b)) for a, b in self.platforms)

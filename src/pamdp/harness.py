@@ -26,7 +26,7 @@ import numpy as np
 
 from .agent import AgentConfig, make_agent
 from .checkpoint import load_checkpoint, save_checkpoint
-from .envs import make_env, platform_default_passthrough
+from .envs import PlatformConfig, make_env, platform_default_passthrough
 from .replay import Transition, finalize_episode
 
 ALGORITHMS = ("pdqn-joint", "pdqn-separate", "pdqn-multipass", "paddpg")
@@ -69,6 +69,7 @@ class RunConfig(AgentConfig):
             raise ValueError("sweep_seeds must be positive")
         self.seeds = tuple(int(s) for s in self.seeds)
         super().__post_init__()
+        make_env(self.env, self.env_overrides)  # bad overrides fail here, not mid-sweep
 
     def agent_config(self) -> AgentConfig:
         """The agent's share; a zero epsilon horizon becomes the first 10%
@@ -79,8 +80,6 @@ class RunConfig(AgentConfig):
 
 
 _SWEEPABLE = ("lr_q", "lr_actor", "tau_q", "tau_actor", "batch_size", "hidden")
-_PLATFORM_FLOAT = ("length", "enemy_speed", "enemy_inset")
-_PLATFORM_PAIRS = ("run_law", "hop_law", "leap_law")
 
 
 def _parse_bool(raw: str) -> bool:
@@ -96,8 +95,21 @@ def _parse_int_tuple(raw: str) -> tuple[int, ...]:
     return tuple(int(v) for v in raw.split(",") if v.strip())
 
 
+def _parse_pair(raw: str, sep: str = ",") -> tuple[float, float]:
+    a, b = (float(v) for v in raw.split(sep))  # exactly two numbers, or ValueError
+    return (a, b)
+
+
+def _parse_spans(raw: str) -> tuple[tuple[float, float], ...]:
+    return tuple(_parse_pair(span, ":") for span in raw.split(","))
+
+
+# one parser per annotated field type, so each key is parsed by the type of
+# the dataclass field it sets
 _PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool,
-            "tuple[int, ...]": _parse_int_tuple}
+            "tuple[int, ...]": _parse_int_tuple,
+            "tuple[float, float]": _parse_pair,
+            "tuple[tuple[float, float], ...]": _parse_spans}
 # every accepted top-level config key and how its value is parsed; the
 # sweep.* and platform.* keys set the remaining fields
 CONFIG_KEYS = {
@@ -105,6 +117,7 @@ CONFIG_KEYS = {
     for f in fields(RunConfig)
     if f.name not in ("sweep_seeds", "env_overrides", "grid")
 }
+PLATFORM_KEYS = {f.name: _PARSERS[f.type] for f in fields(PlatformConfig)}
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -122,13 +135,18 @@ def parse_config_text(text: str) -> RunConfig:
         try:
             if key.startswith("platform."):
                 sub = key.removeprefix("platform.")
-                overrides[sub] = _parse_platform_override(sub, raw)
+                if sub not in PLATFORM_KEYS:
+                    raise ValueError(f"unknown platform key {sub!r}")
+                overrides[sub] = PLATFORM_KEYS[sub](raw)
             elif key.startswith("sweep."):
                 sub = key.removeprefix("sweep.")
                 if sub == "seeds":
                     kwargs["sweep_seeds"] = int(raw)
                 elif sub in _SWEEPABLE:
-                    grid[sub] = _parse_grid_values(sub, raw)
+                    # a tuple-valued field's cells hold commas themselves
+                    field_type = RunConfig.__dataclass_fields__[sub].type
+                    cells = raw.split("|" if field_type.startswith("tuple") else ",")
+                    grid[sub] = tuple(CONFIG_KEYS[sub](cell) for cell in cells)
                 else:
                     raise ValueError(f"unknown sweep key {sub!r}")
             elif key in CONFIG_KEYS:
@@ -137,36 +155,7 @@ def parse_config_text(text: str) -> RunConfig:
                 raise ValueError(f"unknown config key {key!r}")
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    cfg = RunConfig(**kwargs)
-    cfg.env_overrides = overrides
-    cfg.grid = grid
-    return cfg
-
-
-def _parse_platform_override(sub: str, raw: str):
-    if sub in _PLATFORM_FLOAT:
-        return float(raw)
-    if sub in _PLATFORM_PAIRS:
-        a, b = (float(v) for v in raw.split(","))
-        return (a, b)
-    if sub == "platforms":
-        spans = []
-        for chunk in raw.split(","):
-            a, b = (float(v) for v in chunk.split(":"))
-            spans.append((a, b))
-        return tuple(spans)
-    raise ValueError(f"unknown platform key {sub!r}")
-
-
-def _parse_grid_values(key: str, raw: str):
-    if key == "hidden":
-        return tuple(
-            tuple(int(v) for v in cell.split(",") if v.strip())
-            for cell in raw.split("|")
-        )
-    if key == "batch_size":
-        return tuple(int(v) for v in raw.split(","))
-    return tuple(float(v) for v in raw.split(","))
+    return RunConfig(**kwargs, env_overrides=overrides, grid=grid)
 
 
 def load_config(path: str) -> RunConfig:
@@ -215,6 +204,13 @@ def run_episode(env, agent, rng, train: bool, max_steps: int):
         if terminal:
             break
     return total, transitions, losses
+
+
+def _write_csv(path: str, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _write_meta(path: str, meta: dict):
@@ -356,10 +352,7 @@ def evaluate_checkpoint(ckpt_path: str, episodes: int, out_csv: str | None = Non
         steps.append(len(transitions))
         rows.append([seed, episode, total, len(transitions)])
     if out_csv is not None:
-        with open(out_csv, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(EVAL_HEADER) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        _write_csv(out_csv, EVAL_HEADER, rows)
     return returns, steps, header
 
 
@@ -381,11 +374,8 @@ def evaluate_run(cfg: RunConfig, episodes: int | None = None,
 
 
 def write_summary_csv(path: str, summaries: list[EvalSummary]):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(SUMMARY_HEADER) + "\n")
-        for s in summaries:
-            row = [s.algorithm, s.env, s.n_seeds, s.mean, s.std, s.stderr]
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    _write_csv(path, SUMMARY_HEADER,
+               [[s.algorithm, s.env, s.n_seeds, s.mean, s.std, s.stderr] for s in summaries])
 
 
 def write_sensitivity_csv(fh, grid, table):
@@ -446,11 +436,8 @@ def sweep(cfg: RunConfig) -> list[dict]:
     valid, rejected = expand_grid(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     if rejected:
-        with open(os.path.join(cfg.out_dir, "rejected_cells.csv"), "w",
-                  encoding="utf-8", newline="") as fh:
-            fh.write("cell,reason\n")
-            for cell, reason in rejected:
-                fh.write(f"{_cell_name(cell)},{reason}\n")
+        _write_csv(os.path.join(cfg.out_dir, "rejected_cells.csv"), ["cell", "reason"],
+                   [[_cell_name(cell), reason] for cell, reason in rejected])
     results = []
     for cell in valid:
         name = _cell_name(cell)
@@ -474,13 +461,9 @@ def sweep(cfg: RunConfig) -> list[dict]:
     for rank, row in enumerate(results, start=1):
         row["rank"] = rank
     header = ["rank", "cell", "n_seeds", "mean", "std", "stderr"]
-    extra = sorted({k for r in results for k in r} - set(header))
-    with open(os.path.join(cfg.out_dir, "sweep_results.csv"), "w",
-              encoding="utf-8", newline="") as fh:
-        cols = header + extra
-        fh.write(",".join(cols) + "\n")
-        for row in results:
-            fh.write(",".join(_fmt(row.get(c, "")) for c in cols) + "\n")
+    cols = header + sorted({k for r in results for k in r} - set(header))
+    _write_csv(os.path.join(cfg.out_dir, "sweep_results.csv"), cols,
+               [[row.get(c, "") for c in cols] for row in results])
     return results
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +41,8 @@ lr_actor = 1e-3
 epsilon_horizon = 3
 ou_sigma = 0.1
 """
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def bandit_cfg(tmp_path, **kwargs):
@@ -158,6 +161,59 @@ class TestConfigParsing:
         assert cfg.env_overrides["length"] == 50.0
         assert cfg.env_overrides["platforms"] == ((0.0, 20.0), (25.0, 50.0))
         assert cfg.env_overrides["run_law"] == (2.0, 5.0)
+
+    def test_every_platform_field_is_a_platform_key(self):
+        from dataclasses import fields
+
+        from pamdp.envs import PlatformConfig
+
+        text = {
+            "length": ("60", 60.0),
+            "platforms": ("0:20, 25:60", ((0.0, 20.0), (25.0, 60.0))),
+            "enemy_speed": ("0.5", 0.5),
+            "enemy_inset": ("1", 1.0),
+            "run_law": ("2,5", (2.0, 5.0)),
+            "hop_law": ("4, 10", (4.0, 10.0)),
+            "leap_law": ("18,12", (18.0, 12.0)),
+        }
+        assert sorted(text) == sorted(f.name for f in fields(PlatformConfig))
+        cfg = parse_config_text("".join(f"platform.{k} = {raw}\n" for k, (raw, _) in text.items()))
+        assert cfg.env_overrides == {k: value for k, (_, value) in text.items()}
+
+    @pytest.mark.parametrize("line, message", [
+        ("platform.run_law = 2,5,7", "too many values"),
+        ("platform.run_law = 2", "not enough values"),
+        ("platform.platforms = 0:30:40", "too many values"),
+        ("platform.platforms = 0:30,38", "not enough values"),
+        ("sweep.batch_size = 12.5", "invalid literal for int"),
+        ("sweep.hidden = 8|1.5", "invalid literal for int"),
+        ("platform.bogus = 1", "unknown platform key 'bogus'"),
+        ("sweep.gamma = 0.5", "unknown sweep key 'gamma'"),
+    ])
+    def test_malformed_line_named(self, line, message):
+        with pytest.raises(ValueError, match=f"^line 2: {message}"):
+            parse_config_text(f"episodes = 5\n{line}\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("env = bandit\nplatform.length = 50\n", "bandit takes no overrides"),
+        ("env = platform\nplatform.length = 50\n", "platforms must span"),
+    ], ids=["bandit", "platform-ending-past-length"])
+    def test_overrides_that_build_no_env_rejected_at_load(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_config_text(text)
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.conf")))
+    def test_every_shipped_config_loads(self, name):
+        cfg = load_config(str(CONFIGS / name))
+        assert cfg.out_dir == f"runs/{name.removesuffix('.conf')}"
+
+    def test_shipped_sweep_config_expands(self):
+        cfg = load_config(str(CONFIGS / "platform_sweep.conf"))
+        assert cfg.grid["hidden"] == ((128,), (256, 128))
+        assert cfg.grid["batch_size"] == (128,)
+        valid, rejected = expand_grid(cfg)
+        assert len(valid) == 16
+        assert rejected == []
 
     def test_sweep_grid_keys(self):
         cfg = parse_config_text(
