@@ -278,12 +278,12 @@ class PDQNAgent:
                 continue
             out, cache = forward(p.net, p.rows)
             pred[p.q_at] = out[p.out_at]
-            upstream = np.zeros_like(out)
-            upstream[p.out_at] = (pred[p.q_at] - y[p.q_at]) / b
+            upstream = p.upstream(out, (pred[p.q_at] - y[p.q_at]) / b)
             grads.append(np.empty_like(p.net.flat))
             backward(p.net, cache, upstream, out=grads[-1])
         self._step(self.qf.nets, grads, self.q_opt)
-        return float(np.mean(0.5 * (pred - y) ** 2))
+        # np.mean's sum and division, without its Python-level dispatch
+        return float(np.add.reduce(0.5 * (pred - y) ** 2) / b)
 
     def actor_update(self, states: np.ndarray) -> float:
         """Descend the negative sum of action values at the actor's output.
@@ -291,16 +291,15 @@ class PDQNAgent:
         Value gradients flow only through the emitted parameters (the
         Q-networks stay frozen) and pass through invert_gradients first.
         """
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        b = states.shape[0]
         x, cache = self.actor.forward_training(states)
         grad_x, q = sum_q_gradient(self.qf, states, x)
+        b = x.shape[0]
         adjusted = invert_gradients(grad_x, x, self.bounds)
         upstream = -adjusted / b
         grads = np.empty_like(self.actor.net.flat)
         backward(self.actor.net, cache, upstream, out=grads)
         self._step([self.actor.net], [grads], self.actor_opt)
-        return float(-np.mean(q.sum(axis=1)))
+        return -float(np.add.reduce(np.add.reduce(q, axis=1))) / b
 
     def _step(self, nets: list[DenseNet], grads: list[np.ndarray], opt: AdamState):
         """Clip the networks' gradient buffers jointly, then one Adam step."""

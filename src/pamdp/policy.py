@@ -69,7 +69,8 @@ class Actor:
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         out, cache = forward(self.net, states)
         raw = out if self.passthrough is None else out + self.passthrough.apply(states)
-        return np.clip(raw, self.bounds[:, 0], self.bounds[:, 1]), cache
+        # np.clip's bits, without its Python-level dispatch
+        return np.minimum(np.maximum(raw, self.bounds[:, 0]), self.bounds[:, 1]), cache
 
     def copy(self) -> "Actor":
         return Actor(self.net.copy(), self.bounds.copy(), self.passthrough)

@@ -128,6 +128,16 @@ class Pass:
     grad_at: tuple
     in_at: tuple
 
+    def upstream(self, out: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """The upstream gradient for ``out`` that is ``values`` at ``out_at``
+        and zero elsewhere. Rows keep sample order, so where every output is
+        read, ``values`` are the outputs in order and need no zero fill."""
+        if np.size(values) == out.size:
+            return np.reshape(values, out.shape)
+        upstream = np.zeros(out.shape)
+        upstream[self.out_at] = values
+        return upstream
+
 
 class QFunction:
     """One of the three Q-architectures behind a common K-value interface."""
@@ -153,6 +163,7 @@ class QFunction:
         self.variant = variant
         self.space = space
         self.nets = nets
+        self._indices: dict[int, tuple] = {}  # per batch size, see _index_arrays
 
     @classmethod
     def create(
@@ -206,7 +217,7 @@ class QFunction:
         depend on its batch, but GEMM sums over rows depend on their order.
         """
         space, b = self.space, states.shape[0]
-        k, sd = space.num_actions, space.state_dim
+        sd = space.state_dim
         params_in = (_ALL, slice(sd, None))
         if self.variant == SEPARATE:
             # network i sees state ++ block i for the samples asking for action i
@@ -215,27 +226,41 @@ class QFunction:
                 sl = space.block(i)
                 mine = _ALL if actions is None else np.flatnonzero(actions == i)
                 q_at = (_ALL, i) if actions is None else mine
-                rows = np.hstack([states[mine], params[mine, sl]])
+                rows = np.concatenate((states[mine], params[mine, sl]), axis=1)
                 out.append(Pass(net, rows, q_at, (_ALL, 0), (mine, sl), params_in))
             return out
+        samples, diagonal, fed_by = self._index_arrays(b)
         if self.variant == JOINT:
             # one row per sample feeds every column; action a is output column a
-            rows = np.hstack([states, params])
-            out_at = _ALL if actions is None else (np.arange(b), actions)
+            rows = np.concatenate((states, params), axis=1)
+            out_at = _ALL if actions is None else (samples, actions)
             return [Pass(self.net, rows, _ALL, out_at, _ALL, params_in)]
         # multipass: the row of (sample b, action a) keeps block a only and is
         # read at column a
         if actions is None:
             rows = multipass_rows(space, states, params)
+            return [Pass(self.net, rows, _ALL, diagonal, _ALL, fed_by)]
+        keep = space._basis[actions]
+        rows = np.concatenate((states, np.where(keep, params, 0.0)), axis=1)
+        rr, cols = np.nonzero(keep)
+        out_at = (samples, actions)
+        return [Pass(self.net, rows, _ALL, out_at, (rr, cols), (rr, sd + cols))]
+
+    def _index_arrays(self, b: int) -> tuple:
+        """``passes``' index arrays that depend on the batch size alone, made
+        once per size: the sample indices, the multipass rows' diagonal
+        outputs and the multipass row feeding each joint-vector column."""
+        arrays = self._indices.get(b)
+        if arrays is None:
+            space, k = self.space, self.space.num_actions
             row = np.arange(b * k).reshape(b, k)
             # column j of sample b is fed by the row of the action owning j
-            fed_by = (row[:, space._owner], sd + np.arange(space.joint_dim))
-            return [Pass(self.net, rows, _ALL, (row, np.arange(k)), _ALL, fed_by)]
-        keep = space._basis[actions]
-        rows = np.hstack([states, np.where(keep, params, 0.0)])
-        rr, cols = np.nonzero(keep)
-        out_at = (np.arange(b), actions)
-        return [Pass(self.net, rows, _ALL, out_at, (rr, cols), (rr, sd + cols))]
+            fed_by = (row[:, space._owner], space.state_dim + np.arange(space.joint_dim))
+            arrays = (np.arange(b), (row, np.arange(k)), fed_by)
+            for a in (arrays[0], *arrays[1], *fed_by):
+                a.flags.writeable = False
+            self._indices[b] = arrays
+        return arrays
 
     def evaluate(self, states: np.ndarray, params: np.ndarray) -> np.ndarray:
         """All K action values for a batch: (B, state_dim), (B, M) -> (B, K)."""
@@ -312,8 +337,7 @@ def _weighted_q_gradient(qf: QFunction, states, params, weight):
     for p in qf.passes(states, params):
         out, cache = forward(p.net, p.rows)
         q[p.q_at] = out[p.out_at]
-        upstream = np.zeros_like(out)
-        upstream[p.out_at] = weight[p.q_at]
+        upstream = p.upstream(out, weight[p.q_at])
         grad[p.grad_at] = input_gradient(p.net, cache, upstream)[p.in_at]
     return grad, q
 
