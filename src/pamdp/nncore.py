@@ -13,6 +13,22 @@ Everything operates on plain ``np.ndarray`` in float64. Layer weights have
 shape ``(fan_in, fan_out)``, activations act row-wise on ``(batch, dim)``
 matrices.
 
+A forward pass computes each layer as one 2-D GEMM, ``np.matmul([a, 1],
+[W; b], out=z)``, on the row count rounded up to ``ROW_QUANTUM``: each
+layer's input carries a column of ones, so the GEMM adds the biases, and
+the batch is copied into zeroed padding rows, whose results nobody reads.
+That makes a row's output bits independent of its batch: in OpenBLAS's
+double GEMM every row count that is a multiple of 4 gives each row the bits
+it gets in any other such count, while a 1-row product takes the GEMV path
+and other counts take the kernel's edge paths, which sum in another order.
+The quantum is a property of the BLAS kernel that numpy's OpenBLAS selects
+for the CPU at run time (its ``DYNAMIC_ARCH`` core, such as SkylakeX or
+Haswell), not of numpy; another kernel may need another quantum.
+``TestBatchInvariance`` in the test suite is the guard, and the suite's
+header names the core it ran on. The backward pass, whose sums over rows
+depend on the batch anyway, runs unpadded on the n rows; one GEMM on the
+inputs with their ones gives a layer's weight and bias gradients.
+
 Forward and backward passes allocate nothing as large as a hidden layer:
 each network keeps its layers' pre-activations, activations and deltas in
 arrays it reuses from call to call (and shares with its copies), grown to
@@ -43,6 +59,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+
+# the row count a forward GEMM is padded to a multiple of; see forward
+ROW_QUANTUM = 4
 
 RELU = "relu"
 LEAKY_RELU = "leaky_relu"
@@ -139,6 +158,17 @@ def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return [flat[start:stop].reshape(shape) for start, stop, shape in _spans(shapes)]
 
 
+def _affine_views(flat: FlatArrays) -> list[np.ndarray]:
+    """Per layer, the (fan_in + 1, fan_out) view ``[W; b]`` of a buffer laid
+    out as ``[W0, b0, W1, b1, ...]``: a layer's biases follow its weights."""
+    return _views(np.asarray(flat), _affine_shapes(flat.shapes))
+
+
+@functools.cache
+def _affine_shapes(shapes: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int], ...]:
+    return tuple((w[0] + 1, w[1]) for w in shapes[::2])
+
+
 @functools.cache
 def _spans(shapes: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """``(start, stop, shape)`` of each array in a buffer laid out as ``shapes``."""
@@ -150,14 +180,41 @@ def _spans(shapes: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int, tuple[i
     return tuple(out)
 
 
-class _RowViews(NamedTuple):
-    """Leading-row views of one layer's reusable arrays for a call on n rows."""
+class _Hidden(NamedTuple):
+    """One hidden layer's views of its reusable arrays for a call on n rows.
 
-    z3: np.ndarray  # (n, 1, width) pre-activations, as the stacked product writes them
-    z: np.ndarray  # (n, width), the same memory
-    a: np.ndarray  # (n, width) activations
-    a3: np.ndarray  # (n, 1, width), the same memory, the next layer's product input
-    delta: np.ndarray  # (n, width) backpropagated delta
+    The pre-activations z, the activations a and the deltas carry one more
+    column: z and a a column of ones, so that ``a @ [W; b]`` adds the next
+    layer's biases inside its GEMM (every activation maps 1 to 1), the
+    deltas a column that nothing reads. Elementwise steps run on the whole
+    rows, contiguous; the GEMMs write the first ``width`` columns.
+    """
+
+    gemm: np.ndarray  # padded rows of z without its ones: the GEMM output
+    z: np.ndarray  # padded rows of z
+    a: np.ndarray  # padded rows of a: the next GEMM's input
+    preact: np.ndarray  # the first n rows of gemm
+    input: np.ndarray  # the first n rows of a
+    z_rows: np.ndarray  # the first n rows of z
+    delta: np.ndarray  # the first n rows of the deltas
+    dz: np.ndarray  # the same without the extra column: the GEMMs' side
+
+
+class _Views(NamedTuple):
+    """A call's views of a network's reusable arrays, made once per row
+    count n. The GEMMs write the rows rounded up to ``ROW_QUANTUM``; the
+    cache and the backward pass see the first n."""
+
+    hidden: list  # per hidden layer, its _Hidden
+    gemm: np.ndarray  # padded rows of the output layer's GEMM output
+    out: np.ndarray  # their first n rows
+    inputs: list  # the hidden layers' inputs, the cache's inputs after the batch's
+    preacts: list  # the hidden layers' preacts
+
+
+def padded_rows(n: int) -> int:
+    """n rounded up to a multiple of ``ROW_QUANTUM``."""
+    return -(-n // ROW_QUANTUM) * ROW_QUANTUM
 
 
 def _mapped(shape: tuple[int, ...]) -> np.ndarray:
@@ -173,14 +230,22 @@ def _mapped(shape: tuple[int, ...]) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, 8 * count), dtype=np.float64).reshape(shape)
 
 
+def _with_ones(shape: tuple[int, int]) -> np.ndarray:
+    """A :func:`_mapped` array whose last column is ones."""
+    a = _mapped(shape)
+    a[:, -1] = 1.0
+    return a
+
+
 class _LayerArrays:
     """Reusable per-layer arrays of a network and of its copies.
 
-    They hold up to ``rows`` rows and grow to the largest row count seen; a
-    call on n rows works in C-contiguous leading-row views ``[:n]``, made
-    once per n. Every :meth:`take` bumps ``generation``, which outdates the
-    caches of the forwards before it. The output layer keeps only its
-    stacked product here: what ``forward`` returns is always a new array.
+    They hold up to ``rows`` rows, a multiple of ``ROW_QUANTUM``, and grow to
+    the largest row count seen; a call on n rows works in leading-row
+    views, made once per n. Every :meth:`take` bumps
+    ``generation``, which outdates the caches of the forwards before it.
+    The output layer keeps only its GEMM output here: what ``forward``
+    returns is always a new array.
     """
 
     def __init__(self, widths: list[int]):
@@ -190,30 +255,46 @@ class _LayerArrays:
 
     def _allocate(self, rows: int):
         self.rows = rows
-        self._z = [_mapped((rows, 1, w)) for w in self.widths]
-        self._a = [_mapped((rows, w)) for w in self.widths[:-1]]
-        self._delta = [_mapped((rows, w)) for w in self.widths[:-1]]
-        self._views: dict[int, list[_RowViews]] = {}
+        hidden = self.widths[:-1]
+        self._z = [_with_ones((rows, w + 1)) for w in hidden]
+        self._a = [_with_ones((rows, w + 1)) for w in hidden]
+        self._delta = [_mapped((rows, w + 1)) for w in hidden]
+        self._out = _mapped((rows, self.widths[-1]))
+        # copies of batches with a column of ones, per input width: networks
+        # that share these arrays can differ in it
+        self._input: dict[int, np.ndarray] = {}
+        self._views: dict[int, _Views] = {}
 
-    def views(self, n: int) -> list[_RowViews]:
-        """Per hidden layer, then for the output layer (``a`` and ``delta``
-        unused), the views for n rows; n must not exceed ``rows``."""
+    def views(self, n: int) -> _Views:
+        """The views for n rows; n must not exceed ``rows``."""
         views = self._views.get(n)
         if views is None:
-            views = self._views[n] = [
-                _RowViews(z[:n], z[:n, 0], a[:n], a[:n, None, :], d[:n])
+            padded = padded_rows(n)
+            hidden = [
+                _Hidden(z[:padded, :-1], z[:padded], a[:padded], z[:n, :-1], a[:n], z[:n],
+                        d[:n], d[:n, :-1])
                 for z, a, d in zip(self._z, self._a, self._delta)
             ]
-            out = self._z[-1][:n]
-            views.append(_RowViews(out, out[:, 0], None, None, None))
+            views = self._views[n] = _Views(
+                hidden, self._out[:padded], self._out[:n],
+                [h.input for h in hidden], [h.preact for h in hidden],
+            )
         return views
 
-    def take(self, n: int) -> tuple[int, list[_RowViews]]:
+    def take(self, n: int) -> tuple[int, _Views]:
         """The views for a forward on n rows and the generation it starts."""
         if n > self.rows:
-            self._allocate(n)
+            self._allocate(padded_rows(n))
         self.generation += 1
         return self.generation, self.views(n)
+
+    def padded_input(self, n: int, width: int) -> np.ndarray:
+        """Padded rows of ``width`` columns and a column of ones to copy an
+        n-row batch into; n must not exceed ``rows``."""
+        rows = self._input.get(width)
+        if rows is None:
+            rows = self._input[width] = _with_ones((self.rows, width + 1))
+        return rows[:padded_rows(n)]
 
     def __reduce__(self):
         # copy.deepcopy and pickle start over with empty arrays: copied
@@ -251,6 +332,8 @@ class DenseNet:
         self.layers = [
             Layer(w, b, l.activation, l.slope) for l, w, b in zip(layers, parts[::2], parts[1::2])
         ]
+        # per layer, its weights with its biases as one more row: [W; b]
+        self._affine = _affine_views(self.flat)
         self.version = 0
         self._arrays = _LayerArrays([l.weights.shape[1] for l in layers])
 
@@ -326,7 +409,7 @@ def _sharing(layers: list[Layer], arrays: _LayerArrays) -> DenseNet:
 class ForwardCache:
     """Intermediate activations retained for one backward pass.
 
-    The hidden layers' entries are views of the network's reusable arrays,
+    Every entry but the output is a view of the network's reusable arrays,
     valid until the next forward of the network or of a copy sharing them
     (``generation`` tells).
     """
@@ -334,52 +417,50 @@ class ForwardCache:
     net_id: int
     version: int
     generation: int
-    inputs: list  # input to each layer, inputs[0] is the batch itself
+    inputs: list  # input to each layer and a column of ones; inputs[0] holds the batch
     preacts: list  # pre-activation z for each layer
 
 
 def forward(net: DenseNet, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Evaluate the network on a ``(batch, input_dim)`` matrix.
 
-    Identical inputs give bit-identical outputs. The output is a new array;
-    the hidden layers are computed in the network's reusable arrays, so the
-    returned cache serves backward passes only until the next forward of
-    this network or of a copy of it.
+    A row's output bits depend on the row alone, not on the batch around
+    it. The output is a new array; the hidden layers are computed in the
+    network's reusable arrays, so the returned cache serves backward passes
+    only until the next forward of this network or of a copy of it.
     """
-    batch = np.ascontiguousarray(batch, dtype=np.float64)
+    batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != net.input_dim:
         raise ValueError(
             f"batch shape {batch.shape} incompatible with input_dim {net.input_dim}"
         )
     n = batch.shape[0]
-    generation, views = net._arrays.take(n)
-    inputs, preacts = [], []
-    a, a3 = batch, batch[:, None, :]
-    # a stacked product runs one vector-matrix BLAS call per row, so an input
-    # row gives bit-identical outputs alone or inside any batch (a single
-    # `a @ W` GEMM does not). The batch is C-contiguous: a strided or
-    # Fortran-ordered one can take another kernel and other bits than its
-    # contiguous copy. The reused arrays' row views are C-contiguous too
-    for layer, v in zip(net.layers[:-1], views):
-        inputs.append(a)
-        np.matmul(a3, layer.weights, out=v.z3)
-        np.add(v.z, layer.biases, out=v.z)
-        preacts.append(v.z)
-        _activate(v.z, layer.activation, layer.slope, v.a)
-        a, a3 = v.a, v.a3
-    last, v = net.layers[-1], views[-1]
-    inputs.append(a)
-    np.matmul(a3, last.weights, out=v.z3)
-    out = v.z + last.biases
-    preacts.append(out)
+    arrays = net._arrays
+    generation, views = arrays.take(n)
+    # each layer is one GEMM, ``[a, 1] @ [W; b]``, on the rows rounded up to
+    # ROW_QUANTUM: with the BLAS kernel's row blocking every row then gets
+    # the bits it gets alone or in any batch (a 1-row product takes the GEMV
+    # path, other row counts the kernel's edge paths). The batch is copied
+    # next to a column of ones, C-contiguous, and followed by zeroed padding
+    # rows
+    x = arrays.padded_input(n, batch.shape[1])
+    x[:n, :-1] = batch
+    x[n:, :-1] = 0.0
+    inputs = [x[:n], *views.inputs]
+    for affine, layer, h in zip(net._affine, net.layers, views.hidden):
+        np.matmul(x, affine, out=h.gemm)
+        _activate(h.z, layer.activation, layer.slope, h.a)
+        x = h.a
+    np.matmul(x, net._affine[-1], out=views.gemm)
+    out = views.out.copy()
     # the sum of finite entries is finite unless it overflows, so the
     # elementwise test runs only then
     if not math.isfinite(out.sum()) and not np.isfinite(out).all():
-        widths = "->".join(str(w) for w in (net.input_dim, *net._arrays.widths))
+        widths = "->".join(str(w) for w in (net.input_dim, *arrays.widths))
         raise FloatingPointError(
             f"non-finite values in the output of a {widths} network on {n} rows"
         )
-    return out, ForwardCache(id(net), net.version, generation, inputs, preacts)
+    return out, ForwardCache(id(net), net.version, generation, inputs, [*views.preacts, out])
 
 
 def _layer_deltas(
@@ -404,13 +485,22 @@ def _layer_deltas(
     if upstream.shape != (n, net.output_dim):
         raise ValueError(f"upstream shape {upstream.shape}, expected {(n, net.output_dim)}")
 
-    dzs = [v.delta for v in net._arrays.views(n)]
-    dzs[-1] = upstream
-    for i in reversed(range(len(net.layers) - 1)):
-        layer = net.layers[i]
-        np.matmul(dzs[i + 1], net.layers[i + 1].weights.T, out=dzs[i])
-        _scale_by_activation_grad(dzs[i], cache.preacts[i], layer.activation, layer.slope)
-    return dzs, dzs[0] @ net.layers[0].weights.T
+    layers, hidden = net.layers, net._arrays.views(n).hidden
+    dz = upstream
+    dzs = [*(h.dz for h in hidden), upstream]
+    for i in range(len(hidden) - 1, -1, -1):
+        h, layer = hidden[i], layers[i]
+        np.matmul(dz, _transposed(layers[i + 1].weights), out=h.dz)
+        # on the whole rows, the extra column included: contiguous
+        _scale_by_activation_grad(h.delta, h.z_rows, layer.activation, layer.slope)
+        dz = h.dz
+    return dzs, dz @ _transposed(layers[0].weights)
+
+
+def _transposed(weights: np.ndarray) -> np.ndarray:
+    """``weights.T`` in C order: with a batch of more than a few rows, its
+    copy and a GEMM on it take less time than a GEMM on the transposed view."""
+    return np.ascontiguousarray(weights.T)
 
 
 def backward(
@@ -430,11 +520,11 @@ def backward(
         out = np.empty_like(net.flat)
     elif getattr(out, "shapes", None) != net.flat.shapes:
         raise ValueError(f"gradient buffer is not laid out as {net.flat.shapes}")
-    param_grads = out.parts()
-    for a, dz, w, b in zip(cache.inputs, dzs, param_grads[::2], param_grads[1::2]):
-        np.matmul(a.T, dz, out=w)
-        np.add.reduce(dz, axis=0, out=b)
-    return param_grads, input_grads
+    # a layer's inputs carry a column of ones, so one GEMM gives its weight
+    # gradients and, in the last row, its bias gradients
+    for a, dz, affine in zip(cache.inputs, dzs, _affine_views(out)):
+        np.matmul(a.T, dz, out=affine)
+    return out.parts(), input_grads
 
 
 def input_gradient(net: DenseNet, cache: ForwardCache, upstream: np.ndarray) -> np.ndarray:
@@ -554,13 +644,3 @@ def polyak_update(target_params: list[np.ndarray], online_params: list[np.ndarra
         t = np.asarray(t)
         t *= 1.0 - tau
         t += tau * np.asarray(o)
-
-
-def adam_step_net(net: DenseNet, grads: list[np.ndarray], state: AdamState):
-    """Adam on a network's buffer from per-parameter gradients, as
-    :func:`backward` returns them, with ``state`` made for ``[net.flat]``;
-    bumps the version counter."""
-    if [g.shape for g in grads] != list(net.flat.shapes):
-        raise ValueError("gradients do not match the network's parameters")
-    adam_step([net.flat], [np.concatenate([g.ravel() for g in grads])], state)
-    net.mark_updated()

@@ -4,10 +4,51 @@ The finite-difference routines here are the independent reference for every
 analytic gradient in the package: they only ever call the forward pass.
 """
 
+import ctypes
+import glob
+import os
+
 import numpy as np
 import pytest
 
-from pamdp.nncore import DenseNet, forward
+from pamdp.nncore import AdamState, DenseNet, adam_step, forward
+
+
+def openblas_core() -> str | None:
+    """The kernel core that numpy's bundled OpenBLAS chose for this CPU, or
+    None where numpy bundles no OpenBLAS that can say."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                     "openblas_get_corename64_", "openblas_get_corename"):
+            corename = getattr(lib, name, None)
+            if corename is not None:
+                corename.argtypes = []
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return None
+
+
+def blas_kernel() -> str:
+    """numpy's BLAS build and the OpenBLAS core in use: the bits that
+    TestBatchInvariance pins belong to this kernel."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        build = f"{blas.get('name')} {blas.get('version')}"
+    except TypeError:  # numpy before 1.26 only prints its config
+        build = "unknown"
+    return f"numpy {np.__version__}, BLAS {build}, OpenBLAS core {openblas_core() or 'unknown'}"
+
+
+def pytest_report_header(config):
+    return blas_kernel()
+
+
+def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    # -q drops the header, so a quiet log names the kernel at its end
+    if config.option.verbose < 0:
+        terminalreporter.write_line(blas_kernel())
 
 
 def fd_input_grads(net, batch, upstream, h=1e-5):
@@ -91,3 +132,13 @@ def make_safe_net(input_dim, hidden, output_dim, seed, activation="relu", batch=
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def adam_step_net(net: DenseNet, grads: list[np.ndarray], state: AdamState):
+    """Adam on a network's buffer from per-parameter gradients, as
+    ``backward`` returns them, with ``state`` made for ``[net.flat]``; bumps
+    the version counter."""
+    if [g.shape for g in grads] != list(net.flat.shapes):
+        raise ValueError("gradients do not match the network's parameters")
+    adam_step([net.flat], [np.concatenate([g.ravel() for g in grads])], state)
+    net.mark_updated()

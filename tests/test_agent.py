@@ -10,11 +10,11 @@ from pamdp import agent as agent_module
 from pamdp import harness, nncore
 from pamdp.agent import AgentConfig, PADDPGAgent, PDQNAgent, ParameterisedAction, _stack_batch
 from pamdp.checkpoint import load_checkpoint, save_checkpoint
-from pamdp.nncore import adam_step_net, backward, clip_grad_norm, forward, input_gradient
+from pamdp.nncore import backward, clip_grad_norm, forward, input_gradient
 from pamdp.policy import invert_gradients
 from pamdp.qfunction import ActionSpaceSpec, cross_gradient_matrix
 from pamdp.replay import Transition
-from conftest import fd_scalar_grad, relative_error
+from conftest import adam_step_net, fd_scalar_grad, relative_error
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 

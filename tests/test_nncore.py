@@ -18,17 +18,18 @@ from pamdp.nncore import (
     FlatArrays,
     ForwardCache,
     Layer,
+    ROW_QUANTUM,
     adam_step,
-    adam_step_net,
     backward,
     clip_grad_norm,
     forward,
     global_grad_norm,
     he_init,
     input_gradient,
+    padded_rows,
     polyak_update,
 )
-from conftest import fd_input_grads, fd_param_grads, make_safe_net, relative_error
+from conftest import adam_step_net, fd_input_grads, fd_param_grads, make_safe_net, relative_error
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -154,6 +155,22 @@ class TestBatchInvariance:
             assert np.array_equal(batched, alone[:b]), f"batch of {b}"
 
     @pytest.mark.parametrize("widths", INVARIANCE_SHAPES, ids=shape_id)
+    def test_every_row_count_around_the_quantum(self, widths):
+        """Row counts 1 to 2 * ROW_QUANTUM + 1, at offsets 0 and 1 of a
+        larger array: padded or not, each row gets the bits of its own
+        1-row forward."""
+        rng = np.random.default_rng(14)
+        net = net_of(widths, rng)
+        most = 2 * ROW_QUANTUM + 1
+        rows = rng.standard_normal((most + 1, widths[0]))
+        alone = np.vstack([forward(net, row[None, :])[0] for row in rows])
+        for offset in (0, 1):
+            for n in range(1, most + 1):
+                batched, _ = forward(net, rows[offset:offset + n])
+                assert np.array_equal(batched, alone[offset:offset + n]), (
+                    f"{n} rows at offset {offset}")
+
+    @pytest.mark.parametrize("widths", INVARIANCE_SHAPES, ids=shape_id)
     def test_layout_does_not_change_bits(self, widths):
         rng = np.random.default_rng(12)
         net = net_of(widths, rng)
@@ -225,22 +242,28 @@ def fresh_copy(net):
 
 
 def allocating_forward(net, batch):
-    """Reference: the forward pass that allocated every layer's arrays anew."""
+    """Reference: the forward pass that allocated every layer's arrays anew,
+    one GEMM per layer, ``[a, 1] @ [W; b]``, on the batch padded with zero
+    rows to a multiple of ROW_QUANTUM."""
     batch = np.ascontiguousarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != net.input_dim:
         raise ValueError(f"batch shape {batch.shape} incompatible with input_dim {net.input_dim}")
+    n = batch.shape[0]
+    a = np.zeros((padded_rows(n), net.input_dim))
+    a[:n] = batch
     inputs, preacts = [], []
-    a = batch
     for layer in net.layers:
-        inputs.append(a)
-        z = (a[:, None, :] @ layer.weights)[:, 0] + layer.biases
-        preacts.append(z)
+        a = np.hstack([a, np.ones((a.shape[0], 1))])
+        inputs.append(a[:n])
+        z = a @ np.vstack([layer.weights, layer.biases])
+        preacts.append(z[:n])
         if layer.activation == "relu":
             a = np.maximum(z, 0.0)
         elif layer.activation == "leaky_relu":
             a = np.where(z > 0.0, z, layer.slope * z)
         else:
             a = z
+    a = a[:n]
     if not np.isfinite(a).all():
         raise FloatingPointError("non-finite values in network output")
     return a, ForwardCache(id(net), net.version, None, inputs, preacts)
@@ -267,7 +290,9 @@ def allocating_layer_deltas(net, cache, upstream):
         else:
             dzs[i] = np.ones_like(z)
         dzs[i] *= delta
-        delta = dzs[i] @ layer.weights.T
+        # the transposed weights in C order, as nncore's backward GEMMs
+        # take them
+        delta = dzs[i] @ np.ascontiguousarray(layer.weights.T)
     return dzs, delta
 
 
@@ -317,6 +342,29 @@ class TestReusedArrays:
             for b in second[i + 1:] + reused:
                 assert not np.shares_memory(a, b)
 
+    def test_padding_rows_do_not_leak(self):
+        """Non-finite rows left in the reused arrays by an earlier forward
+        become padding rows of a later, shorter one: nothing of them
+        reaches its results, and no operation on them raises."""
+        rng = np.random.default_rng(15)
+        net = DenseNet.create(5, (8, 6), 2, rng, "leaky_relu")
+        n = 2 * ROW_QUANTUM + 1
+        assert n % ROW_QUANTUM
+        for rows in (n + 2, padded_rows(n)):  # padded by forward, and not
+            poisoned = rng.standard_normal((rows, 5))
+            poisoned[n:] = [np.inf, np.nan, -np.inf, np.nan, np.inf]
+            with pytest.raises(FloatingPointError, match=f"on {rows} rows"):
+                forward(net, poisoned)
+        batch = rng.standard_normal((n, 5))
+        upstream = rng.standard_normal((n, 2))
+        with np.errstate(all="raise"):
+            got, _ = results_of(net, batch, upstream)
+        fresh, _ = results_of(fresh_copy(net), batch, upstream)
+        assert all(np.array_equal(g, f) for g, f in zip(got, fresh))
+        # the padding rows were zeroed, so every padded row computed is finite
+        views = net._arrays.views(n)
+        assert all(np.isfinite(a).all() for a in [views.gemm, *(h.z for h in views.hidden)])
+
     @pytest.mark.parametrize("activation", ["relu", "leaky_relu", "linear"])
     def test_row_counts_in_any_order_match_fresh_network(self, activation):
         rng = np.random.default_rng(13)
@@ -330,7 +378,12 @@ class TestReusedArrays:
             # and bit for bit what the allocating passes computed
             out, ref_cache = allocating_forward(net, rows[:b])
             dzs, input_grads = allocating_layer_deltas(net, ref_cache, upstream)
-            grads = [g for a, dz in zip(ref_cache.inputs, dzs) for g in (a.T @ dz, dz.sum(axis=0))]
+            grads = []
+            for a, dz in zip(ref_cache.inputs, dzs):
+                # the inputs carry a column of ones, which gives the biases'
+                # gradients as the last row
+                weights_and_biases = a.T @ dz
+                grads += [weights_and_biases[:-1], weights_and_biases[-1]]
             reference = [out, input_grads, input_grads, *grads]
             assert all(np.array_equal(g, r) for g, r in zip(got, reference)), f"batch of {b}"
             assert all(np.array_equal(z, r) for z, r in zip(cache.preacts, ref_cache.preacts))
@@ -434,6 +487,19 @@ class TestFlatLayout:
     def test_flat_step_matches_per_array_step_to_the_bit(self, max_norm):
         """Three Adam steps, clips and Polyak averages over the buffers
         compute the bits of the same steps over the per-parameter arrays."""
+        # a clip that summed the whole buffer at once would fail this test.
+        # In this buffer the per-array sums of squares are 1 and exactly
+        # 2**-50, whose sum is exact; one sum over the buffer adds 2**-54
+        # squares to about 1 and loses some of them
+        witness = FlatArrays([(1,), (16,)])
+        witness[:] = [1.0] + [2.0**-27] * 16
+        whole = math.sqrt(float(np.sum(np.square(np.asarray(witness)))))
+        assert whole != global_grad_norm([witness]) == math.sqrt(1.0 + 2.0**-50)
+        flat_clip = clip_grad_norm([witness], 0.5)[0].parts()
+        assert all(np.array_equal(f, r)
+                   for f, r in zip(flat_clip, reference_clip(witness.parts(), 0.5)))
+        assert not np.array_equal(flat_clip[1], witness.parts()[1] * (0.5 / whole))
+
         net, batch = make_safe_net(3, (16, 8), 2, seed=16)
         upstream = np.random.default_rng(17).standard_normal((batch.shape[0], 2))
         target, twin, twin_target = net.copy(), net.copy(), net.copy()
@@ -445,11 +511,6 @@ class TestFlatLayout:
             backward(net, cache, upstream, out=grads)
             clipped = clip_grad_norm([grads], max_norm)
             assert (clipped[0] is grads) == (max_norm == 1e9)
-            if step == 0:
-                # one sum over the whole buffer has other bits: the test
-                # would see it
-                whole = math.sqrt(float(np.sum(np.square(np.asarray(grads)))))
-                assert whole != global_grad_norm([grads]) > 1.0
             adam_step([net.flat], clipped, flat_state)
             net.mark_updated()
             polyak_update([target.flat], [net.flat], 0.1)
