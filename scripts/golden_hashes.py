@@ -1,11 +1,15 @@
-"""Train the golden runs and print the SHA-256 of each training CSV and
-checkpoint, or check them against a JSON file of expected values.
+"""Train the golden runs and print the SHA-256 of each training CSV,
+checkpoint and greedy evaluation CSV, or check them against a JSON file of
+expected values.
 
 The golden runs are seed 0 of every algorithm at its config's own episode
 count: `configs/platform_desk.conf` with mixed targets off and on, and
 `configs/bandit_oracle.conf`: 12 runs, about a minute and a half on one
-core. The bits depend on the CPU's OpenBLAS kernel as well as on the code,
-so a mismatch on another machine is not by itself a fault; compare a change
+core. Each run's checkpoint is then evaluated greedily for
+`EVAL_EPISODES` episodes (`harness.evaluate_checkpoint`), so the acting
+path, which training with exploration reaches only in part, is pinned too.
+The bits depend on the CPU's OpenBLAS kernel as well as on the code, so a
+mismatch on another machine is not by itself a fault; compare a change
 with its parent on one machine.
 
 Usage:
@@ -31,6 +35,8 @@ from pamdp import harness
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 RUNS = (("platform_desk", (False, True)), ("bandit_oracle", (False,)))
+EVAL_EPISODES = 100
+KINDS = ("csv", "checkpoint", "eval")
 
 
 def golden_runs():
@@ -57,15 +63,18 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         for i, (name, cfg) in enumerate(golden_runs()):
             paths = harness.train_seed(cfg, 0, os.path.join(tmp, str(i)))
-            hashes[name] = {"csv": sha256(paths["csv"]), "checkpoint": sha256(paths["checkpoint"])}
-            print(f"{name}: csv {hashes[name]['csv'][:16]}… "
-                  f"checkpoint {hashes[name]['checkpoint'][:16]}…", file=sys.stderr)
+            eval_csv = os.path.join(tmp, f"{i}-eval.csv")
+            harness.evaluate_checkpoint(paths["checkpoint"], EVAL_EPISODES, eval_csv)
+            hashes[name] = {"csv": sha256(paths["csv"]), "checkpoint": sha256(paths["checkpoint"]),
+                            "eval": sha256(eval_csv)}
+            print(f"{name}: " + " ".join(f"{kind} {hashes[name][kind][:16]}…" for kind in KINDS),
+                  file=sys.stderr)
     if args.check is None:
         print(json.dumps(hashes, indent=1, sort_keys=True))
         return
     expected = json.loads(Path(args.check).read_text(encoding="utf-8"))
     wrong = [f"{name} {kind}" for name in sorted(expected.keys() | hashes.keys())
-             for kind in ("csv", "checkpoint")
+             for kind in KINDS
              if expected.get(name, {}).get(kind) != hashes.get(name, {}).get(kind)]
     print("mismatches: " + (", ".join(wrong) if wrong else "none"))
     sys.exit(1 if wrong else 0)

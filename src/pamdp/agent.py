@@ -205,7 +205,7 @@ class PDQNAgent:
         """
         x, k = self._explore(s, explore, rng)
         if k is None:
-            k = int(np.argmax(self.q_values(s, x)))
+            k = int(self.q_values(s, x).argmax())
         return ParameterisedAction(k, x[self.space.block(k)].copy(), x)
 
     def q_values(self, s: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -280,7 +280,7 @@ class PDQNAgent:
             pred[p.q_at] = out[p.out_at]
             upstream = p.upstream(out, (pred[p.q_at] - y[p.q_at]) / b)
             grads.append(np.empty_like(p.net.flat))
-            backward(p.net, cache, upstream, out=grads[-1])
+            backward(p.net, cache, upstream, out=grads[-1], input_grads=False)
         self._step(self.qf.nets, grads, self.q_opt)
         # np.mean's sum and division, without its Python-level dispatch
         return float(np.add.reduce(0.5 * (pred - y) ** 2) / b)
@@ -297,7 +297,7 @@ class PDQNAgent:
         adjusted = invert_gradients(grad_x, x, self.bounds)
         upstream = -adjusted / b
         grads = np.empty_like(self.actor.net.flat)
-        backward(self.actor.net, cache, upstream, out=grads)
+        backward(self.actor.net, cache, upstream, out=grads, input_grads=False)
         self._step([self.actor.net], [grads], self.actor_opt)
         return -float(np.add.reduce(np.add.reduce(q, axis=1))) / b
 
@@ -379,7 +379,7 @@ class PADDPGAgent(PDQNAgent):
         u, k = self._explore(s, explore, rng)
         n = self.space.num_actions
         if k is None:
-            k = int(np.argmax(u[:n]))
+            k = int(u[:n].argmax())
         x = u[n:]
         return ParameterisedAction(k, x[self.space.block(k)].copy(), x.copy(), emitted=u)
 

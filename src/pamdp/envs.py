@@ -6,6 +6,13 @@ Platform domain converts them internally to its native displacement ranges.
 landing or stop), returns ``(state, reward, terminal)``, and raises if
 called again after a terminal transition without an intervening reset.
 
+``Env.step`` checks every action before an environment sees it: the
+terminal guard, the action index, the block's dimension, and each
+parameter against its bounds, which ``Env.__init__`` stores once per action
+as Python floats. A parameter that is NaN or infinite is rejected too. The
+checks and the dynamics are scalar Python: a decision is one small action,
+and numpy's per-call cost would outweigh its arithmetic.
+
 The Platform geometry, displacement laws and reward are declared defaults of
 this implementation: return is normalized forward progress, so the
 undiscounted return of any successful trajectory is exactly 1.0 and dying
@@ -14,20 +21,30 @@ scores 0 for the fatal step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .policy import Passthrough, unscale_params
+from .policy import Passthrough
 from .qfunction import ActionSpaceSpec
 
 
 class Env:
-    """reset/step interface with a terminal guard."""
+    """reset/step interface with a terminal guard and the action checks.
 
-    spec: ActionSpaceSpec
+    A subclass implements ``_reset(seed)`` and ``_step(k, x)``, where ``x``
+    is action k's parameter block as a list of Python floats that passed
+    every check.
+    """
 
-    def __init__(self):
+    def __init__(self, spec: ActionSpaceSpec):
+        self.spec = spec
+        # per action, the (low, high) pair of each parameter in its block
+        self._block_bounds = tuple(
+            tuple(map(tuple, spec.bounds[spec.block(k)].tolist()))
+            for k in range(spec.num_actions)
+        )
         self._terminal = True
 
     def reset(self, seed: int | None = None) -> np.ndarray:
@@ -37,23 +54,26 @@ class Env:
     def step(self, k: int, x_k: np.ndarray) -> tuple[np.ndarray, float, bool]:
         if self._terminal:
             raise RuntimeError("step called on a terminal environment; reset first")
-        if not 0 <= k < self.spec.num_actions:
+        if not 0 <= k < len(self._block_bounds):
             raise ValueError(f"action index {k} out of range")
+        bounds = self._block_bounds[k]
         x_k = np.atleast_1d(np.asarray(x_k, dtype=np.float64))
-        sl = self.spec.block(k)
-        if x_k.shape != (sl.stop - sl.start,):
+        if x_k.shape != (len(bounds),):
             raise ValueError("action parameter has wrong dimension")
-        lo, hi = self.spec.bounds[sl, 0], self.spec.bounds[sl, 1]
-        if (x_k < lo).any() or (x_k > hi).any():
-            raise ValueError("action parameter outside bounds")
-        state, reward, terminal = self._step(k, x_k)
+        x = x_k.tolist()
+        for value, (lo, hi) in zip(x, bounds):
+            if not math.isfinite(value):
+                raise ValueError(f"action parameter {value} is not finite")
+            if not lo <= value <= hi:
+                raise ValueError("action parameter outside bounds")
+        state, reward, terminal = self._step(k, x)
         self._terminal = bool(terminal)
         return state, float(reward), self._terminal
 
     def _reset(self, seed):
         raise NotImplementedError
 
-    def _step(self, k, x_k):
+    def _step(self, k, x):
         raise NotImplementedError
 
 
@@ -127,40 +147,54 @@ class Platform(Env):
         ends of its range;
       - reward is (new position - old position) / length on survival and on
         the successful final step, 0 on death.
+
+    What the dynamics derive from the config (the laws, gaps, patrol ranges
+    and the features that depend on the platform alone) is derived once, at
+    construction, so the config must not change afterwards. A step computes
+    on Python floats up to the one feature array it returns.
     """
 
     def __init__(self, config: PlatformConfig | None = None):
-        super().__init__()
-        self.config = config or PlatformConfig()
-        self.spec = ActionSpaceSpec(state_dim=9, param_dims=(1, 1, 1))
+        super().__init__(ActionSpaceSpec(state_dim=9, param_dims=(1, 1, 1)))
+        cfg = self.config = config or PlatformConfig()
+        self._platforms = cfg.platforms
+        self._laws = cfg.laws
+        self._gaps = cfg.gaps
+        self._max_disp = cfg.max_displacement
+        # one patrol per platform but the last
+        self._patrols = tuple(
+            (a + cfg.enemy_inset, b - cfg.enemy_inset) for a, b in cfg.platforms[:-1]
+        )
+        # per platform: its start and width, the next gap's width and the
+        # next platform's width, all over the length
+        length = cfg.length
+        ahead = [((b1 - a1) / length, (b2 - a2) / length)
+                 for (a1, b1), (a2, b2) in zip(cfg.gaps, cfg.platforms[1:])]
+        self._static = tuple(
+            (a / length, (b - a) / length, *gap_next)
+            for (a, b), gap_next in zip(cfg.platforms, [*ahead, (0.0, 0.0)])
+        )
         self._agent_x = 0.0
         self._last_disp = 0.0
         self._platform = 0
         self._enemies: list[list[float]] = []  # [position, direction] per patrol
 
-    def _patrol_range(self, i: int) -> tuple[float, float]:
-        a, b = self.config.platforms[i]
-        return a + self.config.enemy_inset, b - self.config.enemy_inset
-
     def _reset(self, seed):
         self._agent_x = 0.0
         self._last_disp = 0.0
         self._platform = 0
-        self._enemies = []
-        for i in range(len(self.config.platforms) - 1):
-            _, hi = self._patrol_range(i)
-            self._enemies.append([hi, -1.0])
+        self._enemies = [[hi, -1.0] for _, hi in self._patrols]
         return self._features()
 
     def _platform_of(self, x: float) -> int | None:
-        for i, (a, b) in enumerate(self.config.platforms):
+        for i, (a, b) in enumerate(self._platforms):
             if a <= x <= b:
                 return i
         return None
 
     def _advance_enemy(self, i: int) -> tuple[float, float]:
         """New (position, direction) after one patrol step, without commit."""
-        lo, hi = self._patrol_range(i)
+        lo, hi = self._patrols[i]
         pos, direction = self._enemies[i]
         new = pos + direction * self.config.enemy_speed
         if new < lo:
@@ -171,22 +205,21 @@ class Platform(Env):
             direction = -1.0
         return new, direction
 
-    def _step(self, k, x_k):
-        cfg = self.config
-        p = unscale_params(x_k, np.array([[0.0, 1.0]]))[0]
-        base, span = cfg.laws[k]
-        d = base + span * p
+    def _step(self, k, x):
+        length = self.config.length
+        base, span = self._laws[k]
+        d = base + span * ((x[0] + 1.0) / 2.0)
         old_x = self._agent_x
         new_x = old_x + d
 
         enemy_moves = [self._advance_enemy(i) for i in range(len(self._enemies))]
 
-        final = self._platform == len(cfg.platforms) - 1
-        right_edge = cfg.platforms[self._platform][1]
+        final = self._platform == len(self._platforms) - 1
+        right_edge = self._platforms[self._platform][1]
         dead = False
         if k in (RUN, HOP) and not final and new_x > right_edge:
             dead = True  # low trajectories cannot clear a gap
-        if not dead and any(a < new_x < b for a, b in cfg.gaps):
+        if not dead and any(a < new_x < b for a, b in self._gaps):
             dead = True
         if not dead and k == RUN and self._platform < len(self._enemies):
             e_old = self._enemies[self._platform][0]
@@ -198,13 +231,13 @@ class Platform(Env):
         if dead:
             terminal = True
             reward = 0.0
-        elif new_x >= cfg.length:
-            new_x = cfg.length
-            reward = (new_x - old_x) / cfg.length
+        elif new_x >= length:
+            new_x = length
+            reward = (new_x - old_x) / length
             terminal = True
         else:
             terminal = False
-            reward = (new_x - old_x) / cfg.length
+            reward = (new_x - old_x) / length
 
         for i, move in enumerate(enemy_moves):
             self._enemies[i][0], self._enemies[i][1] = move
@@ -218,34 +251,20 @@ class Platform(Env):
 
     def _features(self) -> np.ndarray:
         """9 features, each within [-1, 1]."""
-        cfg = self.config
-        length = cfg.length
-        a, b = cfg.platforms[self._platform]
-        if self._platform < len(self._enemies):
-            e_pos, e_dir = self._enemies[self._platform]
-            rel_enemy = np.clip((e_pos - self._agent_x) / length, -1.0, 1.0)
+        length, x, i = self.config.length, self._agent_x, self._platform
+        if i < len(self._enemies):
+            e_pos, e_dir = self._enemies[i]
+            rel_enemy = min(max((e_pos - x) / length, -1.0), 1.0)
         else:
             rel_enemy, e_dir = 1.0, 0.0
-        if self._platform + 1 < len(cfg.platforms):
-            gap = cfg.gaps[self._platform]
-            gap_width = (gap[1] - gap[0]) / length
-            a2, b2 = cfg.platforms[self._platform + 1]
-            next_width = (b2 - a2) / length
-        else:
-            gap_width, next_width = 0.0, 0.0
-        return np.array(
-            [
-                self._agent_x / length,
-                self._last_disp / cfg.max_displacement,
-                rel_enemy,
-                e_dir,
-                a / length,
-                (b - a) / length,
-                gap_width,
-                next_width,
-                (b - self._agent_x) / length,
-            ]
-        )
+        return np.array([
+            x / length,
+            self._last_disp / self._max_disp,
+            rel_enemy,
+            e_dir,
+            *self._static[i],
+            (self._platforms[i][1] - x) / length,
+        ])
 
 
 def platform_default_passthrough(spec: ActionSpaceSpec) -> Passthrough:
@@ -263,8 +282,7 @@ class ParamBandit(Env):
     VERTICES = (0.3, -0.5)
 
     def __init__(self):
-        super().__init__()
-        self.spec = ActionSpaceSpec(state_dim=1, param_dims=(1, 1))
+        super().__init__(ActionSpaceSpec(state_dim=1, param_dims=(1, 1)))
 
     def _reset(self, seed):
         return np.zeros(1)
@@ -274,8 +292,8 @@ class ParamBandit(Env):
             return 1.0 - (x - 0.3) ** 2
         return 0.8 - 2.0 * (x + 0.5) ** 2
 
-    def _step(self, k, x_k):
-        return np.zeros(1), self.reward(k, float(x_k[0])), True
+    def _step(self, k, x):
+        return np.zeros(1), self.reward(k, x[0]), True
 
 
 MOVE, STOP = 0, 1
@@ -290,8 +308,7 @@ class ChainPAMDP(Env):
     STOP_REWARD = 0.2
 
     def __init__(self):
-        super().__init__()
-        self.spec = ActionSpaceSpec(state_dim=3, param_dims=(1, 1))
+        super().__init__(ActionSpaceSpec(state_dim=3, param_dims=(1, 1)))
         self._pos = 0
 
     def _encode(self) -> np.ndarray:
@@ -303,11 +320,10 @@ class ChainPAMDP(Env):
         self._pos = 0
         return self._encode()
 
-    def _step(self, k, x_k):
+    def _step(self, k, x):
         if k == STOP:
             return self._encode(), self.STOP_REWARD, True
-        x = float(x_k[0])
-        r = 1.0 - (x - self.GOALS[self._pos]) ** 2
+        r = 1.0 - (x[0] - self.GOALS[self._pos]) ** 2
         self._pos += 1
         return self._encode(), r, self._pos >= 2
 

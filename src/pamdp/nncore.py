@@ -454,8 +454,9 @@ def forward(net: DenseNet, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]
     np.matmul(x, net._affine[-1], out=views.gemm)
     out = views.out.copy()
     # the sum of finite entries is finite unless it overflows, so the
-    # elementwise test runs only then
-    if not math.isfinite(out.sum()) and not np.isfinite(out).all():
+    # elementwise test runs only then (np.add.reduce is out.sum() without
+    # its Python-level dispatch)
+    if not math.isfinite(np.add.reduce(out, axis=None)) and not np.isfinite(out).all():
         widths = "->".join(str(w) for w in (net.input_dim, *arrays.widths))
         raise FloatingPointError(
             f"non-finite values in the output of a {widths} network on {n} rows"
@@ -464,13 +465,14 @@ def forward(net: DenseNet, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]
 
 
 def _layer_deltas(
-    net: DenseNet, cache: ForwardCache, upstream: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
+    net: DenseNet, cache: ForwardCache, upstream: np.ndarray, input_grads: bool = True
+) -> tuple[list[np.ndarray], np.ndarray | None]:
     """Backpropagate `upstream` through the cached forward pass.
 
     Returns ``(dz, input_grads)``: dz[i] is the gradient with respect to
     layer i's pre-activation, input_grads the gradient with respect to the
-    batch. A hidden layer's dz lives in the network's reusable delta array.
+    batch, or None, and its GEMM skipped, when ``input_grads`` is false. A
+    hidden layer's dz lives in the network's reusable delta array.
     """
     if cache.net_id != id(net):
         raise ValueError("cache does not belong to this network")
@@ -494,7 +496,7 @@ def _layer_deltas(
         # on the whole rows, the extra column included: contiguous
         _scale_by_activation_grad(h.delta, h.z_rows, layer.activation, layer.slope)
         dz = h.dz
-    return dzs, dz @ _transposed(layers[0].weights)
+    return dzs, (dz @ _transposed(layers[0].weights) if input_grads else None)
 
 
 def _transposed(weights: np.ndarray) -> np.ndarray:
@@ -504,18 +506,23 @@ def _transposed(weights: np.ndarray) -> np.ndarray:
 
 
 def backward(
-    net: DenseNet, cache: ForwardCache, upstream: np.ndarray, out: FlatArrays | None = None
-) -> tuple[list[np.ndarray], np.ndarray]:
+    net: DenseNet,
+    cache: ForwardCache,
+    upstream: np.ndarray,
+    out: FlatArrays | None = None,
+    input_grads: bool = True,
+) -> tuple[list[np.ndarray], np.ndarray | None]:
     """Exact gradients of ``sum(upstream * outputs)``.
 
     Returns ``(param_grads, input_grads)`` where param_grads matches the
-    ordering of ``net.parameters()`` and input_grads has the batch's shape.
-    The parameter gradients are views of one buffer laid out like
-    ``net.flat``: ``out`` if given, else a new one. The cache must come from
-    a :func:`forward` call on this exact network with no parameter updates
-    in between.
+    ordering of ``net.parameters()`` and input_grads has the batch's shape;
+    a caller that discards the input gradients passes ``input_grads=False``
+    and gets None in their place, without their GEMM. The parameter
+    gradients are views of one buffer laid out like ``net.flat``: ``out`` if
+    given, else a new one. The cache must come from a :func:`forward` call
+    on this exact network with no parameter updates in between.
     """
-    dzs, input_grads = _layer_deltas(net, cache, upstream)
+    dzs, input_grads = _layer_deltas(net, cache, upstream, input_grads)
     if out is None:
         out = np.empty_like(net.flat)
     elif getattr(out, "shapes", None) != net.flat.shapes:

@@ -8,7 +8,14 @@ dimensions stop moving outward but can always move back in).
 
 An optional passthrough term adds a fixed affine map of the state to the
 network output before clamping, encoding an initial parameter policy. Its
-weights never change after construction.
+weights never change after construction, except that a checkpoint load
+fills them in place. Like the network forward, it is batch-invariant: a
+row's output bits do not depend on the batch around it. An all-zero
+passthrough, such as Platform's, adds nothing and is skipped; that is
+checked on every call, not recorded once, so a loaded passthrough is seen.
+
+The clamp uses the lower and upper bounds as two contiguous arrays that the
+actor stores once.
 """
 
 from __future__ import annotations
@@ -18,28 +25,43 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nncore import DenseNet, ForwardCache, forward
+from .nncore import DenseNet, ForwardCache, forward, padded_rows
 
 
 @dataclass
 class Passthrough:
-    """Fixed affine state -> output map added to the actor network output."""
+    """Fixed affine state -> output map added to the actor network output.
+
+    ``weights`` and ``bias`` are views of one array, ``affine`` = ``[W; b]``.
+    """
 
     weights: np.ndarray
     bias: np.ndarray
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[1],):
+        weights = np.asarray(self.weights, dtype=np.float64)
+        bias = np.asarray(self.bias, dtype=np.float64)
+        if weights.ndim != 2 or bias.shape != (weights.shape[1],):
             raise ValueError("passthrough weights must be (state_dim, out_dim) with matching bias")
+        self.affine = np.vstack([weights, bias])
+        self.weights, self.bias = self.affine[:-1], self.affine[-1]
 
     @classmethod
     def zeros(cls, state_dim: int, out_dim: int) -> "Passthrough":
         return cls(np.zeros((state_dim, out_dim)), np.zeros(out_dim))
 
+    def is_zero(self) -> bool:
+        return not np.count_nonzero(self.affine)
+
     def apply(self, states: np.ndarray) -> np.ndarray:
-        return states @ self.weights + self.bias
+        """``states @ weights + bias`` as one GEMM ``[states, 1] @ [W; b]`` on
+        the rows rounded up to ``nncore.ROW_QUANTUM``, as ``nncore.forward``
+        computes a layer, so a row's bits do not depend on its batch."""
+        n = states.shape[0]
+        rows = np.zeros((padded_rows(n), self.affine.shape[0]))
+        rows[:n, :-1] = states
+        rows[:, -1] = 1.0
+        return (rows @ self.affine)[:n]
 
 
 class Actor:
@@ -56,6 +78,8 @@ class Actor:
         self.net = net
         self.bounds = bounds
         self.passthrough = passthrough
+        # the clamp's bounds, contiguous
+        self._lo, self._hi = bounds[:, 0].copy(), bounds[:, 1].copy()
 
     def forward(self, states: np.ndarray) -> np.ndarray:
         return self.forward_training(states)[0]
@@ -68,9 +92,13 @@ class Actor:
         """
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         out, cache = forward(self.net, states)
-        raw = out if self.passthrough is None else out + self.passthrough.apply(states)
-        # np.clip's bits, without its Python-level dispatch
-        return np.minimum(np.maximum(raw, self.bounds[:, 0]), self.bounds[:, 1]), cache
+        pt = self.passthrough
+        raw = out if pt is None or pt.is_zero() else out + pt.apply(states)
+        # np.clip's bits, without its Python-level dispatch; ``out`` is the
+        # cache's last pre-activation, so the clamp writes a new array
+        clamped = np.maximum(raw, self._lo)
+        np.minimum(clamped, self._hi, out=clamped)
+        return clamped, cache
 
     def copy(self) -> "Actor":
         return Actor(self.net.copy(), self.bounds.copy(), self.passthrough)

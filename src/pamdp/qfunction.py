@@ -78,8 +78,8 @@ class ActionSpaceSpec:
         if not (b[:, 0] < b[:, 1]).all():
             raise ValueError("each bound row needs min < max")
         object.__setattr__(self, "bounds", b)
-        offsets = np.concatenate([[0], np.cumsum(self.param_dims)])
-        object.__setattr__(self, "_offsets", offsets)
+        offsets = np.concatenate([[0], np.cumsum(self.param_dims)]).tolist()
+        object.__setattr__(self, "_blocks", tuple(map(slice, offsets, offsets[1:])))
         # the action whose block holds each joint-vector column, and per
         # action the columns of its block
         owner = np.repeat(np.arange(len(self.param_dims)), self.param_dims)
@@ -92,13 +92,13 @@ class ActionSpaceSpec:
 
     @property
     def joint_dim(self) -> int:
-        return int(self._offsets[-1])
+        return self._blocks[-1].stop
 
     def block(self, k: int) -> slice:
         """Slice of the joint vector holding action k's parameters."""
-        if not 0 <= k < self.num_actions:
+        if not 0 <= k < len(self._blocks):
             raise ValueError(f"action index {k} out of range [0, {self.num_actions})")
-        return slice(int(self._offsets[k]), int(self._offsets[k + 1]))
+        return self._blocks[k]
 
 
 def basis_mask(space: ActionSpaceSpec, params: np.ndarray, k: int) -> np.ndarray:
@@ -272,8 +272,9 @@ class QFunction:
 
 
 def _check_batch(space, states, params):
-    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-    params = np.atleast_2d(np.asarray(params, dtype=np.float64))
+    states, params = np.atleast_2d(
+        np.asarray(states, dtype=np.float64), np.asarray(params, dtype=np.float64)
+    )
     if states.shape[1] != space.state_dim:
         raise ValueError(f"state width {states.shape[1]} != state_dim {space.state_dim}")
     if params.shape[1] != space.joint_dim:

@@ -1,3 +1,7 @@
+import hashlib
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +72,28 @@ class TestPlatformBasics:
         env.reset()
         with pytest.raises(ValueError):
             env.step(RUN, np.array([1.5]))
+
+    @pytest.mark.parametrize("env_type", [Platform, ParamBandit, ChainPAMDP])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected(self, env_type, value):
+        """NaN fails both bound comparisons, so it needs its own check."""
+        env = env_type()
+        env.reset()
+        with pytest.raises(ValueError, match="not finite"):
+            env.step(0, np.array([value]))
+        # a rejected action leaves the episode where it was
+        s, r, _ = env.step(0, np.array([0.0]))
+        assert np.isfinite(s).all() and math.isfinite(r)
+
+    def test_bad_index_and_dimension_rejected(self):
+        env = Platform()
+        env.reset()
+        for k in (-1, 3):
+            with pytest.raises(ValueError, match="out of range"):
+                env.step(k, np.array([0.0]))
+        for x in (np.zeros(2), np.zeros((1, 1)), np.zeros(0)):
+            with pytest.raises(ValueError, match="wrong dimension"):
+                env.step(RUN, x)
 
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError):
@@ -152,6 +178,41 @@ class TestPlatformDynamics:
         assert total <= 1.0 + 1e-12
         if success:
             assert total == pytest.approx(1.0, rel=1e-12)
+
+
+EXACT_PARAMETERS = np.array([-1.0, 0.0, 1.0])
+
+
+def platform_trajectory_digest(env: Platform, steps: int, seed: int) -> str:
+    """SHA-256 over a seeded stream of random actions, a quarter of them at
+    exactly -1, 0 or 1: each reset state, then per step the state bytes, the
+    reward as a little-endian double and the terminal flag."""
+    rng = np.random.default_rng(seed)
+    h = hashlib.sha256()
+    terminal = True
+    for _ in range(steps):
+        if terminal:
+            h.update(env.reset().tobytes())
+        k = int(rng.integers(3))
+        x = EXACT_PARAMETERS[rng.integers(3)] if rng.random() < 0.25 else rng.uniform(-1.0, 1.0)
+        s, r, terminal = env.step(k, np.array([x]))
+        h.update(s.tobytes())
+        h.update(struct.pack("<d?", r, terminal))
+    return h.hexdigest()
+
+
+# recorded when the dynamics still ran on numpy arrays (unscale_params,
+# np.clip); no BLAS call is involved, so they hold on any machine
+@pytest.mark.parametrize("overrides, seed, digest", [
+    ({}, 0, "fca128a883014ae0ccb54a3d1819ed7793350085493cd2fe2767ce215d5c01c6"),
+    ({"enemy_speed": 2.5, "enemy_inset": 4.0}, 1,
+     "c0c489b88b54cbe4f0e2fb9d974669830d644fca7eab87909ce2a231f53d3caa"),
+])
+def test_platform_trajectory_hash(overrides, seed, digest):
+    """20,000 random decisions (about 6,000 episodes, some 850 of them
+    successful on the default geometry) give the recorded states, rewards
+    and terminals to the bit."""
+    assert platform_trajectory_digest(Platform(PlatformConfig(**overrides)), 20_000, seed) == digest
 
 
 class TestParamBandit:

@@ -405,6 +405,30 @@ class TestCheckpointRoundTrip:
         assert header["meta"]["seed"] == 7
         assert header["rng_state"] is not None
 
+    @pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
+    def test_nonzero_passthrough_survives_round_trip(self, tmp_path, algorithm):
+        """The loader builds a zero passthrough and fills it in place; the
+        loaded actor must then apply it, as the saved one does."""
+        from pamdp.agent import AgentConfig, make_agent
+        from pamdp.policy import Passthrough
+        from pamdp.qfunction import ActionSpaceSpec
+
+        space = ActionSpaceSpec(state_dim=9, param_dims=(1, 1, 1))
+        rng = np.random.default_rng(8)
+        passthrough = Passthrough(0.1 * rng.standard_normal((9, 3)), 0.1 * rng.standard_normal(3))
+        agent = make_agent(algorithm, space, AgentConfig(hidden=(8,)),
+                           np.random.default_rng(9), passthrough)
+        path = tmp_path / "agent.ckpt"
+        save_checkpoint(path, agent, algorithm, "platform", {})
+        loaded, _ = load_checkpoint(path)
+        assert not loaded.actor.passthrough.is_zero()
+        assert (loaded.actor.passthrough.affine == agent.actor.passthrough.affine).all()
+        states = rng.standard_normal((5, 9))
+        assert np.array_equal(loaded.actor.forward(states), agent.actor.forward(states))
+        for s in states:
+            a, b = agent.select_action(s, False, rng), loaded.select_action(s, False, rng)
+            assert a.k == b.k and np.array_equal(a.emitted, b.emitted)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOPE" + b"\x00" * 32)

@@ -215,6 +215,17 @@ class TestBackward:
         for g, g_fd in zip(grads, fd_param_grads(net, batch, upstream)):
             assert relative_error(g, g_fd) < 1e-6
 
+    def test_parameter_gradients_alone(self):
+        """``input_grads=False`` skips the input gradient and leaves the
+        parameter gradients' bits as they are."""
+        net, batch = make_safe_net(4, (6, 5), 3, seed=6)
+        upstream = np.random.default_rng(7).standard_normal((batch.shape[0], 3))
+        _, cache = forward(net, batch)
+        grads, _ = backward(net, cache, upstream)
+        alone, input_grads = backward(net, cache, upstream, input_grads=False)
+        assert input_grads is None
+        assert all(np.array_equal(g, a) for g, a in zip(grads, alone))
+
     def test_mismatched_cache_rejected(self):
         net_a, batch = make_safe_net(3, (4,), 2, seed=4)
         net_b = net_a.copy()
@@ -269,7 +280,7 @@ def allocating_forward(net, batch):
     return a, ForwardCache(id(net), net.version, None, inputs, preacts)
 
 
-def allocating_layer_deltas(net, cache, upstream):
+def allocating_layer_deltas(net, cache, upstream, input_grads=True):
     """Reference: backpropagation through fresh activation-gradient arrays."""
     if cache.net_id != id(net):
         raise ValueError("cache does not belong to this network")
@@ -290,6 +301,8 @@ def allocating_layer_deltas(net, cache, upstream):
         else:
             dzs[i] = np.ones_like(z)
         dzs[i] *= delta
+        if i == 0 and not input_grads:
+            return dzs, None
         # the transposed weights in C order, as nncore's backward GEMMs
         # take them
         delta = dzs[i] @ np.ascontiguousarray(layer.weights.T)
@@ -554,9 +567,9 @@ def test_training_bytes_match_allocating_passes(tmp_path, monkeypatch, config, e
         calls["forward"] += 1
         return allocating_forward(net, batch)
 
-    def counted_deltas(net, cache, upstream):
+    def counted_deltas(net, cache, upstream, input_grads=True):
         calls["deltas"] += 1
-        return allocating_layer_deltas(net, cache, upstream)
+        return allocating_layer_deltas(net, cache, upstream, input_grads)
 
     # every module that imported forward by name calls it through its own
     # global

@@ -46,6 +46,32 @@ class TestActor:
         out = actor.forward(rng.standard_normal((5, 4)))
         assert (out >= -1.0).all() and (out <= 1.0).all()
 
+    def test_nonzero_passthrough_is_batch_invariant(self):
+        """Each row gets the bits of its own 1-row call, in every batch."""
+        rng = np.random.default_rng(21)
+        p = Passthrough(rng.standard_normal((9, 3)), rng.standard_normal(3))
+        net = DenseNet.create(9, (128,), 3, rng)
+        wide = np.tile([-100.0, 100.0], (3, 1))  # no clamping to hide a difference
+        actor = Actor(net, wide, p)
+        states = rng.standard_normal((128, 9))
+        alone = np.vstack([actor.forward(row[None, :]) for row in states])
+        for n in (2, 3, 4, 5, 127, 128):
+            assert np.array_equal(actor.forward(states[:n]), alone[:n]), f"batch of {n}"
+        assert np.allclose(p.apply(states), states @ p.weights + p.bias, rtol=0, atol=1e-12)
+        assert not np.array_equal(alone, Actor(net, wide).forward(states))
+
+    def test_passthrough_filled_in_place_is_applied(self):
+        """The zero test runs on every call: a passthrough built as zeros and
+        filled afterwards, as a checkpoint load does, is not skipped."""
+        p = Passthrough.zeros(1, 3)
+        actor = Actor(zero_net(1, 3), BOUNDS3, p)
+        s = np.array([[1.0]])
+        assert p.is_zero() and (actor.forward(s) == 0.0).all()
+        p.weights[...] = [[0.5, -0.25, 0.1]]
+        p.bias[...] = [0.0, 0.0, 0.3]
+        assert not p.is_zero()
+        assert np.allclose(actor.forward(s)[0], [0.5, -0.25, 0.4], rtol=0, atol=1e-15)
+
     def test_passthrough_shape_checked(self):
         with pytest.raises(ValueError):
             Actor(zero_net(2, 3), BOUNDS3, Passthrough(np.zeros((3, 3)), np.zeros(3)))
