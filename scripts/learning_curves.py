@@ -15,7 +15,7 @@ import os
 
 import numpy as np
 
-from pamdp.harness import read_csv, smooth
+from pamdp.harness import csv_line, read_csv, smooth
 
 
 def main():
@@ -44,11 +44,9 @@ def main():
 
     out = args.out or os.path.join(args.dir, "curves.csv")
     with open(out, "w", encoding="utf-8") as fh:
-        fh.write("episode," + ",".join(f"seed_{s}" for s in seeds) + ",mean,stderr\n")
+        fh.write(csv_line(["episode", *(f"seed_{s}" for s in seeds), "mean", "stderr"]))
         for i in range(n):
-            cells = [str(i), *(repr(float(c[i])) for c in curves),
-                     repr(float(mean[i])), repr(float(stderr[i]))]
-            fh.write(",".join(cells) + "\n")
+            fh.write(csv_line([i, *(c[i] for c in curves), mean[i], stderr[i]]))
     print(f"wrote {out} ({n} episodes x {len(curves)} seeds, window {args.window})")
 
 

@@ -33,7 +33,7 @@ from . import nncore
 from .nncore import AdamState, DenseNet, backward, clip_grad_norm, forward
 from .policy import Actor, EpsilonSchedule, OUNoise, Passthrough, invert_gradients
 from .qfunction import JOINT, ActionSpaceSpec, QFunction, sum_q_gradient
-from .replay import ReplayBuffer, Sample, Transition
+from .replay import ReplayBuffer, Transition, _stack_batch
 
 
 @dataclass
@@ -105,24 +105,6 @@ class ParameterisedAction:
             self.emitted = self.x_joint
 
 
-def _stack_batch(transitions: list[Transition] | Sample):
-    """Transitions stacked as ``(s, k, x, r, s2, term, mc)``. A replay
-    ``Sample`` is stacked already and comes back as its arrays."""
-    if isinstance(transitions, Sample):
-        return transitions.arrays
-    s = np.stack([np.asarray(t.s, dtype=np.float64) for t in transitions])
-    k = np.array([t.k for t in transitions], dtype=np.int64)
-    x = np.stack([np.asarray(t.x_joint, dtype=np.float64) for t in transitions])
-    r = np.array([t.r for t in transitions], dtype=np.float64)
-    s2 = np.stack([np.asarray(t.s_next, dtype=np.float64) for t in transitions])
-    term = np.array([t.terminal for t in transitions], dtype=bool)
-    mc = np.array(
-        [np.nan if t.mc_return is None else t.mc_return for t in transitions],
-        dtype=np.float64,
-    )
-    return s, k, x, r, s2, term, mc
-
-
 def _mix(y: np.ndarray, mc: np.ndarray, beta: float) -> np.ndarray:
     """The mixed target (1 - beta) * one-step target + beta * Monte Carlo return."""
     return (1.0 - beta) * y + beta * mc
@@ -191,7 +173,7 @@ class PDQNAgent:
         epsilon-uniform action index, or None where the greedy one is due."""
         u = self.actor.forward(np.asarray(s)[None, :])[0]
         if explore:
-            u = np.clip(u + self.noise.step(rng), self.bounds[:, 0], self.bounds[:, 1])
+            u = self.actor.clamp(u + self.noise.step(rng))
         if explore and rng.random() < self.epsilon.current:
             return u, int(rng.integers(self.space.num_actions))
         return u, None

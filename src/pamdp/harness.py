@@ -8,9 +8,9 @@ config never perturbs existing runs. Logs are appended line by line and
 flushed, so a crashed run leaves a valid CSV plus a meta file that records
 how far it was supposed to go.
 
-Config files are flat ``key = value`` text; unknown keys are errors. All
-numbers written to CSVs use shortest round-trip float formatting so every
-summary is recomputable from the raw logs.
+Config files are flat ``key = value`` text; unknown keys are errors. Every
+CSV line is built by ``csv_line``, with shortest round-trip float
+formatting, so every summary is recomputable from the raw logs.
 """
 
 from __future__ import annotations
@@ -121,10 +121,15 @@ PLATFORM_KEYS = {f.name: _PARSERS[f.type] for f in fields(PlatformConfig)}
 
 
 def parse_config_text(text: str) -> RunConfig:
-    """Parse the flat ``key = value`` format; unknown keys raise."""
+    """Parse the flat ``key = value`` format; unknown keys raise.
+
+    Every error names a line. A config that does not build names the first
+    line after which the lines read so far build none.
+    """
     kwargs: dict = {}
     overrides: dict = {}
     grid: dict = {}
+    last = 0  # the last line that sets a key
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -132,6 +137,7 @@ def parse_config_text(text: str) -> RunConfig:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw_line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
+        last = lineno
         try:
             if key.startswith("platform."):
                 sub = key.removeprefix("platform.")
@@ -155,7 +161,14 @@ def parse_config_text(text: str) -> RunConfig:
                 raise ValueError(f"unknown config key {key!r}")
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    return RunConfig(**kwargs, env_overrides=overrides, grid=grid)
+    try:
+        return RunConfig(**kwargs, env_overrides=overrides, grid=grid)
+    except ValueError as exc:
+        error = exc
+    # the last key line is at fault, unless the lines before it build no
+    # config either: then their error, which names its line, is raised
+    parse_config_text("\n".join(text.splitlines()[: last - 1]))
+    raise ValueError(f"line {last}: {error}") from None
 
 
 def load_config(path: str) -> RunConfig:
@@ -173,12 +186,14 @@ def build_agent(cfg: RunConfig, space, rng: np.random.Generator):
     return make_agent(cfg.algorithm, space, cfg.agent_config(), rng, passthrough)
 
 
-def _fmt(value) -> str:
-    # shortest round-trip formatting; plain float first so numpy scalars
-    # cannot leak their repr into the CSVs
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+def csv_line(values) -> str:
+    """One CSV line, newline included: floats in shortest round-trip form,
+    as a plain float first so that numpy scalars cannot leak their repr,
+    anything else as ``str``. Every CSV line the package writes is built
+    here."""
+    return ",".join(
+        repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in values
+    ) + "\n"
 
 
 def run_episode(env, agent, rng, train: bool, max_steps: int):
@@ -208,9 +223,9 @@ def run_episode(env, agent, rng, train: bool, max_steps: int):
 
 def _write_csv(path: str, header, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(csv_line(header))
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(csv_line(row))
 
 
 def _write_meta(path: str, meta: dict):
@@ -245,7 +260,7 @@ def train_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
     episode = None  # the episode in progress, None outside the loop
     try:
         with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(TRAIN_HEADER) + "\n")
+            fh.write(csv_line(TRAIN_HEADER))
             fh.flush()
             for episode in range(cfg.episodes):
                 eps = agent.begin_episode(episode)
@@ -258,8 +273,8 @@ def train_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
                     q_loss, actor_loss = (float(np.mean(col)) for col in zip(*losses))
                 else:
                     q_loss = actor_loss = float("nan")
-                row = [seed, episode, total, len(transitions), eps, q_loss, actor_loss]
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+                fh.write(csv_line([seed, episode, total, len(transitions), eps, q_loss,
+                                   actor_loss]))
                 fh.flush()
         episode = None
 
@@ -381,9 +396,9 @@ def write_summary_csv(path: str, summaries: list[EvalSummary]):
 def write_sensitivity_csv(fh, grid, table):
     """A ``q_sensitivity_sweep`` table as CSV text: ``sweep_value,q_1..q_K``,
     one row per grid value."""
-    fh.write("sweep_value," + ",".join(f"q_{i + 1}" for i in range(table.shape[1])) + "\n")
+    fh.write(csv_line(["sweep_value", *(f"q_{i + 1}" for i in range(table.shape[1]))]))
     for value, row in zip(grid, table):
-        fh.write(",".join(repr(float(c)) for c in (value, *row)) + "\n")
+        fh.write(csv_line([value, *row]))
 
 
 def read_csv(path: str) -> list[dict]:

@@ -4,64 +4,56 @@ The actor emits the full joint parameter vector for every state; bounding at
 act time is a hard clamp, while update-time gradients are bounded by the
 inverting-gradients rule instead (scale each dimension's gradient by its
 remaining headroom toward the bound it pushes against, so saturated
-dimensions stop moving outward but can always move back in).
+dimensions stop moving outward but can always move back in). The clamp is
+``Actor.clamp``, against the lower and upper bounds as two contiguous arrays
+that the actor stores once; greedy and exploring actions both go through it.
 
 An optional passthrough term adds a fixed affine map of the state to the
-network output before clamping, encoding an initial parameter policy. Its
-weights never change after construction, except that a checkpoint load
-fills them in place. Like the network forward, it is batch-invariant: a
-row's output bits do not depend on the batch around it. An all-zero
-passthrough, such as Platform's, adds nothing and is skipped; that is
-checked on every call, not recorded once, so a loaded passthrough is seen.
-
-The clamp uses the lower and upper bounds as two contiguous arrays that the
-actor stores once.
+network output before clamping, encoding an initial parameter policy. It is
+a one-layer linear ``DenseNet`` run by ``nncore.forward``, so, like the
+actor network, it is batch-invariant: a row's output bits do not depend on
+the batch around it. Its weights never change after construction, except
+that a checkpoint load fills them in place. An all-zero passthrough, such as
+Platform's, adds nothing and is skipped; that is checked on every call, not
+recorded once, so a loaded passthrough is seen.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .nncore import DenseNet, ForwardCache, forward, padded_rows
+from .nncore import DenseNet, ForwardCache, Layer, forward
 
 
-@dataclass
 class Passthrough:
-    """Fixed affine state -> output map added to the actor network output.
+    """Fixed affine state -> output map added to the actor network output:
+    ``net``, one linear layer. ``weights`` and ``bias`` are views of its
+    parameters, which a checkpoint load fills in place."""
 
-    ``weights`` and ``bias`` are views of one array, ``affine`` = ``[W; b]``.
-    """
+    def __init__(self, weights: np.ndarray, bias: np.ndarray):
+        self.net = DenseNet([Layer(weights, bias)])
 
-    weights: np.ndarray
-    bias: np.ndarray
+    @property
+    def weights(self) -> np.ndarray:
+        return self.net.layers[0].weights
 
-    def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=np.float64)
-        bias = np.asarray(self.bias, dtype=np.float64)
-        if weights.ndim != 2 or bias.shape != (weights.shape[1],):
-            raise ValueError("passthrough weights must be (state_dim, out_dim) with matching bias")
-        self.affine = np.vstack([weights, bias])
-        self.weights, self.bias = self.affine[:-1], self.affine[-1]
+    @property
+    def bias(self) -> np.ndarray:
+        return self.net.layers[0].biases
 
     @classmethod
     def zeros(cls, state_dim: int, out_dim: int) -> "Passthrough":
         return cls(np.zeros((state_dim, out_dim)), np.zeros(out_dim))
 
     def is_zero(self) -> bool:
-        return not np.count_nonzero(self.affine)
+        return not np.count_nonzero(self.net.flat)
 
     def apply(self, states: np.ndarray) -> np.ndarray:
-        """``states @ weights + bias`` as one GEMM ``[states, 1] @ [W; b]`` on
-        the rows rounded up to ``nncore.ROW_QUANTUM``, as ``nncore.forward``
-        computes a layer, so a row's bits do not depend on its batch."""
-        n = states.shape[0]
-        rows = np.zeros((padded_rows(n), self.affine.shape[0]))
-        rows[:n, :-1] = states
-        rows[:, -1] = 1.0
-        return (rows @ self.affine)[:n]
+        """``states @ weights + bias``, computed as ``nncore.forward``
+        computes any layer."""
+        return forward(self.net, states)[0]
 
 
 class Actor:
@@ -81,6 +73,13 @@ class Actor:
         # the clamp's bounds, contiguous
         self._lo, self._hi = bounds[:, 0].copy(), bounds[:, 1].copy()
 
+    def clamp(self, u: np.ndarray) -> np.ndarray:
+        """``u`` clamped into the bounds, as a new array: np.clip's bits,
+        without its Python-level dispatch."""
+        clamped = np.maximum(u, self._lo)
+        np.minimum(clamped, self._hi, out=clamped)
+        return clamped
+
     def forward(self, states: np.ndarray) -> np.ndarray:
         return self.forward_training(states)[0]
 
@@ -93,12 +92,9 @@ class Actor:
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         out, cache = forward(self.net, states)
         pt = self.passthrough
+        # ``out`` is the cache's last pre-activation; the clamp writes a new array
         raw = out if pt is None or pt.is_zero() else out + pt.apply(states)
-        # np.clip's bits, without its Python-level dispatch; ``out`` is the
-        # cache's last pre-activation, so the clamp writes a new array
-        clamped = np.maximum(raw, self._lo)
-        np.minimum(clamped, self._hi, out=clamped)
-        return clamped, cache
+        return self.clamp(raw), cache
 
     def copy(self) -> "Actor":
         return Actor(self.net.copy(), self.bounds.copy(), self.passthrough)
@@ -178,23 +174,3 @@ class EpsilonSchedule:
         if episode >= self.horizon:
             return self.end
         return self.start + (self.end - self.start) * (episode / self.horizon)
-
-
-def scale_params(x_env: np.ndarray, env_bounds: np.ndarray) -> np.ndarray:
-    """Affine map from environment-native ranges onto [-1, 1] per dimension."""
-    x_env = np.asarray(x_env, dtype=np.float64)
-    env_bounds = np.asarray(env_bounds, dtype=np.float64)
-    lo, hi = env_bounds[..., 0], env_bounds[..., 1]
-    if (x_env < lo).any() or (x_env > hi).any():
-        raise ValueError("value outside environment bounds")
-    return 2.0 * (x_env - lo) / (hi - lo) - 1.0
-
-
-def unscale_params(x_scaled: np.ndarray, env_bounds: np.ndarray) -> np.ndarray:
-    """Inverse of scale_params."""
-    x_scaled = np.asarray(x_scaled, dtype=np.float64)
-    env_bounds = np.asarray(env_bounds, dtype=np.float64)
-    if (x_scaled < -1.0).any() or (x_scaled > 1.0).any():
-        raise ValueError("scaled value outside [-1, 1]")
-    lo, hi = env_bounds[..., 0], env_bounds[..., 1]
-    return lo + (x_scaled + 1.0) * (hi - lo) / 2.0

@@ -22,9 +22,11 @@ one evaluation interface returning K action values:
 
 ``QFunction.passes`` is the one place that tells the variants apart: for a
 batch and the actions asked for, it lists per network the input rows, the
-output each requested value is read from, and the joint-vector columns each
-row was fed. Evaluation, the actor's value gradient, the cross-gradient
-diagnostic and the agent's Q update all run on that description.
+output each requested value is read from, and, when every sample asks for
+all K values, the joint-vector columns each row was fed. Evaluation, the
+actor's value gradient, the cross-gradient diagnostic and the agent's Q
+update all run on that description. For one action per sample, a multipass
+row is the joint row with the other actions' blocks zeroed.
 
 ``cross_gradient_matrix`` makes the distinction measurable: its entry (i, j)
 is the gradient magnitude of Q_i with respect to block j, computed from
@@ -118,15 +120,17 @@ class Pass:
     ``q[q_at] = out[out_at]``. Each row feeds the network only some columns
     of its sample's joint vector; the gradient of those values with respect
     to them is ``grad[grad_at] = in_grad[in_at]``, where ``in_grad`` is the
-    gradient with respect to the rows.
+    gradient with respect to the rows. Passes for one action per sample
+    serve the Q regression, which reads no input gradient, so their
+    ``grad_at`` and ``in_at`` are None.
     """
 
     net: DenseNet
     rows: np.ndarray
     q_at: tuple
     out_at: tuple
-    grad_at: tuple
-    in_at: tuple
+    grad_at: tuple | None
+    in_at: tuple | None
 
     def upstream(self, out: np.ndarray, values: np.ndarray) -> np.ndarray:
         """The upstream gradient for ``out`` that is ``values`` at ``out_at``
@@ -217,8 +221,7 @@ class QFunction:
         depend on its batch, but GEMM sums over rows depend on their order.
         """
         space, b = self.space, states.shape[0]
-        sd = space.state_dim
-        params_in = (_ALL, slice(sd, None))
+        params_in = (_ALL, slice(space.state_dim, None))
         if self.variant == SEPARATE:
             # network i sees state ++ block i for the samples asking for action i
             out = []
@@ -226,25 +229,26 @@ class QFunction:
                 sl = space.block(i)
                 mine = _ALL if actions is None else np.flatnonzero(actions == i)
                 q_at = (_ALL, i) if actions is None else mine
+                maps = ((_ALL, sl), params_in) if actions is None else (None, None)
                 rows = np.concatenate((states[mine], params[mine, sl]), axis=1)
-                out.append(Pass(net, rows, q_at, (_ALL, 0), (mine, sl), params_in))
+                out.append(Pass(net, rows, q_at, (_ALL, 0), *maps))
             return out
         samples, diagonal, fed_by = self._index_arrays(b)
+        if actions is not None:
+            # one row per sample, read at its action's column; a multipass
+            # row is the joint row with every other action's block zeroed
+            if self.variant == MULTIPASS:
+                params = np.where(space._basis[actions], params, 0.0)
+            rows = np.concatenate((states, params), axis=1)
+            return [Pass(self.net, rows, _ALL, (samples, actions), None, None)]
         if self.variant == JOINT:
             # one row per sample feeds every column; action a is output column a
             rows = np.concatenate((states, params), axis=1)
-            out_at = _ALL if actions is None else (samples, actions)
-            return [Pass(self.net, rows, _ALL, out_at, _ALL, params_in)]
+            return [Pass(self.net, rows, _ALL, _ALL, _ALL, params_in)]
         # multipass: the row of (sample b, action a) keeps block a only and is
         # read at column a
-        if actions is None:
-            rows = multipass_rows(space, states, params)
-            return [Pass(self.net, rows, _ALL, diagonal, _ALL, fed_by)]
-        keep = space._basis[actions]
-        rows = np.concatenate((states, np.where(keep, params, 0.0)), axis=1)
-        rr, cols = np.nonzero(keep)
-        out_at = (samples, actions)
-        return [Pass(self.net, rows, _ALL, out_at, (rr, cols), (rr, sd + cols))]
+        rows = multipass_rows(space, states, params)
+        return [Pass(self.net, rows, _ALL, diagonal, _ALL, fed_by)]
 
     def _index_arrays(self, b: int) -> tuple:
         """``passes``' index arrays that depend on the batch size alone, made

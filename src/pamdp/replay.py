@@ -1,15 +1,20 @@
 """Transition storage: FIFO ring of row arrays with uniform sampling.
 
-The buffer stores each field of a transition in its own ring array: the
-state ``s``, the action index ``k``, the emitted action vector ``x``, the
-reward ``r``, the next state ``s_next``, the terminal flag and the Monte
-Carlo return, NaN where there is none. The arrays hold ``capacity`` rows
-and are allocated at the first push, with row shapes from the declared
-dimensions or, without them, from that push. Sampling is i.i.d. uniform
-with replacement over the filled slots. ``sample`` gathers the drawn rows
-into a ``Sample``: stacked arrays, which is what updates train on, that
-read as ``Transition`` objects when iterated; ``contents`` rebuilds the
-stored transitions the same way. Episodes are pushed whole through
+This module owns the batch layout: the fields of a transition, in the order
+``(s, k, x, r, s2, term, mc)`` — the state, the action index, the emitted
+action vector, the reward, the next state, the terminal flag and the Monte
+Carlo return — their dtypes (``_DTYPES``: float64 but for int64 ``k`` and
+bool ``term``) and ``mc`` as NaN where a transition has none.
+``_stack_batch`` stacks ``Transition`` objects into that layout, and
+``_transitions`` reads it back.
+
+The buffer stores each field in its own ring array of ``capacity`` rows,
+allocated at the first push, with row shapes from the declared dimensions
+or, without them, from that push. Sampling is i.i.d. uniform with
+replacement over the filled slots. ``sample`` gathers the drawn rows into a
+``Sample``: stacked arrays, which is what updates train on, that read as
+``Transition`` objects when iterated; ``contents`` rebuilds the stored
+transitions the same way. Episodes are pushed whole through
 ``finalize_episode``, which attaches each transition's Monte Carlo return
 when the agent trains on mixed targets; updates mix it with a one-step
 target bootstrapped from the target networks of the moment.
@@ -45,9 +50,7 @@ def _transitions(batch: tuple) -> list[Transition]:
 
 
 class Sample:
-    """Rows drawn from a buffer. ``arrays`` holds them stacked as
-    ``(s, k, x, r, s2, term, mc)``, float64 but for int64 ``k`` and bool
-    ``term``, ``mc`` NaN where a transition has no Monte Carlo return;
+    """Rows drawn from a buffer, stacked in the batch layout as ``arrays``;
     iteration reads them as ``Transition`` objects."""
 
     def __init__(self, arrays: tuple):
@@ -58,6 +61,16 @@ class Sample:
 
     def __iter__(self):
         return iter(_transitions(self.arrays))
+
+
+def _stack_batch(transitions: list[Transition] | Sample) -> tuple:
+    """Transitions stacked in the batch layout. A ``Sample`` is stacked
+    already and comes back as its arrays."""
+    if isinstance(transitions, Sample):
+        return transitions.arrays
+    columns = zip(*((t.s, t.k, t.x_joint, t.r, t.s_next, t.terminal,
+                     np.nan if t.mc_return is None else t.mc_return) for t in transitions))
+    return tuple(np.array(c, dtype) for c, dtype in zip(columns, _DTYPES))
 
 
 class ReplayBuffer:

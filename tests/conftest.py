@@ -7,11 +7,17 @@ analytic gradient in the package: they only ever call the forward pass.
 import ctypes
 import glob
 import os
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pamdp import harness
 from pamdp.nncore import AdamState, DenseNet, adam_step, forward
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def openblas_core() -> str | None:
@@ -142,3 +148,29 @@ def adam_step_net(net: DenseNet, grads: list[np.ndarray], state: AdamState):
         raise ValueError("gradients do not match the network's parameters")
     adam_step([net.flat], [np.concatenate([g.ravel() for g in grads])], state)
     net.mark_updated()
+
+
+def patch_everywhere(monkeypatch, module, name, replacement):
+    """Set ``name`` to ``replacement`` in ``module`` and in every loaded
+    ``pamdp`` module that bound the same object by name: ``from .nncore
+    import forward`` makes ``pamdp.agent.forward`` a lookup site of its own."""
+    original = getattr(module, name)
+    for mod in list(sys.modules.values()):
+        if mod is not None and mod.__name__.startswith("pamdp") and (
+            getattr(mod, name, None) is original
+        ):
+            monkeypatch.setattr(mod, name, replacement)
+
+
+def assert_training_bytes_unchanged(tmp_path, config, patch, kinds=("csv",), **overrides):
+    """Train seed 0 of ``configs/<config>.conf`` with ``overrides``, call
+    ``patch()``, and train it again: the first run must have made updates,
+    and the second must write the same bytes for each artifact in
+    ``kinds``."""
+    cfg = replace(harness.load_config(str(CONFIGS / f"{config}.conf")), seeds=(0,), **overrides)
+    first = harness.train_seed(cfg, 0, str(tmp_path / "first"))
+    assert any(r["q_loss"] != "nan" for r in harness.read_csv(first["csv"])), "no update ran"
+    patch()
+    second = harness.train_seed(cfg, 0, str(tmp_path / "second"))
+    for kind in kinds:
+        assert Path(second[kind]).read_bytes() == Path(first[kind]).read_bytes(), kind

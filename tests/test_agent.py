@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +13,13 @@ from pamdp.nncore import backward, clip_grad_norm, forward, input_gradient
 from pamdp.policy import invert_gradients
 from pamdp.qfunction import ActionSpaceSpec, cross_gradient_matrix
 from pamdp.replay import Transition
-from conftest import adam_step_net, fd_scalar_grad, relative_error
-
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+from conftest import (
+    adam_step_net,
+    assert_training_bytes_unchanged,
+    fd_scalar_grad,
+    patch_everywhere,
+    relative_error,
+)
 
 SPACE = ActionSpaceSpec(state_dim=2, param_dims=(1, 1))
 SPACE3 = ActionSpaceSpec(state_dim=4, param_dims=(1, 2, 1))
@@ -278,8 +281,7 @@ class TestFlatBuffers:
                 calls.append((name, args))
                 return original(*args)
 
-            monkeypatch.setattr(nncore, name, record)
-            monkeypatch.setattr(agent_module, name, record, raising=False)
+            patch_everywhere(monkeypatch, nncore, name, record)
         rng = np.random.default_rng(32)
         batch = _stack_batch([make_transition(space, rng) for _ in range(6)])
         if algorithm == "paddpg":
@@ -577,15 +579,12 @@ def test_paddpg_training_bytes_match_inline_critic(tmp_path, monkeypatch, config
     """PA-DDPG run as P-DQN over the one-action relaxed space writes the
     training CSV of the inline scalar-critic step. Platform updates start
     after about 40 episodes."""
-    cfg = replace(harness.load_config(str(CONFIGS / f"{config}.conf")), algorithm="paddpg",
-                  episodes=episodes, seeds=(0,), mixed_targets=mixed_targets)
-    shared = harness.train_seed(cfg, 0, str(tmp_path / "shared"))["csv"]
-    assert any(r["q_loss"] != "nan" for r in harness.read_csv(shared)), "no update ran"
+    def inline_critic():
+        monkeypatch.setattr(PADDPGAgent, "update", inline_paddpg_update)
+        monkeypatch.setattr(PADDPGAgent, "_bootstrap_targets", inline_paddpg_targets)
 
-    monkeypatch.setattr(PADDPGAgent, "update", inline_paddpg_update)
-    monkeypatch.setattr(PADDPGAgent, "_bootstrap_targets", inline_paddpg_targets)
-    inline = harness.train_seed(cfg, 0, str(tmp_path / "inline"))["csv"]
-    assert Path(inline).read_bytes() == Path(shared).read_bytes()
+    assert_training_bytes_unchanged(tmp_path, config, inline_critic, algorithm="paddpg",
+                                    episodes=episodes, mixed_targets=mixed_targets)
 
 
 class TestParameterisedAction:

@@ -1,6 +1,9 @@
+import io
 import json
 import math
 import os
+import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +205,23 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=message):
             parse_config_text(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("gamma = 2\n", "line 1: gamma must lie in"),
+        ("episodes = 5\nbatch_size = 64\nreplay_capacity = 32\n",
+         "line 3: replay capacity must cover the batch size"),
+        ("replay_capacity = 64\nbatch_size = 32\ntau_q = 5\n", "line 3: tau values must lie"),
+        ("tau_q = 5\nepisodes = 5\ngamma = 2\n", "line 1: tau values must lie"),
+        ("env = bandit\nplatform.length = 50\n", "line 2: bandit takes no overrides"),
+        ("platform.enemy_speed = 0.5\n# the env\nenv = bandit\n", "line 3: bandit takes no overrides"),
+        ("env = platform\nplatform.length = 50\n", "line 2: platforms must span"),
+    ], ids=["range", "cross-key", "cross-key-mended", "first-of-two", "bandit",
+            "bandit-after-override", "platform-ending-past-length"])
+    def test_config_that_builds_nothing_names_its_line(self, text, message):
+        """The blamed line is the first after which the lines read so far
+        build no config, and the message is the error they give."""
+        with pytest.raises(ValueError, match=f"^{message}"):
+            parse_config_text(text)
+
     @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.conf")))
     def test_every_shipped_config_loads(self, name):
         cfg = load_config(str(CONFIGS / name))
@@ -226,6 +246,39 @@ class TestConfigParsing:
     def test_comments_and_blank_lines_ignored(self):
         cfg = parse_config_text("# comment\n\nepisodes = 7  # trailing\n")
         assert cfg.episodes == 7
+
+
+class TestCsvBytes:
+    """Every CSV line goes through ``harness.csv_line``; these are the bytes
+    the writers gave before they shared it."""
+
+    def test_sensitivity_csv_bytes(self):
+        grid = np.linspace(-1.0, 1.0, 5)
+        table = np.array([[0.1, 1 / 3, -0.0], [1e-300, 2.5e16, -7.0], [np.nan, np.inf, 0.2 + 0.1],
+                          [123456.789, -1e-5, 2.0], [5e-324, 1.7976931348623157e308, -0.5]])
+        fh = io.StringIO()
+        harness.write_sensitivity_csv(fh, grid, table)
+        assert fh.getvalue() == (
+            "sweep_value,q_1,q_2,q_3\n-1.0,0.1,0.3333333333333333,-0.0\n"
+            "-0.5,1e-300,2.5e+16,-7.0\n0.0,nan,inf,0.30000000000000004\n"
+            "0.5,123456.789,-1e-05,2.0\n1.0,5e-324,1.7976931348623157e+308,-0.5\n"
+        )
+
+    def test_learning_curves_bytes(self, tmp_path, monkeypatch, capsys):
+        header = ",".join(harness.TRAIN_HEADER) + "\n"
+        for seed, returns in ((0, [1.0, 0.5, 0.25, 2.0]), (3, [0.1, 0.2, 0.3, 0.4, 9.0])):
+            (tmp_path / f"train_seed{seed}.csv").write_text(header + "".join(
+                f"{seed},{i},{r},1,0.5,nan,nan\n" for i, r in enumerate(returns)))
+        script = Path(__file__).resolve().parents[1] / "scripts" / "learning_curves.py"
+        monkeypatch.setattr(sys, "argv", [str(script), "--dir", str(tmp_path), "--window", "2"])
+        runpy.run_path(str(script), run_name="__main__")
+        assert (tmp_path / "curves.csv").read_bytes() == (
+            b"episode,seed_0,seed_3,mean,stderr\n0,1.0,0.1,0.55,0.44999999999999996\n"
+            b"1,0.75,0.15000000000000002,0.45,0.3\n"
+            b"2,0.375,0.25000000000000006,0.3125,0.06249999999999997\n"
+            b"3,1.125,0.35,0.7375,0.3875\n"
+        )
+        assert "4 episodes x 2 seeds" in capsys.readouterr().out
 
 
 class TestTrain:
@@ -422,7 +475,7 @@ class TestCheckpointRoundTrip:
         save_checkpoint(path, agent, algorithm, "platform", {})
         loaded, _ = load_checkpoint(path)
         assert not loaded.actor.passthrough.is_zero()
-        assert (loaded.actor.passthrough.affine == agent.actor.passthrough.affine).all()
+        assert (loaded.actor.passthrough.net.flat == agent.actor.passthrough.net.flat).all()
         states = rng.standard_normal((5, 9))
         assert np.array_equal(loaded.actor.forward(states), agent.actor.forward(states))
         for s in states:

@@ -1,9 +1,7 @@
 import copy
 import math
 import pickle
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,9 +27,16 @@ from pamdp.nncore import (
     padded_rows,
     polyak_update,
 )
-from conftest import adam_step_net, fd_input_grads, fd_param_grads, make_safe_net, relative_error
-
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+from conftest import (
+    CONFIGS,
+    adam_step_net,
+    assert_training_bytes_unchanged,
+    fd_input_grads,
+    fd_param_grads,
+    make_safe_net,
+    patch_everywhere,
+    relative_error,
+)
 
 
 class TestHeInit:
@@ -556,11 +561,6 @@ def test_training_bytes_match_allocating_passes(tmp_path, monkeypatch, config, e
     forward and backward write, on whatever machine both run. Platform
     updates start after about 40 episodes for the slower-filling
     algorithms."""
-    cfg = replace(harness.load_config(str(CONFIGS / f"{config}.conf")),
-                  algorithm=algorithm, episodes=episodes, seeds=(0,))
-    reused = harness.train_seed(cfg, 0, str(tmp_path / "reused"))["csv"]
-    assert any(r["q_loss"] != "nan" for r in harness.read_csv(reused)), "no update ran"
-
     calls = {"forward": 0, "deltas": 0}
 
     def counted_forward(net, batch):
@@ -571,15 +571,13 @@ def test_training_bytes_match_allocating_passes(tmp_path, monkeypatch, config, e
         calls["deltas"] += 1
         return allocating_layer_deltas(net, cache, upstream, input_grads)
 
-    # every module that imported forward by name calls it through its own
-    # global
-    for module in list(sys.modules.values()):
-        if module.__name__.startswith("pamdp") and getattr(module, "forward", None) is forward:
-            monkeypatch.setattr(module, "forward", counted_forward)
-    monkeypatch.setattr(nncore, "_layer_deltas", counted_deltas)
-    allocating = harness.train_seed(cfg, 0, str(tmp_path / "allocating"))["csv"]
+    def allocate():
+        patch_everywhere(monkeypatch, nncore, "forward", counted_forward)
+        monkeypatch.setattr(nncore, "_layer_deltas", counted_deltas)
+
+    assert_training_bytes_unchanged(tmp_path, config, allocate, algorithm=algorithm,
+                                    episodes=episodes)
     assert calls["forward"] > 0 and calls["deltas"] > 0
-    assert Path(allocating).read_bytes() == Path(reused).read_bytes()
 
 
 def per_array(buffers):
@@ -632,11 +630,6 @@ def test_training_bytes_match_per_array_steps(tmp_path, monkeypatch, config, epi
                                               algorithm, mixed_targets):
     """Adam, clipping and Polyak averaging over one buffer per network write
     the training CSV and the checkpoint that the per-array steps write."""
-    cfg = replace(harness.load_config(str(CONFIGS / f"{config}.conf")), algorithm=algorithm,
-                  episodes=episodes, seeds=(0,), mixed_targets=mixed_targets)
-    flat = harness.train_seed(cfg, 0, str(tmp_path / "flat"))
-    assert any(r["q_loss"] != "nan" for r in harness.read_csv(flat["csv"])), "no update ran"
-
     calls = {}
 
     def counted(name, fn):
@@ -647,15 +640,15 @@ def test_training_bytes_match_per_array_steps(tmp_path, monkeypatch, config, epi
 
     references = {"adam_step": per_array_adam_step, "clip_grad_norm": per_array_clip,
                   "polyak_update": per_array_polyak}
-    for name, reference in references.items():
-        original = getattr(nncore, name)
-        for module in list(sys.modules.values()):
-            if module.__name__.startswith("pamdp") and getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted(name, reference))
-    arrays = harness.train_seed(cfg, 0, str(tmp_path / "arrays"))
+
+    def per_array_steps():
+        for name, reference in references.items():
+            patch_everywhere(monkeypatch, nncore, name, counted(name, reference))
+
+    assert_training_bytes_unchanged(tmp_path, config, per_array_steps, ("csv", "checkpoint"),
+                                    algorithm=algorithm, episodes=episodes,
+                                    mixed_targets=mixed_targets)
     assert set(calls) == set(references)
-    for kind in ("csv", "checkpoint"):
-        assert Path(arrays[kind]).read_bytes() == Path(flat[kind]).read_bytes(), kind
 
 
 class TestAdam:

@@ -3,16 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pamdp.nncore import DenseNet, Layer
-from pamdp.policy import (
-    Actor,
-    EpsilonSchedule,
-    OUNoise,
-    Passthrough,
-    invert_gradients,
-    scale_params,
-    unscale_params,
-)
+from pamdp.nncore import ROW_QUANTUM, DenseNet, Layer, padded_rows
+from pamdp.policy import Actor, EpsilonSchedule, OUNoise, Passthrough, invert_gradients
 
 BOUNDS3 = np.tile([-1.0, 1.0], (3, 1))
 
@@ -71,6 +63,33 @@ class TestActor:
         p.bias[...] = [0.0, 0.0, 0.3]
         assert not p.is_zero()
         assert np.allclose(actor.forward(s)[0], [0.5, -0.25, 0.4], rtol=0, atol=1e-15)
+
+    def test_nonzero_passthrough_matches_padded_affine_gemm(self):
+        """The passthrough runs through nncore.forward and gives, bit for bit,
+        ``[states, 1] @ [W; b]`` on the rows rounded up to ROW_QUANTUM, the
+        formula it was computed with before it was a network."""
+        rng = np.random.default_rng(22)
+        for state_dim, out_dim in ((1, 3), (9, 3), (4, 7), (17, 2)):
+            p = Passthrough(rng.standard_normal((state_dim, out_dim)), rng.standard_normal(out_dim))
+            affine = np.vstack([p.weights, p.bias])
+            for n in range(1, 2 * ROW_QUANTUM + 2):
+                states = rng.standard_normal((n, state_dim))
+                rows = np.zeros((padded_rows(n), state_dim + 1))
+                rows[:n, :-1] = states
+                rows[:, -1] = 1.0
+                assert np.array_equal(p.apply(states), (rows @ affine)[:n]), (state_dim, n)
+
+    def test_passthrough_checked_like_a_layer(self):
+        with pytest.raises(ValueError, match="bias shape"):
+            Passthrough(np.zeros((2, 3)), np.zeros(2))
+        with pytest.raises(ValueError, match="finite"):
+            Passthrough(np.full((2, 3), np.nan), np.zeros(3))
+
+    def test_clamp_gives_np_clip_bits_in_a_new_array(self):
+        actor = Actor(zero_net(1, 3), np.array([[-1.0, 1.0], [0.0, 2.0], [-3.0, -2.0]]))
+        u = np.array([-1.5, 2.5, -2.5])
+        assert np.array_equal(actor.clamp(u), np.clip(u, actor.bounds[:, 0], actor.bounds[:, 1]))
+        assert actor.clamp(u) is not u
 
     def test_passthrough_shape_checked(self):
         with pytest.raises(ValueError):
@@ -156,25 +175,3 @@ class TestEpsilonSchedule:
         with pytest.raises(ValueError):
             EpsilonSchedule(0.5, 0.9, horizon=10)
 
-
-class TestParamScaling:
-    BOUNDS = np.array([[0.0, 100.0]])
-
-    def test_midpoint_maps_to_zero(self):
-        assert scale_params(np.array([50.0]), self.BOUNDS)[0] == 0.0
-
-    def test_endpoint_maps_to_one(self):
-        assert scale_params(np.array([100.0]), self.BOUNDS)[0] == 1.0
-
-    def test_round_trip_identity(self):
-        rng = np.random.default_rng(4)
-        bounds = np.column_stack([rng.uniform(-5, 0, 10_000), rng.uniform(1, 9, 10_000)])
-        x = rng.uniform(bounds[:, 0], bounds[:, 1])
-        back = unscale_params(scale_params(x, bounds), bounds)
-        assert np.abs(back - x).max() < 1e-12
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            scale_params(np.array([101.0]), self.BOUNDS)
-        with pytest.raises(ValueError):
-            unscale_params(np.array([1.01]), self.BOUNDS)

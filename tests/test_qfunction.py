@@ -121,6 +121,25 @@ class TestMultipass:
         x = np.zeros(SPACE.joint_dim)
         assert (q_multipass(qf_mp, s, x) == q_joint(qf_joint, s, x)).all()
 
+    def test_single_action_passes_are_joint_on_masked_params(self):
+        """For one action per sample, the multipass pass is the joint pass on
+        the basis-masked joint vectors: the same rows, read at the same
+        outputs, with no gradient maps."""
+        qf = make_qf(MULTIPASS, seed=10)
+        qf_joint = QFunction(JOINT, SPACE, qf.nets)  # same network
+        rng = np.random.default_rng(11)
+        states = rng.standard_normal((6, SPACE.state_dim))
+        params = rng.uniform(-1, 1, (6, SPACE.joint_dim))
+        actions = rng.integers(SPACE.num_actions, size=6)
+        masked = np.stack([basis_mask(SPACE, x, k) for x, k in zip(params, actions)])
+        (mp,) = qf.passes(states, params, actions)
+        (joint,) = qf_joint.passes(states, masked, actions)
+        assert np.array_equal(mp.rows, joint.rows)
+        assert mp.q_at == joint.q_at
+        assert all(np.array_equal(a, b) for a, b in zip(mp.out_at, joint.out_at))
+        assert [p.grad_at for p in (mp, joint)] == [None, None]
+        assert [p.in_at for p in (mp, joint)] == [None, None]
+
     def test_rows_layout(self):
         s = np.arange(4.0)[None, :]
         x = np.array([[1.0, 2.0, 3.0, 4.0]])

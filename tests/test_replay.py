@@ -1,17 +1,12 @@
-from dataclasses import replace
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pamdp import harness
 from pamdp.agent import AgentConfig, PDQNAgent, _stack_batch
 from pamdp.qfunction import ActionSpaceSpec
 from pamdp.replay import ReplayBuffer, Transition, finalize_episode
-
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+from conftest import assert_training_bytes_unchanged
 
 SPACE = ActionSpaceSpec(state_dim=2, param_dims=(1, 1))
 
@@ -194,11 +189,6 @@ def test_training_bytes_match_restacked_sampling(tmp_path, monkeypatch, config, 
     pushed objects writes, drawn from a list ring with the same indices, on
     whatever machine both run. Platform updates start after about 40
     episodes for the slower-filling algorithms."""
-    cfg = replace(harness.load_config(str(CONFIGS / f"{config}.conf")),
-                  algorithm=algorithm, episodes=episodes, seeds=(0,))
-    gathered = harness.train_seed(cfg, 0, str(tmp_path / "gathered"))["csv"]
-    assert any(r["q_loss"] != "nan" for r in harness.read_csv(gathered)), "no update ran"
-
     push = ReplayBuffer.push
 
     def push_and_keep(self, t):
@@ -212,10 +202,12 @@ def test_training_bytes_match_restacked_sampling(tmp_path, monkeypatch, config, 
         idx = buf.sample_indices(self.config.batch_size, rng)
         return _stack_batch([buf.objects.items[i] for i in idx])
 
-    monkeypatch.setattr(ReplayBuffer, "push", push_and_keep)
-    monkeypatch.setattr(PDQNAgent, "_sample_batch", restacked_objects)
-    objects = harness.train_seed(cfg, 0, str(tmp_path / "objects"))["csv"]
-    assert Path(objects).read_bytes() == Path(gathered).read_bytes()
+    def restack():
+        monkeypatch.setattr(ReplayBuffer, "push", push_and_keep)
+        monkeypatch.setattr(PDQNAgent, "_sample_batch", restacked_objects)
+
+    assert_training_bytes_unchanged(tmp_path, config, restack, algorithm=algorithm,
+                                    episodes=episodes)
 
 
 def constant_value_agent(bias, gamma=0.9, mixed_targets=True, beta_mix=0.25):
