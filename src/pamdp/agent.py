@@ -199,13 +199,14 @@ class PDQNAgent:
         self, r: np.ndarray, s_next: np.ndarray, terminal: np.ndarray
     ) -> np.ndarray:
         """y = r + gamma * max_k Q_target(s', k, actor_target(s')), 0 tail on
-        terminal transitions."""
+        terminal transitions. Once any row is live, the target networks run
+        on every row: a row's bits do not depend on its batch, and the live
+        rows need no gather and no row count of their own."""
         y = r.copy()
         live = ~terminal
-        if live.any():
-            x2 = self.actor_target.forward(s_next[live])
-            q2 = self.qf_target.evaluate(s_next[live], x2)
-            y[live] += self.config.gamma * q2.max(axis=1)
+        if np.logical_or.reduce(live):
+            q2 = self.qf_target.evaluate(s_next, self.actor_target.forward(s_next))
+            y[live] += self.config.gamma * np.maximum.reduce(q2, axis=1)[live]
         return y
 
     def monte_carlo_returns(self, transitions: list[Transition]) -> np.ndarray:
@@ -253,16 +254,17 @@ class PDQNAgent:
         y = self._targets(batch)
         b = y.shape[0]
         pred = np.empty(b)
-        grads = []  # one buffer per network
-        for p in self.qf.passes(s, x, k):
-            if not len(p.rows):  # a separate network no sample executed
-                grads.append(np.zeros_like(p.net.flat))
+        grads = []  # each network's gradient buffer
+        for net, rows, q_at, out_at, _, _ in self.qf.passes(s, x, k):
+            grads.append(net.gradient_buffer())
+            if not len(rows):  # a separate network no sample executed
+                grads[-1].fill(0.0)
                 continue
-            out, cache = forward(p.net, p.rows)
-            pred[p.q_at] = out[p.out_at]
-            upstream = p.upstream(out, (pred[p.q_at] - y[p.q_at]) / b)
-            grads.append(np.empty_like(p.net.flat))
-            backward(p.net, cache, upstream, out=grads[-1], input_grads=False)
+            out, cache = forward(net, rows)
+            pred[q_at] = out.take(out_at)
+            upstream = np.zeros(out.shape)
+            upstream.put(out_at, (pred[q_at] - y[q_at]) / b)
+            backward(net, cache, upstream, out=grads[-1], input_grads=False)
         self._step(self.qf.nets, grads, self.q_opt)
         # np.mean's sum and division, without its Python-level dispatch
         return float(np.add.reduce(0.5 * (pred - y) ** 2) / b)
@@ -276,16 +278,17 @@ class PDQNAgent:
         x, cache = self.actor.forward_training(states)
         grad_x, q = sum_q_gradient(self.qf, states, x)
         b = x.shape[0]
-        adjusted = invert_gradients(grad_x, x, self.bounds)
-        upstream = -adjusted / b
-        grads = np.empty_like(self.actor.net.flat)
-        backward(self.actor.net, cache, upstream, out=grads, input_grads=False)
-        self._step([self.actor.net], [grads], self.actor_opt)
+        upstream = invert_gradients(grad_x, x, self.bounds)
+        upstream /= -b  # -adjusted / b, to the bit
+        net = self.actor.net
+        grads = net.gradient_buffer()
+        backward(net, cache, upstream, out=grads, input_grads=False)
+        self._step([net], [grads], self.actor_opt)
         return -float(np.add.reduce(np.add.reduce(q, axis=1))) / b
 
     def _step(self, nets: list[DenseNet], grads: list[np.ndarray], opt: AdamState):
         """Clip the networks' gradient buffers jointly, then one Adam step."""
-        grads = clip_grad_norm(grads, self.config.clip_grad)
+        grads = clip_grad_norm(grads, self.config.clip_grad, [net.layout for net in nets])
         nncore.adam_step([net.flat for net in nets], grads, opt)
         for net in nets:
             net.mark_updated()

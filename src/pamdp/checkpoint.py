@@ -17,6 +17,7 @@ run's RNG state and the array manifest (name + shape, in payload order).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -38,10 +39,10 @@ def _net_arrays(prefix: str, net) -> list[tuple[str, np.ndarray]]:
     return out
 
 
-def _opt_arrays(prefix: str, opt) -> list[tuple[str, np.ndarray]]:
+def _opt_arrays(prefix: str, opt, nets) -> list[tuple[str, np.ndarray]]:
     # one moment buffer per network, named per parameter array it holds
-    ms = [a for m in opt.m for a in m.parts()]
-    vs = [a for v in opt.v for a in v.parts()]
+    ms = [a for m, net in zip(opt.m, nets) for a in net.parts(m)]
+    vs = [a for v, net in zip(opt.v, nets) for a in net.parts(v)]
     out = []
     for i, (m, v) in enumerate(zip(ms, vs)):
         out.append((f"{prefix}/m{i}", m))
@@ -63,8 +64,8 @@ def _agent_arrays(agent) -> list[tuple[str, np.ndarray]]:
         raise TypeError(f"cannot checkpoint {type(agent).__name__}")
     arrays += _net_arrays("actor", agent.actor.net)
     arrays += _net_arrays("actor_target", agent.actor_target.net)
-    arrays += _opt_arrays("q_opt", agent.q_opt)
-    arrays += _opt_arrays("actor_opt", agent.actor_opt)
+    arrays += _opt_arrays("q_opt", agent.q_opt, agent.qf.nets)
+    arrays += _opt_arrays("actor_opt", agent.actor_opt, [agent.actor.net])
     if agent.actor.passthrough is not None:
         arrays.append(("passthrough/weights", agent.actor.passthrough.weights))
         arrays.append(("passthrough/bias", agent.actor.passthrough.bias))
@@ -132,10 +133,11 @@ def _parse_header(blob: memoryview, path) -> dict:
 def load_checkpoint(path):
     """Rebuild the agent. Returns (agent, header dict).
 
-    A file that is not a readable checkpoint raises ValueError naming the
-    path and the byte offset where reading failed; a readable header that
-    does not rebuild an agent raises ValueError naming the path and the
-    header field.
+    A file that is not a readable checkpoint, or whose payload holds a
+    non-finite value or a negative Adam second moment, raises ValueError
+    naming the path and the byte offset where reading failed; a readable
+    header that does not rebuild an agent raises ValueError naming the path
+    and the header field.
     """
     with open(path, "rb") as fh:
         data = memoryview(fh.read())
@@ -152,6 +154,11 @@ def load_checkpoint(path):
     for name, dst in arrays:
         count = dst.size * 8
         src = np.frombuffer(_field(data, path, offset, count, f"array {name}"), dtype="<f8")
+        fault = _payload_fault(name, src)
+        if fault is not None:
+            raise ValueError(f"corrupt checkpoint {path}: array {name} holds "
+                             f"{float(src[fault])} at byte offset {offset + 8 * fault}; "
+                             f"values must be finite, Adam second moments >= 0")
         offset += count
         dst[...] = src.reshape(dst.shape)
     if offset != len(data):
@@ -159,6 +166,17 @@ def load_checkpoint(path):
             f"checkpoint {path} has trailing bytes after the payload, from byte offset {offset}"
         )
     return agent, header
+
+
+def _payload_fault(name: str, values: np.ndarray) -> int | None:
+    """The index of a payload array's first non-finite value or negative Adam
+    second moment (``*_opt/v<i>``), or None; the sum of finite values is
+    finite unless it overflows, so the elementwise test runs only then."""
+    second = name.partition("_opt/")[2].startswith("v")
+    if math.isfinite(np.add.reduce(values)) and not (second and np.minimum.reduce(values) < 0):
+        return None
+    bad = ~np.isfinite(values) | (second & (values < 0.0))
+    return int(np.argmax(bad)) if bad.any() else None
 
 
 def _rebuild(header: dict, path):

@@ -270,7 +270,9 @@ def train_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
                 finalize_episode(agent.replay, transitions, agent, cfg.beta_mix)
                 # losses are nan for episodes with no updates
                 if losses:
-                    q_loss, actor_loss = (float(np.mean(col)) for col in zip(*losses))
+                    # np.mean's sum and division per column, a contiguous row each
+                    columns = np.add.reduce(np.array(losses).T.copy(), axis=1)
+                    q_loss, actor_loss = (columns / len(losses)).tolist()
                 else:
                     q_loss = actor_loss = float("nan")
                 fh.write(csv_line([seed, episode, total, len(transitions), eps, q_loss,

@@ -16,7 +16,9 @@ matrices.
 A forward pass computes each layer as one 2-D GEMM, ``np.matmul([a, 1],
 [W; b], out=z)``, on the row count rounded up to ``ROW_QUANTUM``: each
 layer's input carries a column of ones, so the GEMM adds the biases, and
-the batch is copied into zeroed padding rows, whose results nobody reads.
+the batch is followed by zeroed padding rows, whose results nobody reads.
+``forward`` copies the batch into the network's padded input, unless the
+caller wrote it there, into the rows :meth:`DenseNet.input_rows` gives.
 That makes a row's output bits independent of its batch: in OpenBLAS's
 double GEMM every row count that is a multiple of 4 gives each row the bits
 it gets in any other such count, while a 1-row product takes the GEMV path
@@ -35,19 +37,20 @@ arrays it reuses from call to call (and shares with its copies), grown to
 the largest batch seen. Allocated per call, a 384 x 128 float64 array of a
 multipass update lies above glibc's mmap threshold and would be mapped,
 faulted in and unmapped on every update. So a forward cache lives until the
-next forward of the same network or of a copy; using it later raises. What
-a caller receives, the output and every gradient, is always a new array.
+next forward of the same network or of a copy, or the next taking of its
+input rows; using it later raises. ``forward`` returns a new array.
 
 A network's parameters ``[W0, b0, W1, b1, ...]`` live back to back in one
-1-D float64 buffer, ``DenseNet.flat`` (a :class:`FlatArrays`); each layer's
-weights and biases are C-contiguous views of it. :func:`backward` writes the
-parameter gradients into a new buffer of the same layout, and an agent's
-Adam moments ``m`` and ``v`` are buffers of that layout too. So
+plain float64 array, ``DenseNet.flat``, laid out as ``DenseNet.layout``,
+the tuple of their shapes; each layer's weights and biases are views of it.
+:func:`backward` writes the parameter gradients into a new buffer of that
+layout, or into ``out``, such as the network's reusable
+:meth:`DenseNet.gradient_buffer`, which an agent uses up within its update.
+An agent's Adam moments are buffers of that layout too. So
 :func:`adam_step`, :func:`clip_grad_norm` and :func:`polyak_update` run
-once per network, not once per parameter array; as every operation is
-elementwise, the bits are those of the per-array steps. The one sum,
-the global gradient norm, still adds one sum of squares per parameter
-array, in parameter order.
+once per network; as every operation is elementwise, the bits are those of
+the per-array steps. The one sum, the global gradient norm, still adds one
+sum of squares per parameter array, in order, from the layouts it is given.
 """
 
 from __future__ import annotations
@@ -120,53 +123,15 @@ class Layer:
             raise ValueError("layer parameters must be finite")
 
 
-class FlatArrays(np.ndarray):
-    """A 1-D float64 buffer holding arrays of ``shapes`` back to back.
-
-    ``parts()`` views them, C-contiguous and in order. A copy, an
-    elementwise result, a deep copy and a pickle keep the layout; a slice of
-    another length has none (``shapes`` None).
-    """
-
-    shapes = None
-
-    def __new__(cls, shapes):
-        shapes = tuple(tuple(s) for s in shapes)
-        flat = super().__new__(cls, sum(math.prod(s) for s in shapes))
-        flat.shapes = shapes
-        return flat
-
-    def __array_finalize__(self, obj):
-        if obj is not None and obj.shape == self.shape:
-            self.shapes = getattr(obj, "shapes", None)
-
-    def __reduce__(self):
-        rebuild, args, state = super().__reduce__()
-        return rebuild, args, (state, self.shapes)
-
-    def __setstate__(self, state):
-        state, self.shapes = state
-        super().__setstate__(state)
-
-    def parts(self) -> list[np.ndarray]:
-        """Plain-ndarray views of the held arrays, in order."""
-        return _views(np.asarray(self), self.shapes)
-
-
 def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
     """Consecutive views of a 1-D array shaped like ``shapes``."""
     return [flat[start:stop].reshape(shape) for start, stop, shape in _spans(shapes)]
 
 
-def _affine_views(flat: FlatArrays) -> list[np.ndarray]:
+def _affine_views(flat: np.ndarray, layout) -> list[np.ndarray]:
     """Per layer, the (fan_in + 1, fan_out) view ``[W; b]`` of a buffer laid
     out as ``[W0, b0, W1, b1, ...]``: a layer's biases follow its weights."""
-    return _views(np.asarray(flat), _affine_shapes(flat.shapes))
-
-
-@functools.cache
-def _affine_shapes(shapes: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int], ...]:
-    return tuple((w[0] + 1, w[1]) for w in shapes[::2])
+    return _views(flat, tuple((w[0] + 1, w[1]) for w in layout[::2]))
 
 
 @functools.cache
@@ -193,8 +158,6 @@ class _Hidden(NamedTuple):
     gemm: np.ndarray  # padded rows of z without its ones: the GEMM output
     z: np.ndarray  # padded rows of z
     a: np.ndarray  # padded rows of a: the next GEMM's input
-    preact: np.ndarray  # the first n rows of gemm
-    input: np.ndarray  # the first n rows of a
     z_rows: np.ndarray  # the first n rows of z
     delta: np.ndarray  # the first n rows of the deltas
     dz: np.ndarray  # the same without the extra column: the GEMMs' side
@@ -210,6 +173,7 @@ class _Views(NamedTuple):
     out: np.ndarray  # their first n rows
     inputs: list  # the hidden layers' inputs, the cache's inputs after the batch's
     preacts: list  # the hidden layers' preacts
+    dzs: list  # the hidden layers' dz
 
 
 def padded_rows(n: int) -> int:
@@ -242,9 +206,9 @@ class _LayerArrays:
 
     They hold up to ``rows`` rows, a multiple of ``ROW_QUANTUM``, and grow to
     the largest row count seen; a call on n rows works in leading-row
-    views, made once per n. Every :meth:`take` bumps
-    ``generation``, which outdates the caches of the forwards before it.
-    The output layer keeps only its GEMM output here: what ``forward``
+    views, made once per n. Every :meth:`input`, and so every forward,
+    bumps ``generation``, which outdates the caches of the forwards before
+    it. The output layer keeps only its GEMM output here: what ``forward``
     returns is always a new array.
     """
 
@@ -260,9 +224,10 @@ class _LayerArrays:
         self._a = [_with_ones((rows, w + 1)) for w in hidden]
         self._delta = [_mapped((rows, w + 1)) for w in hidden]
         self._out = _mapped((rows, self.widths[-1]))
-        # copies of batches with a column of ones, per input width: networks
-        # that share these arrays can differ in it
+        # batches with a column of ones, per input width: networks that
+        # share these arrays can differ in it
         self._input: dict[int, np.ndarray] = {}
+        self._inputs: dict[tuple[int, int], tuple] = {}
         self._views: dict[int, _Views] = {}
 
     def views(self, n: int) -> _Views:
@@ -271,30 +236,32 @@ class _LayerArrays:
         if views is None:
             padded = padded_rows(n)
             hidden = [
-                _Hidden(z[:padded, :-1], z[:padded], a[:padded], z[:n, :-1], a[:n], z[:n],
-                        d[:n], d[:n, :-1])
+                _Hidden(z[:padded, :-1], z[:padded], a[:padded], z[:n], d[:n], d[:n, :-1])
                 for z, a, d in zip(self._z, self._a, self._delta)
             ]
             views = self._views[n] = _Views(
-                hidden, self._out[:padded], self._out[:n],
-                [h.input for h in hidden], [h.preact for h in hidden],
+                hidden, self._out[:padded], self._out[:n], [a[:n] for a in self._a],
+                [z[:n, :-1] for z in self._z], [h.dz for h in hidden],
             )
         return views
 
-    def take(self, n: int) -> tuple[int, _Views]:
-        """The views for a forward on n rows and the generation it starts."""
+    def input(self, n: int, width: int) -> tuple:
+        """Views of the padded input for n rows of ``width`` columns: padded,
+        the first n with and without the ones, and the padding without them
+        or None. Its rows are about to be overwritten: a new generation."""
         if n > self.rows:
             self._allocate(padded_rows(n))
         self.generation += 1
-        return self.generation, self.views(n)
-
-    def padded_input(self, n: int, width: int) -> np.ndarray:
-        """Padded rows of ``width`` columns and a column of ones to copy an
-        n-row batch into; n must not exceed ``rows``."""
-        rows = self._input.get(width)
-        if rows is None:
-            rows = self._input[width] = _with_ones((self.rows, width + 1))
-        return rows[:padded_rows(n)]
+        views = self._inputs.get((n, width))
+        if views is None:
+            whole = self._input.get(width)
+            if whole is None:
+                whole = self._input[width] = _with_ones((self.rows, width + 1))
+            x = whole[:padded_rows(n)]
+            views = self._inputs[n, width] = (
+                x, x[:n], x[:n, :-1], x[n:, :-1] if len(x) > n else None
+            )
+        return views
 
     def __reduce__(self):
         # copy.deepcopy and pickle start over with empty arrays: copied
@@ -305,13 +272,13 @@ class _LayerArrays:
 class DenseNet:
     """Feedforward stack of dense layers; the output layer is always linear.
 
-    The parameters are copied into one buffer, ``flat``, and the network's
-    layers hold views of it (the given ``Layer`` objects are left alone).
-    ``version`` counts in-place parameter updates so that a forward cache can
-    be recognised as stale by :func:`backward` and :func:`input_gradient`.
-    The layers' working arrays are reused from forward to forward and shared
-    with :meth:`copy`, so a cache also goes stale at the next forward of this
-    network or of a copy.
+    The parameters are copied into one buffer, ``flat``, laid out as
+    ``layout``, and the network's layers hold views of it (the given
+    ``Layer`` objects are left alone). ``version`` counts in-place parameter
+    updates so that a forward cache can be recognised as stale by
+    :func:`backward` and :func:`input_gradient`. The layers' working arrays
+    are reused from forward to forward and shared with :meth:`copy`, so a
+    cache also goes stale at the next forward of this network or of a copy.
     """
 
     def __init__(self, layers: list[Layer]):
@@ -325,16 +292,20 @@ class DenseNet:
         if layers[-1].activation != LINEAR:
             raise ValueError("final layer must be linear")
         arrays = [a for l in layers for a in (l.weights, l.biases)]
-        self.flat = FlatArrays([a.shape for a in arrays])
-        parts = self.flat.parts()
+        self.layout = tuple(a.shape for a in arrays)
+        self.flat = np.empty(sum(a.size for a in arrays))
+        parts = self.parts(self.flat)
         for part, a in zip(parts, arrays):
             part[...] = a
         self.layers = [
             Layer(w, b, l.activation, l.slope) for l, w, b in zip(layers, parts[::2], parts[1::2])
         ]
         # per layer, its weights with its biases as one more row: [W; b]
-        self._affine = _affine_views(self.flat)
+        self._affine = _affine_views(self.flat, self.layout)
+        self.input_dim = layers[0].weights.shape[0]
+        self.output_dim = layers[-1].weights.shape[1]
         self.version = 0
+        self._grad = None  # see gradient_buffer
         self._arrays = _LayerArrays([l.weights.shape[1] for l in layers])
 
     @classmethod
@@ -363,14 +334,6 @@ class DenseNet:
             )
         return cls(layers)
 
-    @property
-    def input_dim(self) -> int:
-        return self.layers[0].weights.shape[0]
-
-    @property
-    def output_dim(self) -> int:
-        return self.layers[-1].weights.shape[1]
-
     def parameters(self) -> list[np.ndarray]:
         """Live parameter arrays, ordered [W0, b0, W1, b1, ...]: views of
         ``flat``."""
@@ -382,6 +345,24 @@ class DenseNet:
 
     def num_parameters(self) -> int:
         return self.flat.size
+
+    def parts(self, buffer: np.ndarray) -> list[np.ndarray]:
+        """Per parameter array, in order, its view of a buffer laid out as ``flat``."""
+        return _views(buffer, self.layout)
+
+    def gradient_buffer(self) -> np.ndarray:
+        """The network's reusable gradient buffer, laid out as ``flat``, made
+        at the first call with the views :func:`backward` writes through."""
+        if self._grad is None:
+            buffer = np.empty(self.flat.size)
+            self._grad = (buffer, _affine_views(buffer, self.layout), self.parts(buffer))
+        return self._grad[0]
+
+    def input_rows(self, n: int) -> np.ndarray:
+        """The first n rows of the padded input, without the ones: an n-row
+        batch written here and passed as this very array to :func:`forward`
+        is not copied. Taking them outdates the caches of earlier forwards."""
+        return self._arrays.input(n, self.input_dim)[2]
 
     def copy(self) -> "DenseNet":
         """Same parameters in a buffer of its own; the working arrays are
@@ -410,8 +391,8 @@ class ForwardCache:
     """Intermediate activations retained for one backward pass.
 
     Every entry but the output is a view of the network's reusable arrays,
-    valid until the next forward of the network or of a copy sharing them
-    (``generation`` tells).
+    valid until the next forward of the network or of a copy sharing them,
+    or the next taking of its input rows (``generation`` tells).
     """
 
     net_id: int
@@ -419,6 +400,13 @@ class ForwardCache:
     generation: int
     inputs: list  # input to each layer and a column of ones; inputs[0] holds the batch
     preacts: list  # pre-activation z for each layer
+
+
+def float_rows(a) -> np.ndarray:
+    """``np.atleast_2d(np.asarray(a, dtype=np.float64))``, without
+    ``atleast_2d``'s Python-level dispatch."""
+    a = np.asarray(a, dtype=np.float64)
+    return a if a.ndim > 1 else a.reshape(1, -1)
 
 
 def forward(net: DenseNet, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
@@ -436,17 +424,17 @@ def forward(net: DenseNet, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]
         )
     n = batch.shape[0]
     arrays = net._arrays
-    generation, views = arrays.take(n)
+    x, first, rows, padding = arrays.input(n, batch.shape[1])
+    generation, views = arrays.generation, arrays.views(n)
     # each layer is one GEMM, ``[a, 1] @ [W; b]``, on the rows rounded up to
     # ROW_QUANTUM: with the BLAS kernel's row blocking every row then gets
-    # the bits it gets alone or in any batch (a 1-row product takes the GEMV
-    # path, other row counts the kernel's edge paths). The batch is copied
-    # next to a column of ones, C-contiguous, and followed by zeroed padding
-    # rows
-    x = arrays.padded_input(n, batch.shape[1])
-    x[:n, :-1] = batch
-    x[n:, :-1] = 0.0
-    inputs = [x[:n], *views.inputs]
+    # the bits it gets alone or in any batch. The batch lies next to a column
+    # of ones, C-contiguous, and is followed by zeroed padding rows
+    if batch is not rows:
+        rows[...] = batch
+    if padding is not None:
+        padding.fill(0.0)
+    inputs = [first, *views.inputs]
     for affine, layer, h in zip(net._affine, net.layers, views.hidden):
         np.matmul(x, affine, out=h.gemm)
         _activate(h.z, layer.activation, layer.slope, h.a)
@@ -487,9 +475,8 @@ def _layer_deltas(
     if upstream.shape != (n, net.output_dim):
         raise ValueError(f"upstream shape {upstream.shape}, expected {(n, net.output_dim)}")
 
-    layers, hidden = net.layers, net._arrays.views(n).hidden
-    dz = upstream
-    dzs = [*(h.dz for h in hidden), upstream]
+    layers, views, dz = net.layers, net._arrays.views(n), upstream
+    hidden, dzs = views.hidden, [*views.dzs, upstream]
     for i in range(len(hidden) - 1, -1, -1):
         h, layer = hidden[i], layers[i]
         np.matmul(dz, _transposed(layers[i + 1].weights), out=h.dz)
@@ -509,7 +496,7 @@ def backward(
     net: DenseNet,
     cache: ForwardCache,
     upstream: np.ndarray,
-    out: FlatArrays | None = None,
+    out: np.ndarray | None = None,
     input_grads: bool = True,
 ) -> tuple[list[np.ndarray], np.ndarray | None]:
     """Exact gradients of ``sum(upstream * outputs)``.
@@ -519,19 +506,24 @@ def backward(
     a caller that discards the input gradients passes ``input_grads=False``
     and gets None in their place, without their GEMM. The parameter
     gradients are views of one buffer laid out like ``net.flat``: ``out`` if
-    given, else a new one. The cache must come from a :func:`forward` call
-    on this exact network with no parameter updates in between.
+    given, such as the network's :meth:`~DenseNet.gradient_buffer`, else a
+    new one. The cache must come from a :func:`forward` call on this exact
+    network with no parameter updates in between.
     """
     dzs, input_grads = _layer_deltas(net, cache, upstream, input_grads)
-    if out is None:
-        out = np.empty_like(net.flat)
-    elif getattr(out, "shapes", None) != net.flat.shapes:
-        raise ValueError(f"gradient buffer is not laid out as {net.flat.shapes}")
+    if net._grad is not None and out is net._grad[0]:
+        _, affine, parts = net._grad
+    else:
+        if out is None:
+            out = np.empty(net.flat.size)
+        elif out.shape != net.flat.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise ValueError(f"gradient buffer is not laid out as {net.layout}")
+        affine, parts = _affine_views(out, net.layout), net.parts(out)
     # a layer's inputs carry a column of ones, so one GEMM gives its weight
     # gradients and, in the last row, its bias gradients
-    for a, dz, affine in zip(cache.inputs, dzs, _affine_views(out)):
-        np.matmul(a.T, dz, out=affine)
-    return out.parts(), input_grads
+    for a, dz, w in zip(cache.inputs, dzs, affine):
+        np.matmul(a.T, dz, out=w)
+    return parts, input_grads
 
 
 def input_gradient(net: DenseNet, cache: ForwardCache, upstream: np.ndarray) -> np.ndarray:
@@ -587,7 +579,6 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
     for p, g, m, v, (s1, s2) in zip(params, grads, state.m, state.v, state.scratch):
-        p, g, m, v = np.asarray(p), np.asarray(g), np.asarray(m), np.asarray(v)
         # m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * g**2, then
         # p -= alpha * (m / bc1) / (sqrt(v / bc2) + eps), in this order
         m *= b1
@@ -606,29 +597,32 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
         p -= s1
 
 
-def global_grad_norm(grads: list[np.ndarray]) -> float:
+def global_grad_norm(grads: list[np.ndarray], layouts=None) -> float:
     """L2 norm over all arrays, from one sum of squares per array in order.
-    A flat buffer counts as the arrays it holds, so a gradient has the same
-    norm, to the bit, as one buffer or as its per-parameter arrays."""
-    sums = []
-    for g in grads:
-        squares = np.square(np.asarray(g))
-        shapes = getattr(g, "shapes", None)
-        arrays = [squares] if shapes is None else _views(squares, shapes)
+    ``layouts[i]``, if given, lays out the arrays ``grads[i]`` holds back to
+    back (a network's ``layout``): each counts as one, to the bit."""
+    total = 0.0
+    for i, g in enumerate(grads):
+        squares = np.square(g)
         # np.sum's own reduction, without its Python-level dispatch
-        sums += [float(np.add.reduce(a, axis=None)) for a in arrays]
-    return math.sqrt(sum(sums))
+        if layouts is None:
+            total += float(np.add.reduce(squares, axis=None))
+        else:
+            for start, stop, _ in _spans(layouts[i]):
+                total += float(np.add.reduce(squares[start:stop]))
+    return math.sqrt(total)
 
 
-def clip_grad_norm(grads: list[np.ndarray], max_norm: float) -> list[np.ndarray]:
-    """Rescale `grads` so the global L2 norm is at most `max_norm`.
+def clip_grad_norm(grads: list[np.ndarray], max_norm: float, layouts=None) -> list[np.ndarray]:
+    """Rescale `grads` so the global L2 norm is at most `max_norm`; the norm
+    reads ``layouts`` as :func:`global_grad_norm` does.
 
     Direction-preserving: either the arrays are returned untouched or every
     entry is multiplied by the same factor, making the norm exactly max_norm.
     """
     if max_norm <= 0.0:
         raise ValueError("max_norm must be positive")
-    norm = global_grad_norm(grads)
+    norm = global_grad_norm(grads, layouts)
     # the squares of finite entries sum to a finite total unless it
     # overflows, so the elementwise test runs only then
     if not math.isfinite(norm) and not all(np.isfinite(g).all() for g in grads):
@@ -648,6 +642,5 @@ def polyak_update(target_params: list[np.ndarray], online_params: list[np.ndarra
     for t, o in zip(target_params, online_params):
         if t.shape != o.shape:
             raise ValueError(f"shape mismatch: {t.shape} vs {o.shape}")
-        t = np.asarray(t)
         t *= 1.0 - tau
-        t += tau * np.asarray(o)
+        t += tau * o

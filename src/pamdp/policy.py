@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .nncore import DenseNet, ForwardCache, Layer, forward
+from .nncore import DenseNet, ForwardCache, Layer, float_rows, forward
 
 
 class Passthrough:
@@ -48,7 +48,8 @@ class Passthrough:
         return cls(np.zeros((state_dim, out_dim)), np.zeros(out_dim))
 
     def is_zero(self) -> bool:
-        return not np.count_nonzero(self.net.flat)
+        # np.count_nonzero's test, without its Python-level dispatch
+        return not np.logical_or.reduce(self.net.flat)
 
     def apply(self, states: np.ndarray) -> np.ndarray:
         """``states @ weights + bias``, computed as ``nncore.forward``
@@ -89,7 +90,7 @@ class Actor:
         The clamp is treated as pass-through during updates; bounding of the
         learning signal is the job of invert_gradients.
         """
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+        states = float_rows(states)
         out, cache = forward(self.net, states)
         pt = self.passthrough
         # ``out`` is the cache's last pre-activation; the clamp writes a new array
@@ -112,7 +113,8 @@ def invert_gradients(grad: np.ndarray, x: np.ndarray, bounds: np.ndarray) -> np.
     x = np.asarray(x, dtype=np.float64)
     bounds = np.asarray(bounds, dtype=np.float64)
     lo, hi = bounds[:, 0], bounds[:, 1]
-    if (x < lo).any() or (x > hi).any():
+    # .any() without its Python-level dispatch
+    if np.logical_or.reduce((x < lo) | (x > hi), axis=None):
         raise ValueError("x outside bounds")
     width = hi - lo
     up = (hi - x) / width

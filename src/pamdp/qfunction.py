@@ -21,12 +21,13 @@ one evaluation interface returning K action values:
     shared features.
 
 ``QFunction.passes`` is the one place that tells the variants apart: for a
-batch and the actions asked for, it lists per network the input rows, the
+batch and the actions asked for, it gives per network the input rows, the
 output each requested value is read from, and, when every sample asks for
 all K values, the joint-vector columns each row was fed. Evaluation, the
 actor's value gradient, the cross-gradient diagnostic and the agent's Q
 update all run on that description. For one action per sample, a multipass
-row is the joint row with the other actions' blocks zeroed.
+row is the joint row with the other actions' blocks zeroed. Rows are written
+straight into the network's padded input (``DenseNet.input_rows``).
 
 ``cross_gradient_matrix`` makes the distinction measurable: its entry (i, j)
 is the gradient magnitude of Q_i with respect to block j, computed from
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nncore import RELU, DenseNet, forward, input_gradient
+from .nncore import RELU, DenseNet, float_rows, forward, input_gradient
 
 JOINT = "joint"
 MULTIPASS = "multipass"
@@ -70,6 +71,7 @@ class ActionSpaceSpec:
         if any(m < 1 for m in self.param_dims):
             raise ValueError("every action parameter dimension must be >= 1")
         object.__setattr__(self, "param_dims", tuple(int(m) for m in self.param_dims))
+        object.__setattr__(self, "num_actions", len(self.param_dims))
         m_total = sum(self.param_dims)
         if self.bounds is None:
             b = np.tile(np.array([-1.0, 1.0]), (m_total, 1))
@@ -89,10 +91,6 @@ class ActionSpaceSpec:
         object.__setattr__(self, "_basis", np.arange(len(self.param_dims))[:, None] == owner)
 
     @property
-    def num_actions(self) -> int:
-        return len(self.param_dims)
-
-    @property
     def joint_dim(self) -> int:
         return self._blocks[-1].stop
 
@@ -110,37 +108,6 @@ def basis_mask(space: ActionSpaceSpec, params: np.ndarray, k: int) -> np.ndarray
     sl = space.block(k)
     out[..., sl] = params[..., sl]
     return out
-
-
-@dataclass
-class Pass:
-    """One network's share of a batch of Q-values.
-
-    The network runs on ``rows`` and the values it contributes are
-    ``q[q_at] = out[out_at]``. Each row feeds the network only some columns
-    of its sample's joint vector; the gradient of those values with respect
-    to them is ``grad[grad_at] = in_grad[in_at]``, where ``in_grad`` is the
-    gradient with respect to the rows. Passes for one action per sample
-    serve the Q regression, which reads no input gradient, so their
-    ``grad_at`` and ``in_at`` are None.
-    """
-
-    net: DenseNet
-    rows: np.ndarray
-    q_at: tuple
-    out_at: tuple
-    grad_at: tuple | None
-    in_at: tuple | None
-
-    def upstream(self, out: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """The upstream gradient for ``out`` that is ``values`` at ``out_at``
-        and zero elsewhere. Rows keep sample order, so where every output is
-        read, ``values`` are the outputs in order and need no zero fill."""
-        if np.size(values) == out.size:
-            return np.reshape(values, out.shape)
-        upstream = np.zeros(out.shape)
-        upstream[self.out_at] = values
-        return upstream
 
 
 class QFunction:
@@ -211,74 +178,90 @@ class QFunction:
     def copy(self) -> "QFunction":
         return QFunction(self.variant, self.space, [n.copy() for n in self.nets])
 
-    def passes(self, states: np.ndarray, params: np.ndarray, actions=None) -> list[Pass]:
+    def passes(self, states: np.ndarray, params: np.ndarray, actions=None):
         """The one description of each variant: which rows reach which
         network, and which outputs are read back.
 
-        With ``actions`` None every sample asks for all K values, and ``q``
-        is (B, K); otherwise sample b asks for action ``actions[b]`` only, and
-        ``q`` is (B,). Rows keep sample order: a row's output bits do not
-        depend on its batch, but GEMM sums over rows depend on their order.
+        Yields per network ``(net, rows, q_at, out_at, grad_at, in_at)``:
+        ``q[q_at] = out.take(out_at)`` and, with ``actions`` None, ``grad[grad_at]
+        = in_grad.take(in_at)`` for the rows' output and input gradient. With
+        ``actions`` None ``q`` is (B, K); else it is (B,), sample b asking for
+        ``actions[b]``, and the last two are None. Draw a pass only after using
+        the last: their rows share the padded input. Rows keep sample order.
         """
-        space, b = self.space, states.shape[0]
-        params_in = (_ALL, slice(space.state_dim, None))
+        space, b = self.space, len(states)
+        first, out_at, in_at, _ = self._index_arrays(b)
         if self.variant == SEPARATE:
             # network i sees state ++ block i for the samples asking for action i
-            out = []
             for i, net in enumerate(self.nets):
                 sl = space.block(i)
-                mine = _ALL if actions is None else np.flatnonzero(actions == i)
-                q_at = (_ALL, i) if actions is None else mine
-                maps = ((_ALL, sl), params_in) if actions is None else (None, None)
-                rows = np.concatenate((states[mine], params[mine, sl]), axis=1)
-                out.append(Pass(net, rows, q_at, (_ALL, 0), *maps))
-            return out
-        samples, diagonal, fed_by = self._index_arrays(b)
+                if actions is None:
+                    rows = _fill_rows(net.input_rows(b), states, params[:, sl])
+                    yield net, rows, (_ALL, i), out_at[i], (_ALL, sl), in_at[i]
+                else:
+                    mine = np.flatnonzero(actions == i)
+                    rows = _fill_rows(net.input_rows(len(mine)), states[mine], params[mine, sl])
+                    yield net, rows, mine, first[:len(mine)], None, None
+            return
+        net = self.nets[0]
         if actions is not None:
             # one row per sample, read at its action's column; a multipass
             # row is the joint row with every other action's block zeroed
-            if self.variant == MULTIPASS:
-                params = np.where(space._basis[actions], params, 0.0)
-            rows = np.concatenate((states, params), axis=1)
-            return [Pass(self.net, rows, _ALL, (samples, actions), None, None)]
-        if self.variant == JOINT:
+            mask = space._basis[actions] if self.variant == MULTIPASS else None
+            rows = _fill_rows(net.input_rows(b), states, params, mask)
+            yield net, rows, _ALL, first + actions, None, None
+        elif self.variant == JOINT:
             # one row per sample feeds every column; action a is output column a
-            rows = np.concatenate((states, params), axis=1)
-            return [Pass(self.net, rows, _ALL, _ALL, _ALL, params_in)]
-        # multipass: the row of (sample b, action a) keeps block a only and is
-        # read at column a
-        rows = multipass_rows(space, states, params)
-        return [Pass(self.net, rows, _ALL, diagonal, _ALL, fed_by)]
+            rows = _fill_rows(net.input_rows(b), states, params)
+            yield net, rows, _ALL, out_at[0], _ALL, in_at[0]
+        else:
+            # multipass: the row of (sample b, action a) keeps block a only and
+            # is read at column a
+            rows = multipass_rows(space, states, params, net.input_rows(b * space.num_actions))
+            yield net, rows, _ALL, out_at[0], _ALL, in_at[0]
 
     def _index_arrays(self, b: int) -> tuple:
-        """``passes``' index arrays that depend on the batch size alone, made
-        once per size: the sample indices, the multipass rows' diagonal
-        outputs and the multipass row feeding each joint-vector column."""
-        arrays = self._indices.get(b)
-        if arrays is None:
-            space, k = self.space, self.space.num_actions
-            row = np.arange(b * k).reshape(b, k)
-            # column j of sample b is fed by the row of the action owning j
-            fed_by = (row[:, space._owner], space.state_dim + np.arange(space.joint_dim))
-            arrays = (np.arange(b), (row, np.arange(k)), fed_by)
-            for a in (arrays[0], *arrays[1], *fed_by):
+        """``(first, out_at, in_at, ones)`` for b samples, read-only: each row's
+        first output's flat index, and per pass of all K values its ``out_at``,
+        ``in_at`` and upstream gradient of sum_k Q_k."""
+        consts = self._indices.get(b)
+        if consts is None:
+            space, k, sd = self.space, self.space.num_actions, self.space.state_dim
+            if self.variant == SEPARATE:
+                first = np.arange(b)
+                out_at, shape = [first] * k, (b, 1)
+                in_at = [first[:, None] * (sd + m) + sd + np.arange(m) for m in space.param_dims]
+            else:
+                first = np.arange(0, b * k, k)
+                width, cols = sd + space.joint_dim, sd + np.arange(space.joint_dim)
+                # the multipass row of (sample b, action a) is b * K + a, and
+                # column j of sample b is fed by the row of the action owning j
+                row = np.arange(b * k).reshape(b, k)
+                if self.variant == JOINT:
+                    out_at, in_at, shape = [row], [np.arange(b)[:, None] * width + cols], (b, k)
+                else:
+                    out_at, shape = [row * k + np.arange(k)], (b * k, k)
+                    in_at = [row[:, space._owner] * width + cols]
+            ones = [np.zeros(shape) for _ in out_at]
+            for upstream, at in zip(ones, out_at):
+                upstream.put(at, 1.0)
+            consts = (first, out_at, in_at, ones)
+            for a in (first, *out_at, *in_at, *ones):
                 a.flags.writeable = False
-            self._indices[b] = arrays
-        return arrays
+            self._indices[b] = consts
+        return consts
 
     def evaluate(self, states: np.ndarray, params: np.ndarray) -> np.ndarray:
         """All K action values for a batch: (B, state_dim), (B, M) -> (B, K)."""
         states, params = _check_batch(self.space, states, params)
-        q = np.empty((states.shape[0], self.space.num_actions))
-        for p in self.passes(states, params):
-            q[p.q_at] = forward(p.net, p.rows)[0][p.out_at]
+        q = np.empty((len(states), self.space.num_actions))
+        for net, rows, q_at, out_at, _, _ in self.passes(states, params):
+            q[q_at] = forward(net, rows)[0].take(out_at)
         return q
 
 
 def _check_batch(space, states, params):
-    states, params = np.atleast_2d(
-        np.asarray(states, dtype=np.float64), np.asarray(params, dtype=np.float64)
-    )
+    states, params = float_rows(states), float_rows(params)
     if states.shape[1] != space.state_dim:
         raise ValueError(f"state width {states.shape[1]} != state_dim {space.state_dim}")
     if params.shape[1] != space.joint_dim:
@@ -288,14 +271,29 @@ def _check_batch(space, states, params):
     return states, params
 
 
-def multipass_rows(space: ActionSpaceSpec, states: np.ndarray, params: np.ndarray) -> np.ndarray:
-    """The K masked input rows per sample, sample-major: row b*K + k is
-    state_b ++ (params_b masked to block k)."""
-    b, k, sd = states.shape[0], space.num_actions, space.state_dim
-    rows = np.zeros((b, k, sd + space.joint_dim))
-    rows[:, :, :sd] = states[:, None, :]
-    np.copyto(rows[:, :, sd:], params[:, None, :], where=space._basis)
-    return rows.reshape(b * k, -1)
+def _fill_rows(rows: np.ndarray, states, params, mask=None) -> np.ndarray:
+    """``rows`` after writing state ++ params into it, params zeroed where ``mask`` is false."""
+    sd = states.shape[-1]
+    rows[..., :sd] = states
+    if mask is None:
+        rows[..., sd:] = params
+    else:
+        blocks = rows[..., sd:]
+        blocks.fill(0.0)
+        np.copyto(blocks, params, where=mask)
+    return rows
+
+
+def multipass_rows(space: ActionSpaceSpec, states: np.ndarray, params: np.ndarray,
+                   rows: np.ndarray) -> np.ndarray:
+    """Write the K masked input rows per sample into the (B * K, state_dim +
+    M) array ``rows`` and return it; sample-major: row b*K + k is state_b ++
+    (params_b masked to block k)."""
+    b, k = len(states), space.num_actions
+    # splitting the leading axis of a 2-D array always gives a view
+    by_sample = rows.reshape(b, k, rows.shape[1])
+    _fill_rows(by_sample, states[:, None, :], params[:, None, :], space._basis)
+    return rows
 
 
 def _single(qf: QFunction, expected_variant: str, s, x) -> np.ndarray:
@@ -331,19 +329,22 @@ def sum_q_gradient(
     the chain rule.
     """
     states, params = _check_batch(qf.space, states, params)
-    weight = np.ones((states.shape[0], qf.space.num_actions))
-    return _weighted_q_gradient(qf, states, params, weight)
+    return _q_gradient(qf, states, params)
 
 
-def _weighted_q_gradient(qf: QFunction, states, params, weight):
-    """Gradient of sum_k weight[:, k] * Q_k per sample, and the (B, K) values."""
-    grad = np.zeros(params.shape)
-    q = np.empty(weight.shape)
-    for p in qf.passes(states, params):
-        out, cache = forward(p.net, p.rows)
-        q[p.q_at] = out[p.out_at]
-        upstream = p.upstream(out, weight[p.q_at])
-        grad[p.grad_at] = input_gradient(p.net, cache, upstream)[p.in_at]
+def _q_gradient(qf: QFunction, states, params, weight=None):
+    """Gradient of sum_k weight[:, k] * Q_k per sample, and the (B, K) values,
+    on float64 arrays, unchecked; a weight of None weights every Q_k by 1."""
+    grad, q = np.empty(params.shape), np.empty((len(states), qf.space.num_actions))
+    ones = qf._index_arrays(len(states))[3]
+    passes = qf.passes(states, params)
+    for (net, rows, q_at, out_at, grad_at, in_at), upstream in zip(passes, ones):
+        out, cache = forward(net, rows)
+        q[q_at] = out.take(out_at)
+        if weight is not None:
+            upstream = np.zeros(out.shape)
+            upstream.put(out_at, weight[q_at])
+        grad[grad_at] = input_gradient(net, cache, upstream).take(in_at)
     return grad, q
 
 
@@ -357,7 +358,7 @@ def cross_gradient_matrix(qf: QFunction, s: np.ndarray, x: np.ndarray) -> np.nda
     k = qf.space.num_actions
     g = np.zeros((k, k))
     for i, weight in enumerate(np.eye(k)):
-        grad, _ = _weighted_q_gradient(qf, states, params, weight[None, :])
+        grad, _ = _q_gradient(qf, states, params, weight[None, :])
         for j in range(k):
             g[i, j] = np.linalg.norm(grad[0, qf.space.block(j)])
     return g

@@ -41,6 +41,12 @@ class Transition:
     mc_return: float | None = None  # set at episode end for mixed targets only
 
 
+def _fields(t: Transition) -> tuple:
+    """A transition's fields in the batch layout, ``mc`` NaN where it has none."""
+    return (t.s, t.k, t.x_joint, t.r, t.s_next, t.terminal,
+            np.nan if t.mc_return is None else t.mc_return)
+
+
 def _transitions(batch: tuple) -> list[Transition]:
     s, k, x, r, s2, term, mc = batch
     return [
@@ -68,8 +74,7 @@ def _stack_batch(transitions: list[Transition] | Sample) -> tuple:
     already and comes back as its arrays."""
     if isinstance(transitions, Sample):
         return transitions.arrays
-    columns = zip(*((t.s, t.k, t.x_joint, t.r, t.s_next, t.terminal,
-                     np.nan if t.mc_return is None else t.mc_return) for t in transitions))
+    columns = zip(*map(_fields, transitions))
     return tuple(np.array(c, dtype) for c, dtype in zip(columns, _DTYPES))
 
 
@@ -105,11 +110,13 @@ class ReplayBuffer:
 
     def _row(self, t: Transition) -> tuple:
         """The transition as one row of the ring arrays, or ValueError."""
-        s, s2, x = (np.asarray(a, dtype=np.float64) for a in (t.s, t.s_next, t.x_joint))
-        # one finiteness test over the three arrays, whatever their shapes
-        if not np.isfinite(np.concatenate((s.ravel(), s2.ravel(), x.ravel()))).all():
+        s, k, x, r, s2, terminal, mc = _fields(t)
+        s, s2, x = np.asarray(s, np.float64), np.asarray(s2, np.float64), np.asarray(x, np.float64)
+        # one finiteness test over the three arrays, whatever their shapes (the
+        # ufunc reductions are .all() and .any() without their Python dispatch)
+        if not np.logical_and.reduce(np.isfinite(np.concatenate((s, s2, x), axis=None))):
             raise ValueError("transition contains non-finite values")
-        if not math.isfinite(t.r):
+        if not math.isfinite(r):
             raise ValueError("non-finite reward")
         if self._rows is not None:
             state_shape, action_shape = self._rows[0].shape[1:], self._rows[2].shape[1:]
@@ -120,12 +127,12 @@ class ReplayBuffer:
             raise ValueError("state dimension mismatch")
         if x.shape != action_shape:
             raise ValueError("action vector dimension mismatch")
-        if self.num_actions is not None and not 0 <= t.k < self.num_actions:
-            raise ValueError(f"action index {t.k} out of range")
-        if self.bounds is not None and ((x < self._low) | (x > self._high)).any():
+        if self.num_actions is not None and not 0 <= k < self.num_actions:
+            raise ValueError(f"action index {k} out of range")
+        if self.bounds is not None and np.logical_or.reduce(
+                (x < self._low) | (x > self._high), axis=None):
             raise ValueError("action vector outside bounds")
-        mc = np.nan if t.mc_return is None else float(t.mc_return)
-        return s, np.int64(t.k), x, float(t.r), s2, bool(t.terminal), mc
+        return s, np.int64(k), x, float(r), s2, bool(terminal), float(mc)
 
     def push(self, t: Transition):
         row = self._row(t)

@@ -144,7 +144,7 @@ def adam_step_net(net: DenseNet, grads: list[np.ndarray], state: AdamState):
     """Adam on a network's buffer from per-parameter gradients, as
     ``backward`` returns them, with ``state`` made for ``[net.flat]``; bumps
     the version counter."""
-    if [g.shape for g in grads] != list(net.flat.shapes):
+    if [g.shape for g in grads] != list(net.layout):
         raise ValueError("gradients do not match the network's parameters")
     adam_step([net.flat], [np.concatenate([g.ravel() for g in grads])], state)
     net.mark_updated()

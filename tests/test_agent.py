@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 from pamdp import agent as agent_module
 from pamdp import harness, nncore
 from pamdp.agent import AgentConfig, PADDPGAgent, PDQNAgent, ParameterisedAction, _stack_batch
-from pamdp.checkpoint import load_checkpoint, save_checkpoint
+from pamdp.checkpoint import _agent_arrays, load_checkpoint, save_checkpoint
 from pamdp.nncore import backward, clip_grad_norm, forward, input_gradient
 from pamdp.policy import invert_gradients
 from pamdp.qfunction import ActionSpaceSpec, cross_gradient_matrix
@@ -265,6 +266,35 @@ class TestInvariants:
         assert moved
 
 
+@pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
+def test_reused_workspaces_match_a_fresh_agent(algorithm):
+    """After updates whose targets bootstrap on 128 and then 97 live rows, and
+    a 1-row greedy forward, an update writes the bits that an agent with new
+    working arrays, input rows and gradient buffers writes: no stale row or
+    buffer reaches it."""
+    space, rng = SPACE3, np.random.default_rng(45)
+    agent = agent_module.make_agent(algorithm, space, small_config(batch_size=128, replay_capacity=128),
+                                    np.random.default_rng(46))
+
+    def batch(live):
+        stacked = _stack_batch([make_transition(space, rng, terminal=i >= live)
+                                for i in range(128)])
+        if algorithm == "paddpg":
+            wide = rng.uniform(-1, 1, (128, space.num_actions + space.joint_dim))
+            stacked = (*stacked[:2], wide, *stacked[3:])
+        return stacked
+
+    agent.update(batch(128))
+    agent.update(batch(97))
+    agent.select_action(rng.standard_normal(space.state_dim), False, rng)
+    fresh = copy.deepcopy(agent)
+    assert fresh.qf.nets[0]._grad is None and fresh.qf.nets[0]._arrays.rows == 0
+    final = batch(128)
+    assert agent.update(final) == fresh.update(final)
+    for (name, a), (_, b) in zip(_agent_arrays(agent), _agent_arrays(fresh), strict=True):
+        assert a.tobytes() == b.tobytes(), name
+
+
 class TestFlatBuffers:
     """Each update step passes one buffer per network to Adam, the clip and
     Polyak averaging."""
@@ -293,9 +323,11 @@ class TestFlatBuffers:
         assert [name for name, _ in calls] == [
             "clip_grad_norm", "adam_step", "clip_grad_norm", "adam_step",
             "polyak_update", "polyak_update"]
-        (_, (q_grads, _)), (_, q_adam), (_, (a_grads, _)), (_, a_adam) = calls[:4]
-        for grads, nets in ((q_grads, q_nets), (a_grads, [actor])):
-            assert [g.shapes for g in grads] == [net.flat.shapes for net in nets]
+        (_, (q_grads, _, q_layouts)), (_, q_adam), (_, (a_grads, _, a_layouts)), (_, a_adam) = (
+            calls[:4])
+        for grads, layouts, nets in ((q_grads, q_layouts, q_nets), (a_grads, a_layouts, [actor])):
+            assert layouts == [net.layout for net in nets]
+            assert [g.shape for g in grads] == [net.flat.shape for net in nets]
             assert all(g.ndim == 1 for g in grads)
         for (params, _, state), nets, opt in ((q_adam, q_nets, agent.q_opt),
                                               (a_adam, [actor], agent.actor_opt)):
@@ -338,11 +370,12 @@ class TestFlatBuffers:
             for prefix, net in zip(prefixes, nets, strict=True):
                 assert np.array_equal(net.flat, held(prefix))
                 assert all(np.shares_memory(p, net.flat) for p in net.parameters())
-        for name, opt, twin in (("q_opt", agent.q_opt, loaded.q_opt),
-                                ("actor_opt", agent.actor_opt, loaded.actor_opt)):
-            assert [m.shapes for m in twin.m] == [m.shapes for m in opt.m]
+        for name, opt, twin, nets in (("q_opt", agent.q_opt, loaded.q_opt, agent.qf.nets),
+                                      ("actor_opt", agent.actor_opt, loaded.actor_opt,
+                                       [agent.actor.net])):
+            assert [m.shape for m in twin.m] == [m.shape for m in opt.m]
             # the format's names and order: m<i>, v<i> per parameter array
-            shapes = [shape for m in opt.m for shape in m.shapes]
+            shapes = [shape for net in nets for shape in net.layout]
             assert [(n, a.size) for n, a in payload.items() if n.startswith(f"{name}/")] == [
                 (f"{name}/{k}{i}", math.prod(shape)) for i, shape in enumerate(shapes)
                 for k in "mv"]

@@ -551,6 +551,46 @@ class TestCheckpointRoundTrip:
         assert f"byte offset {offset} " in message
         assert f"file ends at byte {cut}" in message
 
+    @staticmethod
+    def array_offset(data: bytes, name: str) -> int:
+        """The byte offset of a payload array, from the header's manifest."""
+        hlen = int.from_bytes(data[8:16], "little")
+        offset = 16 + hlen
+        for entry in json.loads(data[16 : 16 + hlen])["arrays"]:
+            if entry["name"] == name:
+                return offset
+            offset += 8 * math.prod(entry["shape"])
+        raise KeyError(name)
+
+    @pytest.mark.parametrize("array, value, what", [
+        ("q/net0/layer0/weights", np.nan, "nan"),
+        ("q_opt/v0", -1.0, "-1.0"),
+        ("actor_opt/v1", np.inf, "inf"),
+    ])
+    def test_corrupt_payload_value_names_path_array_and_offset(self, tmp_path, array, value,
+                                                               what):
+        """A NaN or infinity anywhere, or a negative Adam second moment, is
+        rejected at load, where it is written."""
+        path = tmp_path / "agent.ckpt"
+        data = bytearray(self.saved_checkpoint(path))
+        offset = self.array_offset(data, array)
+        data[offset : offset + 8] = np.float64(value).tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError) as excinfo:
+            load_checkpoint(path)
+        message = str(excinfo.value)
+        assert str(path) in message and f"array {array} " in message
+        assert f"holds {what} at byte offset {offset};" in message
+
+    def test_negative_zero_second_moment_loads(self, tmp_path):
+        path = tmp_path / "agent.ckpt"
+        data = bytearray(self.saved_checkpoint(path))
+        offset = self.array_offset(data, "q_opt/v0")
+        data[offset : offset + 8] = np.float64(-0.0).tobytes()
+        path.write_bytes(bytes(data))
+        loaded, _ = load_checkpoint(path)
+        assert np.signbit(loaded.q_opt.v[0][0]) and loaded.q_opt.v[0][0] == 0.0
+
     def test_flipped_header_byte_names_path_and_offset(self, tmp_path):
         path = tmp_path / "agent.ckpt"
         data = bytearray(self.saved_checkpoint(path))

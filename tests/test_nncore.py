@@ -13,7 +13,6 @@ from pamdp.envs import make_env
 from pamdp.nncore import (
     AdamState,
     DenseNet,
-    FlatArrays,
     ForwardCache,
     Layer,
     ROW_QUANTUM,
@@ -63,6 +62,16 @@ class TestHeInit:
 
 def linear_net(w, b):
     return DenseNet([Layer(np.array(w, dtype=float), np.array(b, dtype=float))])
+
+
+@pytest.mark.parametrize("a", [3.0, [1, 2], np.arange(6.0).reshape(2, 3), np.empty(0),
+                               np.arange(10.0)[::3], np.empty((0, 2)), np.arange(3)])
+def test_float_rows_is_atleast_2d(a):
+    rows, reference = nncore.float_rows(a), np.atleast_2d(np.asarray(a, dtype=np.float64))
+    assert rows.shape == reference.shape and rows.dtype == np.float64
+    assert np.array_equal(rows, reference)
+    if isinstance(a, np.ndarray) and a.dtype == np.float64 and a.size:
+        assert np.shares_memory(rows, a)  # a view, as atleast_2d's
 
 
 class TestForward:
@@ -322,6 +331,43 @@ def results_of(net, batch, upstream):
     return [out, input_grads, input_gradient(net, cache, upstream), *grads], cache
 
 
+class TestInputRows:
+    """A batch written into ``DenseNet.input_rows`` is taken where it lies."""
+
+    def test_rows_written_in_place_match_a_copied_batch(self):
+        net, _ = make_safe_net(3, (4, 5), 2, seed=40)
+        batch = np.random.default_rng(41).standard_normal((5, 3))
+        net.input_rows(8)[...] = np.nan  # stale rows after any 5-row batch
+        rows = net.input_rows(5)
+        rows[...] = batch
+        out, cache = forward(net, rows)
+        assert cache.inputs[0][:, :-1] is not batch
+        assert out.tobytes() == forward(copy.deepcopy(net), batch)[0].tobytes()
+        padded, first, same_rows, padding = net._arrays.input(5, 3)
+        assert same_rows is rows and padding.shape == (3, 3) and not padding.any()
+        assert (padded[:, -1] == 1.0).all()
+
+    def test_taking_the_rows_outdates_earlier_caches(self):
+        net, batch = make_safe_net(3, (4,), 2, seed=42)
+        _, cache = forward(net, batch)
+        net.input_rows(batch.shape[0])
+        with pytest.raises(ValueError, match="stale"):
+            backward(net, cache, np.ones((batch.shape[0], 2)))
+
+    def test_reused_gradient_buffer_matches_a_new_one(self):
+        net, batch = make_safe_net(3, (4, 5), 2, seed=43)
+        upstream = np.random.default_rng(44).standard_normal((batch.shape[0], 2))
+        buffer = net.gradient_buffer()
+        assert net.gradient_buffer() is buffer and buffer.shape == net.flat.shape
+        for rows in (batch[:1], batch):
+            _, cache = forward(net, rows)
+            fresh, _ = backward(net, cache, upstream[:len(rows)])
+            _, cache = forward(net, rows)
+            reused, _ = backward(net, cache, upstream[:len(rows)], out=buffer)
+            assert all(np.shares_memory(r, buffer) for r in reused)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(reused, fresh))
+
+
 class TestReusedArrays:
     """Hidden layers are computed in arrays that a network reuses and shares
     with its copies; everything returned to a caller is a new array."""
@@ -429,7 +475,7 @@ class TestFlatLayout:
     def test_parameters_and_gradients_view_one_buffer(self):
         net, batch = make_safe_net(3, (4, 5), 2, seed=9)
         assert_back_to_back(net.parameters(), net.flat)
-        assert net.flat.shapes == tuple(p.shape for p in net.parameters())
+        assert net.layout == tuple(p.shape for p in net.parameters())
         assert net.num_parameters() == net.flat.size
         _, cache = forward(net, batch)
         upstream = np.ones((batch.shape[0], 2))
@@ -440,7 +486,11 @@ class TestFlatLayout:
         into_buffer, _ = backward(net, cache, upstream, out=buffer)
         assert_back_to_back(into_buffer, buffer)
         assert all(np.array_equal(a, b) for a, b in zip(into_buffer, grads))
-        for wrong in (np.empty(net.flat.size), np.empty_like(net.copy().flat)[:-1]):
+        plain = np.empty(net.flat.size)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(backward(net, cache, upstream, out=plain)[0], grads))
+        for wrong in (np.empty(net.flat.size + 1), np.empty(net.flat.size, dtype=np.float32),
+                      np.empty(2 * net.flat.size)[::2], np.empty_like(net.copy().flat)[:-1]):
             with pytest.raises(ValueError, match="laid out"):
                 backward(net, cache, upstream, out=wrong)
 
@@ -460,7 +510,7 @@ class TestFlatLayout:
         net, batch = make_safe_net(3, (4,), 2, seed=11)
         twin = net.copy()
         assert not np.shares_memory(twin.flat, net.flat)
-        assert np.array_equal(twin.flat, net.flat) and twin.flat.shapes == net.flat.shapes
+        assert np.array_equal(twin.flat, net.flat) and twin.layout == net.layout
         assert_back_to_back(twin.parameters(), twin.flat)
         net.flat += 1.0
         assert not np.array_equal(twin.flat, net.flat)
@@ -473,7 +523,7 @@ class TestFlatLayout:
         twin, twin_target = copy_of([net, target])
         for original, copied in ((net, twin), (target, twin_target)):
             assert np.array_equal(copied.flat, original.flat)
-            assert copied.flat.shapes == original.flat.shapes
+            assert copied.layout == original.layout
             assert not np.shares_memory(copied.flat, original.flat)
             assert_back_to_back(copied.parameters(), copied.flat)
         # the copies share working arrays as the originals do
@@ -482,23 +532,12 @@ class TestFlatLayout:
         assert (forward(twin, batch)[0] == 0.0).all()
         assert (forward(net, batch)[0] != 0.0).any()
 
-    @pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle", "scaled"])
-    def test_buffer_copies_keep_the_layout(self, how):
-        flat = FlatArrays([(2, 3), (3,)])
-        flat[:] = np.arange(9.0)
-        twin = {"copy": flat.copy, "deepcopy": lambda: copy.deepcopy(flat),
-                "pickle": lambda: pickle.loads(pickle.dumps(flat)),
-                "scaled": lambda: flat * 1.0}[how]()
-        assert type(twin) is FlatArrays and twin.shapes == ((2, 3), (3,))
-        assert [p.tolist() for p in twin.parts()] == [[[0, 1, 2], [3, 4, 5]], [6, 7, 8]]
-        assert flat[:3].shapes is None
-
     def test_adam_moments_are_laid_out_like_the_parameters(self):
         net, _ = make_safe_net(3, (4,), 2, seed=13)
         state = AdamState.for_params([net.flat], alpha=0.01)
         for moments in (state.m, state.v):
             (buffer,) = moments
-            assert type(buffer) is FlatArrays and buffer.shapes == net.flat.shapes
+            assert type(buffer) is np.ndarray and buffer.shape == net.flat.shape
             assert not np.shares_memory(buffer, net.flat) and not buffer.any()
 
     @pytest.mark.parametrize("max_norm", [1e9, 1.0])
@@ -509,14 +548,16 @@ class TestFlatLayout:
         # In this buffer the per-array sums of squares are 1 and exactly
         # 2**-50, whose sum is exact; one sum over the buffer adds 2**-54
         # squares to about 1 and loses some of them
-        witness = FlatArrays([(1,), (16,)])
-        witness[:] = [1.0] + [2.0**-27] * 16
-        whole = math.sqrt(float(np.sum(np.square(np.asarray(witness)))))
-        assert whole != global_grad_norm([witness]) == math.sqrt(1.0 + 2.0**-50)
-        flat_clip = clip_grad_norm([witness], 0.5)[0].parts()
+        layout = ((1,), (16,))
+        witness = np.array([1.0] + [2.0**-27] * 16)
+        parts = nncore._views(witness, layout)
+        whole = math.sqrt(float(np.sum(np.square(witness))))
+        assert whole != global_grad_norm([witness], [layout]) == math.sqrt(1.0 + 2.0**-50)
+        assert global_grad_norm([witness]) == whole  # without a layout, one array
+        flat_clip = nncore._views(clip_grad_norm([witness], 0.5, [layout])[0], layout)
         assert all(np.array_equal(f, r)
-                   for f, r in zip(flat_clip, reference_clip(witness.parts(), 0.5)))
-        assert not np.array_equal(flat_clip[1], witness.parts()[1] * (0.5 / whole))
+                   for f, r in zip(flat_clip, reference_clip(parts, 0.5)))
+        assert not np.array_equal(flat_clip[1], parts[1] * (0.5 / whole))
 
         net, batch = make_safe_net(3, (16, 8), 2, seed=16)
         upstream = np.random.default_rng(17).standard_normal((batch.shape[0], 2))
@@ -527,7 +568,7 @@ class TestFlatLayout:
             _, cache = forward(net, batch)
             grads = np.empty_like(net.flat)
             backward(net, cache, upstream, out=grads)
-            clipped = clip_grad_norm([grads], max_norm)
+            clipped = clip_grad_norm([grads], max_norm, [net.layout])
             assert (clipped[0] is grads) == (max_norm == 1e9)
             adam_step([net.flat], clipped, flat_state)
             net.mark_updated()
@@ -541,7 +582,7 @@ class TestFlatLayout:
         assert np.array_equal(net.flat, twin.flat)
         assert np.array_equal(target.flat, twin_target.flat)
         assert all(np.array_equal(m, a)
-                   for m, a in zip(flat_state.m[0].parts() + flat_state.v[0].parts(),
+                   for m, a in zip(net.parts(flat_state.m[0]) + net.parts(flat_state.v[0]),
                                    array_state.m + array_state.v))
 
 
@@ -580,20 +621,20 @@ def test_training_bytes_match_allocating_passes(tmp_path, monkeypatch, config, e
     assert calls["forward"] > 0 and calls["deltas"] > 0
 
 
-def per_array(buffers):
-    """The per-parameter arrays a list of buffers holds, in order."""
-    return [a for b in buffers for a in b.parts()]
+def per_array(buffers, layouts):
+    """The per-parameter arrays a list of buffers of these layouts holds, in
+    order."""
+    return [a for b, layout in zip(buffers, layouts) for a in nncore._views(b, layout)]
 
 
-def per_array_adam_step(params, grads, state):
+def per_array_adam_step(params, grads, state, layouts):
     """Reference: Adam over each parameter array in turn, with fresh
     temporaries."""
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
-    for p, g, m, v in zip(per_array(params), per_array(grads), per_array(state.m),
-                          per_array(state.v)):
+    for p, g, m, v in zip(*(per_array(a, layouts) for a in (params, grads, state.m, state.v))):
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
@@ -601,18 +642,19 @@ def per_array_adam_step(params, grads, state):
         p -= state.alpha * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
 
 
-def per_array_clip(grads, max_norm):
+def per_array_clip(grads, max_norm, layouts):
     """Reference: the clip over the per-parameter arrays, written back into
     buffers."""
     out = [np.empty_like(g) for g in grads]
-    for dst, src in zip(per_array(out), reference_clip(per_array(grads), max_norm)):
+    for dst, src in zip(per_array(out, layouts),
+                        reference_clip(per_array(grads, layouts), max_norm)):
         dst[...] = src
     return out
 
 
-def per_array_polyak(targets, onlines, tau):
+def per_array_polyak(targets, onlines, tau, layouts):
     """Reference: Polyak averaging of each parameter array in turn."""
-    for t, o in zip(per_array(targets), per_array(onlines)):
+    for t, o in zip(per_array(targets, layouts), per_array(onlines, layouts)):
         t *= 1.0 - tau
         t += tau * o
 
@@ -638,10 +680,26 @@ def test_training_bytes_match_per_array_steps(tmp_path, monkeypatch, config, epi
             return fn(*args)
         return call
 
-    references = {"adam_step": per_array_adam_step, "clip_grad_norm": per_array_clip,
-                  "polyak_update": per_array_polyak}
+    layout = {}  # the id of a network's parameter buffer -> its layout
+
+    def recording_build_agent(*args):
+        agent = build_agent(*args)
+        for net in (*agent.qf.nets, *agent.qf_target.nets, agent.actor.net,
+                    agent.actor_target.net):
+            layout[id(net.flat)] = net.layout
+        return agent
+
+    build_agent = harness.build_agent
+    references = {
+        "adam_step": lambda params, grads, state: per_array_adam_step(
+            params, grads, state, [layout[id(p)] for p in params]),
+        "clip_grad_norm": per_array_clip,
+        "polyak_update": lambda targets, onlines, tau: per_array_polyak(
+            targets, onlines, tau, [layout[id(t)] for t in targets]),
+    }
 
     def per_array_steps():
+        monkeypatch.setattr(harness, "build_agent", recording_build_agent)
         for name, reference in references.items():
             patch_everywhere(monkeypatch, nncore, name, counted(name, reference))
 
@@ -707,11 +765,10 @@ class TestClipGradNorm:
             clip_grad_norm([np.array([np.inf])], 1.0)
 
     def test_non_finite_entry_of_a_buffer_rejected(self):
-        flat = FlatArrays([(2, 2), (2,)])
-        flat[:] = 1.0
+        flat = np.ones(6)
         flat[4] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
-            clip_grad_norm([np.ones(3), flat], 1.0)
+            clip_grad_norm([np.ones(3), flat], 1.0, [((3,),), ((2, 2), (2,))])
 
     def test_overflowing_norm_scales_to_zero(self):
         # finite entries whose squares overflow: the norm is inf, the scale 0

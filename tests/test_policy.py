@@ -119,6 +119,35 @@ class TestInvertGradients:
         assert (np.abs(adj) <= np.abs(g) + 1e-15).all()
         assert (np.sign(adj) == np.sign(g))[adj != 0.0].all()
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_agent_path_is_bit_equal_to_the_public_one(self, data):
+        """The agent's path, ``invert_gradients`` on the actor's clamped
+        output scaled in place by ``-1 / b``, has the bits of
+        ``-invert_gradients(...) / b``, at a bound and for a gradient of 0
+        or -0.0 too."""
+        dim = data.draw(st.integers(1, 4))
+        rows = data.draw(st.integers(1, 6))
+        lo = np.array(data.draw(st.lists(st.floats(-5, 4), min_size=dim, max_size=dim)))
+        width = np.array(data.draw(st.lists(st.floats(0.01, 5), min_size=dim, max_size=dim)))
+        bounds = np.stack([lo, lo + width], axis=1)
+        grad = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, -0.0, 1.5, -2.0]) | st.floats(-1e3, 1e3),
+            min_size=dim * rows, max_size=dim * rows))).reshape(rows, dim)
+        where = data.draw(st.lists(st.sampled_from(["lo", "hi", "in"]),
+                                   min_size=dim * rows, max_size=dim * rows))
+        frac = np.array(data.draw(st.lists(st.floats(0, 1), min_size=dim * rows,
+                                           max_size=dim * rows))).reshape(rows, dim)
+        x = np.where(np.reshape(where, (rows, dim)) == "lo", bounds[:, 0],
+                     np.where(np.reshape(where, (rows, dim)) == "hi", bounds[:, 1],
+                              bounds[:, 0] + frac * (bounds[:, 1] - bounds[:, 0])))
+        actor = Actor(zero_net(3, dim), bounds)
+        x = actor.clamp(x)
+        public = -invert_gradients(grad, x, bounds) / rows
+        upstream = invert_gradients(grad, x, bounds)
+        upstream /= -rows
+        assert public.tobytes() == upstream.tobytes()
+
     def test_out_of_bounds_x_rejected(self):
         with pytest.raises(ValueError):
             invert_gradients(np.array([1.0]), np.array([1.5]), np.array([[-1.0, 1.0]]))

@@ -132,19 +132,22 @@ class TestMultipass:
         params = rng.uniform(-1, 1, (6, SPACE.joint_dim))
         actions = rng.integers(SPACE.num_actions, size=6)
         masked = np.stack([basis_mask(SPACE, x, k) for x, k in zip(params, actions)])
-        (mp,) = qf.passes(states, params, actions)
-        (joint,) = qf_joint.passes(states, masked, actions)
-        assert np.array_equal(mp.rows, joint.rows)
-        assert mp.q_at == joint.q_at
-        assert all(np.array_equal(a, b) for a, b in zip(mp.out_at, joint.out_at))
-        assert [p.grad_at for p in (mp, joint)] == [None, None]
-        assert [p.in_at for p in (mp, joint)] == [None, None]
+        # both write their rows into the one network's input: copy them
+        (mp,) = [(net, rows.copy(), *rest) for net, rows, *rest in
+                 qf.passes(states, params, actions)]
+        (joint,) = [(net, rows.copy(), *rest) for net, rows, *rest in
+                    qf_joint.passes(states, masked, actions)]
+        assert np.array_equal(mp[1], joint[1])
+        assert mp[0] is joint[0] and mp[2] == joint[2]
+        assert np.array_equal(mp[3], joint[3])
+        assert mp[4:] == joint[4:] == (None, None)
 
     def test_rows_layout(self):
         s = np.arange(4.0)[None, :]
         x = np.array([[1.0, 2.0, 3.0, 4.0]])
-        rows = multipass_rows(SPACE, s, x)
-        assert rows.shape == (3, 8)
+        out = np.full((3, 8), np.nan)
+        rows = multipass_rows(SPACE, s, x, out)
+        assert rows is out
         assert rows[0].tolist() == [0, 1, 2, 3, 1, 0, 0, 0]
         assert rows[1].tolist() == [0, 1, 2, 3, 0, 2, 3, 0]
         assert rows[2].tolist() == [0, 1, 2, 3, 0, 0, 0, 4]
@@ -244,6 +247,45 @@ class TestSumQGradient:
                 return float(np.sum(single(qf, states[b], xv)))
 
             assert relative_error(grad[b], fd_scalar_grad(total, params[b])) < 1e-5
+
+
+class TestEmptyBatch:
+    @pytest.mark.parametrize("variant", [JOINT, MULTIPASS, SEPARATE])
+    def test_zero_rows_give_empty_values_and_gradients(self, variant):
+        qf = make_qf(variant, seed=21)
+        states, params = np.empty((0, SPACE.state_dim)), np.empty((0, SPACE.joint_dim))
+        assert qf.evaluate(states, params).shape == (0, SPACE.num_actions)
+        grad, q = sum_q_gradient(qf, states, params)
+        assert grad.shape == (0, SPACE.joint_dim) and q.shape == (0, SPACE.num_actions)
+        # and the networks still serve a batch afterwards
+        s, x = random_point(SPACE, 22)
+        assert np.array_equal(qf.evaluate(s[None, :], x[None, :]), make_qf(variant, seed=21)
+                              .evaluate(s[None, :], x[None, :]))
+
+
+class TestBatchConstants:
+    @pytest.mark.parametrize("variant", [JOINT, MULTIPASS, SEPARATE])
+    def test_per_batch_constants_are_read_only(self, variant):
+        qf = make_qf(variant, seed=23)
+        rng = np.random.default_rng(24)
+        sum_q_gradient(qf, rng.standard_normal((5, SPACE.state_dim)),
+                       rng.uniform(-1, 1, (5, SPACE.joint_dim)))
+        first, out_at, in_at, ones = qf._indices[5]
+        arrays = [first, *out_at, *in_at, *ones]
+        assert arrays and not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            ones[0][0] = 2.0
+
+    @pytest.mark.parametrize("variant", [JOINT, MULTIPASS, SEPARATE])
+    def test_sum_q_upstream_weights_every_value_once(self, variant):
+        """Each pass's constant upstream is 1 at the outputs read as values
+        and 0 elsewhere, so the value gradient is that of sum_k Q_k."""
+        qf = make_qf(variant, seed=25)
+        first, out_at, _, ones = qf._index_arrays(3)
+        for upstream, at in zip(ones, out_at, strict=True):
+            expected = np.zeros(upstream.shape)
+            expected.flat[at.ravel()] = 1.0
+            assert np.array_equal(upstream, expected)
 
 
 class TestArgmaxStability:
