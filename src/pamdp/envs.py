@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .policy import Passthrough
-from .qfunction import ActionSpaceSpec
+from .qfunction import ActionSpaceSpec, action_index
 
 
 class Env:
@@ -54,6 +54,7 @@ class Env:
     def step(self, k: int, x_k: np.ndarray) -> tuple[np.ndarray, float, bool]:
         if self._terminal:
             raise RuntimeError("step called on a terminal environment; reset first")
+        k = action_index(k)
         if not 0 <= k < len(self._block_bounds):
             raise ValueError(f"action index {k} out of range")
         bounds = self._block_bounds[k]

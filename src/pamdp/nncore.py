@@ -29,7 +29,12 @@ Haswell), not of numpy; another kernel may need another quantum.
 ``TestBatchInvariance`` in the test suite is the guard, and the suite's
 header names the core it ran on. The backward pass, whose sums over rows
 depend on the batch anyway, runs unpadded on the n rows; one GEMM on the
-inputs with their ones gives a layer's weight and bias gradients.
+inputs with their ones gives a layer's weight and bias gradients. Through
+a layer of width 1, ``dz @ W.T`` is an ``(n, 1) @ (1, fan_in)`` product,
+which numpy computes outside BLAS; padded with zeros to ``[dz, 0] @ [W.T;
+0]`` it is a GEMM with the same bits, as each entry is its one product
+plus ``0 * 0`` and numpy's own loop adds that product to a zero start
+(:func:`_width_one_backprop`).
 
 Forward and backward passes allocate nothing as large as a hidden layer:
 each network keeps its layers' pre-activations, activations and deltas in
@@ -229,6 +234,7 @@ class _LayerArrays:
         self._input: dict[int, np.ndarray] = {}
         self._inputs: dict[tuple[int, int], tuple] = {}
         self._views: dict[int, _Views] = {}
+        self._width_one: dict[int, tuple] = {}  # see width_one
 
     def views(self, n: int) -> _Views:
         """The views for n rows; n must not exceed ``rows``."""
@@ -262,6 +268,15 @@ class _LayerArrays:
                 x, x[:n], x[:n, :-1], x[n:, :-1] if len(x) > n else None
             )
         return views
+
+    def width_one(self, n: int, fan_in: int) -> tuple[np.ndarray, np.ndarray]:
+        """Scratch for :func:`_width_one_backprop` through a width-1 layer
+        of ``fan_in`` inputs: n rows of ``[dz, 0]`` and the (2, fan_in)
+        ``[W.T; 0]``, made at first use with their zeros."""
+        pads = self._width_one.get(fan_in)
+        if pads is None:
+            pads = self._width_one[fan_in] = (np.zeros((self.rows, 2)), np.zeros((2, fan_in)))
+        return pads[0][:n], pads[1]
 
     def __reduce__(self):
         # copy.deepcopy and pickle start over with empty arrays: copied
@@ -475,15 +490,34 @@ def _layer_deltas(
     if upstream.shape != (n, net.output_dim):
         raise ValueError(f"upstream shape {upstream.shape}, expected {(n, net.output_dim)}")
 
-    layers, views, dz = net.layers, net._arrays.views(n), upstream
+    layers, arrays, dz = net.layers, net._arrays, upstream
+    views = arrays.views(n)
     hidden, dzs = views.hidden, [*views.dzs, upstream]
     for i in range(len(hidden) - 1, -1, -1):
-        h, layer = hidden[i], layers[i]
-        np.matmul(dz, _transposed(layers[i + 1].weights), out=h.dz)
+        h, layer, weights = hidden[i], layers[i], layers[i + 1].weights
+        if weights.shape[1] == 1:
+            _width_one_backprop(dz, weights, arrays, h.dz)
+        else:
+            np.matmul(dz, _transposed(weights), out=h.dz)
         # on the whole rows, the extra column included: contiguous
         _scale_by_activation_grad(h.delta, h.z_rows, layer.activation, layer.slope)
         dz = h.dz
-    return dzs, (dz @ _transposed(layers[0].weights) if input_grads else None)
+    if not input_grads:
+        return dzs, None
+    weights = layers[0].weights
+    if weights.shape[1] == 1:
+        return dzs, _width_one_backprop(dz, weights, arrays)
+    return dzs, dz @ _transposed(weights)
+
+
+def _width_one_backprop(dz, weights, arrays: _LayerArrays, out=None) -> np.ndarray:
+    """``dz @ weights.T`` for a width-1 layer, written into ``out`` if
+    given, as the GEMM ``[dz, 0] @ [W.T; 0]``: numpy's bits, an exactly-zero
+    product +0 as in numpy's loop, in a fraction of that loop's time."""
+    dz_pad, w_pad = arrays.width_one(len(dz), weights.shape[0])
+    dz_pad[:, :1] = dz
+    w_pad[:1] = weights.T
+    return np.matmul(dz_pad, w_pad, out=out)
 
 
 def _transposed(weights: np.ndarray) -> np.ndarray:

@@ -36,6 +36,7 @@ exact input gradients.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +100,15 @@ class ActionSpaceSpec:
         if not 0 <= k < len(self._blocks):
             raise ValueError(f"action index {k} out of range [0, {self.num_actions})")
         return self._blocks[k]
+
+
+def action_index(k) -> int:
+    """``k`` as an int; a value that is not an integer, such as 1.5 or 1.0,
+    raises a ValueError naming it. Integer numpy scalars are integers."""
+    try:
+        return operator.index(k)
+    except TypeError:
+        raise ValueError(f"action index {k!r} is not an integer") from None
 
 
 def basis_mask(space: ActionSpaceSpec, params: np.ndarray, k: int) -> np.ndarray:
@@ -199,7 +209,7 @@ class QFunction:
                     rows = _fill_rows(net.input_rows(b), states, params[:, sl])
                     yield net, rows, (_ALL, i), out_at[i], (_ALL, sl), in_at[i]
                 else:
-                    mine = np.flatnonzero(actions == i)
+                    mine = (actions == i).nonzero()[0]  # np.flatnonzero, undispatched
                     rows = _fill_rows(net.input_rows(len(mine)), states[mine], params[mine, sl])
                     yield net, rows, mine, first[:len(mine)], None, None
             return

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .qfunction import action_index
+
 _DTYPES = (np.float64, np.int64, np.float64, np.float64, np.float64, bool, np.float64)
 
 
@@ -127,12 +129,13 @@ class ReplayBuffer:
             raise ValueError("state dimension mismatch")
         if x.shape != action_shape:
             raise ValueError("action vector dimension mismatch")
+        k = action_index(k)
         if self.num_actions is not None and not 0 <= k < self.num_actions:
             raise ValueError(f"action index {k} out of range")
         if self.bounds is not None and np.logical_or.reduce(
                 (x < self._low) | (x > self._high), axis=None):
             raise ValueError("action vector outside bounds")
-        return s, np.int64(k), x, float(r), s2, bool(terminal), float(mc)
+        return s, k, x, float(r), s2, bool(terminal), float(mc)
 
     def push(self, t: Transition):
         row = self._row(t)

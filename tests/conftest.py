@@ -13,11 +13,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pamdp import harness
 from pamdp.nncore import AdamState, DenseNet, adam_step, forward
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# the same draws on every run (``--hypothesis-profile=ci``), so that a CI
+# failure replays locally as it ran there
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 def openblas_core() -> str | None:

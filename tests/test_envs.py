@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import struct
 
 import numpy as np
@@ -94,6 +95,15 @@ class TestPlatformBasics:
         for x in (np.zeros(2), np.zeros((1, 1)), np.zeros(0)):
             with pytest.raises(ValueError, match="wrong dimension"):
                 env.step(RUN, x)
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, np.float64(2.0), "1", None])
+    def test_non_integral_index_rejected(self, k):
+        env = Platform()
+        env.reset()
+        with pytest.raises(ValueError, match=re.escape(f"action index {k!r} is not an integer")):
+            env.step(k, np.array([0.0]))
+        s, r, _ = env.step(np.int64(RUN), np.array([0.0]))  # integer numpy scalars are indices
+        assert np.isfinite(s).all() and math.isfinite(r)
 
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pamdp import harness
 from pamdp.checkpoint import load_checkpoint, save_checkpoint
@@ -590,6 +592,35 @@ class TestCheckpointRoundTrip:
         path.write_bytes(bytes(data))
         loaded, _ = load_checkpoint(path)
         assert np.signbit(loaded.q_opt.v[0][0]) and loaded.q_opt.v[0][0] == 0.0
+
+    @pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_truncated_or_flipped_file_raises_value_error_or_loads(self, tmp_path_factory,
+                                                                   algorithm, data):
+        """A checkpoint cut short, or with one byte changed, raises a
+        ValueError naming the file or loads: the format has no checksum, so
+        a changed payload value, or a header change that still rebuilds an
+        agent, loads. No other exception escapes."""
+        from pamdp.agent import AgentConfig, make_agent
+        from pamdp.qfunction import ActionSpaceSpec
+
+        path = tmp_path_factory.mktemp("fuzz") / "agent.ckpt"
+        agent = make_agent(algorithm, ActionSpaceSpec(2, (1, 1)), AgentConfig(hidden=(4,)),
+                           np.random.default_rng(3))
+        save_checkpoint(path, agent, algorithm, "bandit", {})
+        saved = path.read_bytes()
+        damaged = bytearray(saved)
+        if data.draw(st.booleans(), "truncated"):
+            del damaged[data.draw(st.integers(0, len(saved) - 1), "length"):]
+        else:
+            damaged[data.draw(st.integers(0, len(saved) - 1), "byte")] ^= data.draw(
+                st.integers(1, 255), "xor")
+        path.write_bytes(bytes(damaged))
+        try:
+            load_checkpoint(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)
 
     def test_flipped_header_byte_names_path_and_offset(self, tmp_path):
         path = tmp_path / "agent.ckpt"

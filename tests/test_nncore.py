@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from pamdp import harness, nncore
+from pamdp.agent import AgentConfig, PDQNAgent, make_agent
 from pamdp.envs import make_env
+from pamdp.qfunction import ActionSpaceSpec
 from pamdp.nncore import (
     AdamState,
     DenseNet,
-    ForwardCache,
     Layer,
     ROW_QUANTUM,
     adam_step,
@@ -33,7 +35,6 @@ from conftest import (
     fd_input_grads,
     fd_param_grads,
     make_safe_net,
-    patch_everywhere,
     relative_error,
 )
 
@@ -259,68 +260,61 @@ class TestBackward:
                 grad_fn(net, cache, np.ones((batch.shape[0], 2)))
 
 
+class TestWidthOneLayers:
+    """``dz @ W.T`` through a width-1 layer runs as a BLAS GEMM padded with
+    zeros, with the bits of numpy's own product."""
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 16, 43, 128, 384])
+    @pytest.mark.parametrize("fan_in", [1, 7, 64, 128])
+    def test_padded_product_has_numpy_bits(self, n, fan_in):
+        rng = np.random.default_rng(n * 1000 + fan_in)
+        arrays = nncore._LayerArrays([fan_in, 1])
+        arrays.input(n, 3)  # rows for n
+        for scale in (1e-300, 1e-8, 1.0, 1e150, 1e300):
+            dz = rng.standard_normal((n, 1)) * scale
+            dz[::3] = 0.0  # zero upstream rows
+            dz[1::5] = -0.0
+            weights = rng.standard_normal((fan_in, 1))
+            weights[::4] = -0.0  # signed zero weights: exactly-zero products
+            weights[1::4] = 0.0
+            with np.errstate(over="ignore", under="ignore"):
+                expected = dz @ np.ascontiguousarray(weights.T)
+                out = np.empty((n, fan_in + 1))[:, :-1]  # as a hidden layer's deltas
+                got = nncore._width_one_backprop(dz, weights, arrays, out)
+                fresh = nncore._width_one_backprop(dz, weights, arrays)
+            assert got is out and got.tobytes() == expected.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("algorithm", ["paddpg", "pdqn-separate"])
+    @pytest.mark.parametrize("hidden", [(8,), (6, 5), ()])
+    def test_updates_make_no_inner_dimension_of_one(self, monkeypatch, algorithm, hidden):
+        """PA-DDPG's critic and each separate Q-net end in one output."""
+        space = ActionSpaceSpec(4, (1, 2, 1))
+        agent = make_agent(algorithm, space, AgentConfig(hidden=hidden), np.random.default_rng(5))
+        rng = np.random.default_rng(6)
+        lo, hi = agent.bounds[:, 0], agent.bounds[:, 1]
+        batch = (rng.normal(size=(6, 4)), np.array([0, 1, 2, 0, 1, 2]),
+                 rng.uniform(lo, hi, (6, len(lo))), rng.normal(size=6), rng.normal(size=(6, 4)),
+                 np.zeros(6, bool), np.full(6, np.nan))
+        inner = []
+
+        class LoggedMatmul:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def matmul(self, a, b, **kwargs):
+                inner.append(a.shape[-1])
+                return np.matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(nncore, "np", LoggedMatmul())
+        agent.update(batch)
+        assert inner and 1 not in inner
+
+
 def fresh_copy(net):
     """The same parameters in a network with working arrays of its own."""
     return DenseNet(
         [Layer(l.weights.copy(), l.biases.copy(), l.activation, l.slope) for l in net.layers]
     )
-
-
-def allocating_forward(net, batch):
-    """Reference: the forward pass that allocated every layer's arrays anew,
-    one GEMM per layer, ``[a, 1] @ [W; b]``, on the batch padded with zero
-    rows to a multiple of ROW_QUANTUM."""
-    batch = np.ascontiguousarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != net.input_dim:
-        raise ValueError(f"batch shape {batch.shape} incompatible with input_dim {net.input_dim}")
-    n = batch.shape[0]
-    a = np.zeros((padded_rows(n), net.input_dim))
-    a[:n] = batch
-    inputs, preacts = [], []
-    for layer in net.layers:
-        a = np.hstack([a, np.ones((a.shape[0], 1))])
-        inputs.append(a[:n])
-        z = a @ np.vstack([layer.weights, layer.biases])
-        preacts.append(z[:n])
-        if layer.activation == "relu":
-            a = np.maximum(z, 0.0)
-        elif layer.activation == "leaky_relu":
-            a = np.where(z > 0.0, z, layer.slope * z)
-        else:
-            a = z
-    a = a[:n]
-    if not np.isfinite(a).all():
-        raise FloatingPointError("non-finite values in network output")
-    return a, ForwardCache(id(net), net.version, None, inputs, preacts)
-
-
-def allocating_layer_deltas(net, cache, upstream, input_grads=True):
-    """Reference: backpropagation through fresh activation-gradient arrays."""
-    if cache.net_id != id(net):
-        raise ValueError("cache does not belong to this network")
-    if cache.version != net.version:
-        raise ValueError("stale cache: network parameters were updated after forward")
-    upstream = np.asarray(upstream, dtype=np.float64)
-    expected = (cache.inputs[0].shape[0], net.output_dim)
-    if upstream.shape != expected:
-        raise ValueError(f"upstream shape {upstream.shape}, expected {expected}")
-    dzs = [None] * len(net.layers)
-    delta = upstream
-    for i in reversed(range(len(net.layers))):
-        layer, z = net.layers[i], cache.preacts[i]
-        if layer.activation == "relu":
-            dzs[i] = (z > 0.0).astype(np.float64)
-        elif layer.activation == "leaky_relu":
-            dzs[i] = np.where(z > 0.0, 1.0, layer.slope)
-        else:
-            dzs[i] = np.ones_like(z)
-        dzs[i] *= delta
-        if i == 0 and not input_grads:
-            return dzs, None
-        # the transposed weights in C order, as nncore's backward GEMMs
-        # take them
-        delta = dzs[i] @ np.ascontiguousarray(layer.weights.T)
-    return dzs, delta
 
 
 def results_of(net, batch, upstream):
@@ -436,21 +430,9 @@ class TestReusedArrays:
         rows = rng.standard_normal((384, 12))
         for b in (3, 384, 128, 1):
             upstream = rng.standard_normal((b, 3))
-            got, cache = results_of(net, rows[:b], upstream)
+            got, _ = results_of(net, rows[:b], upstream)
             fresh, _ = results_of(fresh_copy(net), rows[:b], upstream)
             assert all(np.array_equal(g, f) for g, f in zip(got, fresh)), f"batch of {b}"
-            # and bit for bit what the allocating passes computed
-            out, ref_cache = allocating_forward(net, rows[:b])
-            dzs, input_grads = allocating_layer_deltas(net, ref_cache, upstream)
-            grads = []
-            for a, dz in zip(ref_cache.inputs, dzs):
-                # the inputs carry a column of ones, which gives the biases'
-                # gradients as the last row
-                weights_and_biases = a.T @ dz
-                grads += [weights_and_biases[:-1], weights_and_biases[-1]]
-            reference = [out, input_grads, input_grads, *grads]
-            assert all(np.array_equal(g, r) for g, r in zip(got, reference)), f"batch of {b}"
-            assert all(np.array_equal(z, r) for z, r in zip(cache.preacts, ref_cache.preacts))
 
 
 def address(a):
@@ -556,7 +538,7 @@ class TestFlatLayout:
         assert global_grad_norm([witness]) == whole  # without a layout, one array
         flat_clip = nncore._views(clip_grad_norm([witness], 0.5, [layout])[0], layout)
         assert all(np.array_equal(f, r)
-                   for f, r in zip(flat_clip, reference_clip(parts, 0.5)))
+                   for f, r in zip(flat_clip, reference.clip(parts, 0.5)))
         assert not np.array_equal(flat_clip[1], parts[1] * (0.5 / whole))
 
         net, batch = make_safe_net(3, (16, 8), 2, seed=16)
@@ -576,7 +558,7 @@ class TestFlatLayout:
 
             _, cache = forward(twin, batch)
             per_array, _ = backward(twin, cache, upstream)
-            adam_step(twin.parameters(), reference_clip(per_array, max_norm), array_state)
+            adam_step(twin.parameters(), reference.clip(per_array, max_norm), array_state)
             twin.mark_updated()
             polyak_update(twin_target.parameters(), twin.parameters(), 0.1)
         assert np.array_equal(net.flat, twin.flat)
@@ -586,127 +568,66 @@ class TestFlatLayout:
                                    array_state.m + array_state.v))
 
 
-def reference_clip(grads, max_norm):
-    """The per-array clip: one sum of squares per array, added in order."""
-    norm = math.sqrt(sum(float(np.sum(np.square(g))) for g in grads))
-    if norm <= max_norm:
-        return list(grads)
-    return [g * (max_norm / norm) for g in grads]
-
-
 @pytest.mark.parametrize("config, episodes", [("bandit_oracle", 200), ("platform_desk", 60)])
 @pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
 def test_training_bytes_match_allocating_passes(tmp_path, monkeypatch, config, episodes,
                                                 algorithm):
-    """Training with the reused arrays writes the CSV that the allocating
-    forward and backward write, on whatever machine both run. Platform
+    """Training with working arrays reused from call to call writes the CSV
+    that passes allocating them anew at every forward write. Platform
     updates start after about 40 episodes for the slower-filling
     algorithms."""
-    calls = {"forward": 0, "deltas": 0}
+    take_input = nncore._LayerArrays.input
+    allocations = []
 
-    def counted_forward(net, batch):
-        calls["forward"] += 1
-        return allocating_forward(net, batch)
+    def fresh_input(self, n, width):
+        allocations.append(n)
+        self._allocate(padded_rows(n))
+        return take_input(self, n, width)
 
-    def counted_deltas(net, cache, upstream, input_grads=True):
-        calls["deltas"] += 1
-        return allocating_layer_deltas(net, cache, upstream, input_grads)
-
-    def allocate():
-        patch_everywhere(monkeypatch, nncore, "forward", counted_forward)
-        monkeypatch.setattr(nncore, "_layer_deltas", counted_deltas)
-
-    assert_training_bytes_unchanged(tmp_path, config, allocate, algorithm=algorithm,
-                                    episodes=episodes)
-    assert calls["forward"] > 0 and calls["deltas"] > 0
+    assert_training_bytes_unchanged(
+        tmp_path, config, lambda: monkeypatch.setattr(nncore._LayerArrays, "input", fresh_input),
+        algorithm=algorithm, episodes=episodes)
+    assert allocations
 
 
-def per_array(buffers, layouts):
-    """The per-parameter arrays a list of buffers of these layouts holds, in
-    order."""
-    return [a for b, layout in zip(buffers, layouts) for a in nncore._views(b, layout)]
-
-
-def per_array_adam_step(params, grads, state, layouts):
-    """Reference: Adam over each parameter array in turn, with fresh
-    temporaries."""
-    state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1**state.t
-    bc2 = 1.0 - b2**state.t
-    for p, g, m, v in zip(*(per_array(a, layouts) for a in (params, grads, state.m, state.v))):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * np.square(g)
-        p -= state.alpha * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-
-
-def per_array_clip(grads, max_norm, layouts):
-    """Reference: the clip over the per-parameter arrays, written back into
-    buffers."""
-    out = [np.empty_like(g) for g in grads]
-    for dst, src in zip(per_array(out, layouts),
-                        reference_clip(per_array(grads, layouts), max_norm)):
-        dst[...] = src
-    return out
-
-
-def per_array_polyak(targets, onlines, tau, layouts):
-    """Reference: Polyak averaging of each parameter array in turn."""
-    for t, o in zip(per_array(targets, layouts), per_array(onlines, layouts)):
-        t *= 1.0 - tau
-        t += tau * o
-
-
-PER_ARRAY_CASES = [
+@pytest.mark.parametrize("config, episodes, algorithm, mixed_targets", [
     *((config, episodes, algorithm, False)
       for config, episodes in (("bandit_oracle", 200), ("platform_desk", 60))
       for algorithm in harness.ALGORITHMS),
     ("platform_desk", 60, "pdqn-separate", True),
-]
-
-
-@pytest.mark.parametrize("config, episodes, algorithm, mixed_targets", PER_ARRAY_CASES)
+])
 def test_training_bytes_match_per_array_steps(tmp_path, monkeypatch, config, episodes,
                                               algorithm, mixed_targets):
-    """Adam, clipping and Polyak averaging over one buffer per network write
-    the training CSV and the checkpoint that the per-array steps write."""
-    calls = {}
+    """The agent's clip, Adam step and Polyak averaging over one buffer per
+    network write the training CSV and the checkpoint that the reference's
+    steps over each parameter array write."""
+    def per_array_step(self, nets, grads, opt):
+        def parts(buffers):
+            return [p for net, buffer in zip(nets, buffers) for p in net.parts(buffer)]
 
-    def counted(name, fn):
-        def call(*args):
-            calls[name] = calls.get(name, 0) + 1
-            return fn(*args)
-        return call
+        opt.t += 1
+        reference.adam([p for net in nets for p in net.parameters()],
+                       reference.clip(parts(grads), self.config.clip_grad), parts(opt.m),
+                       parts(opt.v), opt.t, opt.alpha, opt.beta1, opt.beta2, opt.eps)
+        for net in nets:
+            net.mark_updated()
 
-    layout = {}  # the id of a network's parameter buffer -> its layout
-
-    def recording_build_agent(*args):
-        agent = build_agent(*args)
-        for net in (*agent.qf.nets, *agent.qf_target.nets, agent.actor.net,
-                    agent.actor_target.net):
-            layout[id(net.flat)] = net.layout
-        return agent
-
-    build_agent = harness.build_agent
-    references = {
-        "adam_step": lambda params, grads, state: per_array_adam_step(
-            params, grads, state, [layout[id(p)] for p in params]),
-        "clip_grad_norm": per_array_clip,
-        "polyak_update": lambda targets, onlines, tau: per_array_polyak(
-            targets, onlines, tau, [layout[id(t)] for t in targets]),
-    }
+    def per_array_sync(self):
+        for targets, onlines, tau in (
+            (self.qf_target.nets, self.qf.nets, self.config.tau_q),
+            ([self.actor_target.net], [self.actor.net], self.config.tau_actor),
+        ):
+            for target, online in zip(targets, onlines):
+                reference.polyak(target.parameters(), online.parameters(), tau)
+                target.mark_updated()
 
     def per_array_steps():
-        monkeypatch.setattr(harness, "build_agent", recording_build_agent)
-        for name, reference in references.items():
-            patch_everywhere(monkeypatch, nncore, name, counted(name, reference))
+        monkeypatch.setattr(PDQNAgent, "_step", per_array_step)
+        monkeypatch.setattr(PDQNAgent, "sync_targets", per_array_sync)
 
     assert_training_bytes_unchanged(tmp_path, config, per_array_steps, ("csv", "checkpoint"),
                                     algorithm=algorithm, episodes=episodes,
                                     mixed_targets=mixed_targets)
-    assert set(calls) == set(references)
 
 
 class TestAdam:

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from pamdp.agent import AgentConfig, PDQNAgent, _stack_batch
 from pamdp.qfunction import ActionSpaceSpec
 from pamdp.replay import ReplayBuffer, Transition, finalize_episode
@@ -76,29 +79,22 @@ class TestRingBuffer:
         with pytest.raises(ValueError):
             buf.push(Transition(np.zeros(2), 0, np.array([2.0, 0.0]), 0.0, np.zeros(2), False))
 
+    @pytest.mark.parametrize("k", [1.5, 1.0, np.float64(0.0), "1", None])
+    def test_non_integral_index_rejected(self, k):
+        buf = ReplayBuffer(capacity=4, num_actions=2)
+        with pytest.raises(ValueError, match=re.escape(f"action index {k!r} is not an integer")):
+            buf.push(make_transition(0.0, k=k))
+        assert len(buf) == 0
+        for integer in (1, np.int64(1), np.int32(0)):
+            buf.push(make_transition(0.0, k=integer))
+        assert [t.k for t in buf.contents()] == [1, 1, 0]
+
 
 def random_transition(rng, mc_share=0.5):
     """Random row; its Monte Carlo return is set with probability mc_share."""
     mc = float(rng.normal()) if rng.random() < mc_share else None
     return Transition(rng.normal(size=3), int(rng.integers(2)), rng.uniform(-1, 1, 2),
                       float(rng.normal()), rng.normal(size=3), bool(rng.random() < 0.3), mc)
-
-
-class ObjectRing:
-    """The replay as a list of the pushed objects: append until full, then
-    overwrite the slot under a cursor, so slot i holds what row i holds."""
-
-    def __init__(self, capacity, transitions=()):
-        self.capacity, self.items, self.cursor = capacity, [], 0
-        for t in transitions:
-            self.push(t)
-
-    def push(self, t):
-        if len(self.items) < self.capacity:
-            self.items.append(t)
-        else:
-            self.items[self.cursor] = t
-            self.cursor = (self.cursor + 1) % self.capacity
 
 
 def assert_same_batch(a, b):
@@ -125,14 +121,14 @@ class TestSample:
         buf = ReplayBuffer(capacity)
         for t in pushed:
             buf.push(t)
-        ring = ObjectRing(capacity, pushed).items
+        ring = reference.ListRing(capacity, pushed)
         for seed in range(5):
             sample = buf.sample(257, np.random.default_rng(seed))
             assert _stack_batch(sample) is sample.arrays
             # the Transition views, restacked as a list
             assert_same_batch(sample.arrays, _stack_batch(list(sample)))
-            idx = np.random.default_rng(seed).integers(0, len(ring), 257)
-            assert_same_batch(sample.arrays, _stack_batch([ring[i] for i in idx]))
+            assert_same_batch(sample.arrays,
+                              _stack_batch(ring.sample(257, np.random.default_rng(seed))))
         # the views read a missing return back as None
         stored = [t.mc_return for t in buf.contents()]
         assert (None in stored) == (mc_share < 1)
@@ -186,21 +182,19 @@ class TestDimensionlessBuffer:
 def test_training_bytes_match_restacked_sampling(tmp_path, monkeypatch, config, episodes,
                                                  algorithm):
     """Training on the gathered rows writes the CSV that restacking the
-    pushed objects writes, drawn from a list ring with the same indices, on
-    whatever machine both run. Platform updates start after about 40
-    episodes for the slower-filling algorithms."""
+    pushed objects writes, drawn from the reference's list ring with the
+    same draws, on whatever machine both run. Platform updates start after
+    about 40 episodes for the slower-filling algorithms."""
     push = ReplayBuffer.push
 
     def push_and_keep(self, t):
         push(self, t)
-        self.__dict__.setdefault("objects", ObjectRing(self.capacity)).push(t)
+        self.__dict__.setdefault("objects", reference.ListRing(self.capacity)).push(t)
 
     def restacked_objects(self, rng):
-        buf = self.replay
-        if len(buf) < max(self.config.initial_fill, self.config.batch_size):
+        if len(self.replay) < max(self.config.initial_fill, self.config.batch_size):
             return None
-        idx = buf.sample_indices(self.config.batch_size, rng)
-        return _stack_batch([buf.objects.items[i] for i in idx])
+        return _stack_batch(self.replay.objects.sample(self.config.batch_size, rng))
 
     def restack():
         monkeypatch.setattr(ReplayBuffer, "push", push_and_keep)
