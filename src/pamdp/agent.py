@@ -25,7 +25,8 @@ value-gradient step and the bootstrap target are each written once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -68,6 +69,10 @@ class AgentConfig:
     beta_mix: float = 0.25
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         # gamma = 1 is allowed for undiscounted episodic use
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")

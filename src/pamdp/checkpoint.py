@@ -53,8 +53,8 @@ def _opt_arrays(prefix: str, opt, nets) -> list[tuple[str, np.ndarray]]:
 def _agent_arrays(agent) -> list[tuple[str, np.ndarray]]:
     arrays = []
     if isinstance(agent, PADDPGAgent):  # a PDQNAgent too; keeps its format-v1 names
-        arrays += _net_arrays("critic", agent.qf.net)
-        arrays += _net_arrays("critic_target", agent.qf_target.net)
+        arrays += _net_arrays("critic", agent.qf.nets[0])
+        arrays += _net_arrays("critic_target", agent.qf_target.nets[0])
     elif isinstance(agent, PDQNAgent):
         for i, net in enumerate(agent.qf.nets):
             arrays += _net_arrays(f"q/net{i}", net)

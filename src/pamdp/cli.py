@@ -88,6 +88,16 @@ def _cmd_diagnose(args):
         write_sensitivity_csv(sys.stdout, grid, table)
 
 
+def _at_least(minimum: int):
+    """An argparse type: an int no smaller than ``minimum``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pamdp")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -100,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="exploration-free evaluation of a checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--episodes", type=int, default=1000)
+    p.add_argument("--episodes", type=_at_least(1), default=1000)
     p.add_argument("--out", help="optional CSV path for per-episode results")
     p.set_defaults(func=_cmd_eval)
 
@@ -117,10 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="CSV of all Q-values while one action-parameter sweeps its range",
     )
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--state-index", type=int, default=0, dest="state_index")
+    p.add_argument("--state-index", type=_at_least(0), default=0, dest="state_index")
     p.add_argument("--action", type=int, required=True)
     p.add_argument("--coordinate", type=int, default=0)
-    p.add_argument("--points", type=int, default=101)
+    p.add_argument("--points", type=_at_least(1), default=101)
     p.add_argument("--use-target", action="store_true", dest="use_target")
     p.add_argument("--out", help="CSV path (default: stdout)")
     p.set_defaults(func=_cmd_diagnose)

@@ -22,7 +22,7 @@ scores 0 for the fatal step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -98,6 +98,10 @@ class PlatformConfig:
 
     def __post_init__(self):
         plats = tuple((float(a), float(b)) for a, b in self.platforms)
+        for f in fields(self):
+            value = plats if f.name == "platforms" else getattr(self, f.name)
+            if not np.isfinite(value).all():
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if len(plats) < 1 or any(a >= b for a, b in plats):
             raise ValueError("platforms must be non-empty intervals")
         for (_, b1), (a2, _) in zip(plats, plats[1:]):

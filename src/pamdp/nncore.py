@@ -349,18 +349,6 @@ class DenseNet:
             )
         return cls(layers)
 
-    def parameters(self) -> list[np.ndarray]:
-        """Live parameter arrays, ordered [W0, b0, W1, b1, ...]: views of
-        ``flat``."""
-        out = []
-        for layer in self.layers:
-            out.append(layer.weights)
-            out.append(layer.biases)
-        return out
-
-    def num_parameters(self) -> int:
-        return self.flat.size
-
     def parts(self, buffer: np.ndarray) -> list[np.ndarray]:
         """Per parameter array, in order, its view of a buffer laid out as ``flat``."""
         return _views(buffer, self.layout)
@@ -535,14 +523,15 @@ def backward(
 ) -> tuple[list[np.ndarray], np.ndarray | None]:
     """Exact gradients of ``sum(upstream * outputs)``.
 
-    Returns ``(param_grads, input_grads)`` where param_grads matches the
-    ordering of ``net.parameters()`` and input_grads has the batch's shape;
-    a caller that discards the input gradients passes ``input_grads=False``
-    and gets None in their place, without their GEMM. The parameter
-    gradients are views of one buffer laid out like ``net.flat``: ``out`` if
-    given, such as the network's :meth:`~DenseNet.gradient_buffer`, else a
-    new one. The cache must come from a :func:`forward` call on this exact
-    network with no parameter updates in between.
+    Returns ``(param_grads, input_grads)``: param_grads in the order of
+    ``net.layout``, ``[W0, b0, W1, b1, ...]``, and input_grads in the
+    batch's shape. A caller that discards the input gradients passes
+    ``input_grads=False`` and gets None in their place, without their GEMM.
+    The parameter gradients are views of one buffer laid out like
+    ``net.flat``: ``out`` if given, such as the network's
+    :meth:`~DenseNet.gradient_buffer`, else a new one. The cache must come
+    from a :func:`forward` call on this exact network with no parameter
+    updates in between.
     """
     dzs, input_grads = _layer_deltas(net, cache, upstream, input_grads)
     if net._grad is not None and out is net._grad[0]:
@@ -589,13 +578,12 @@ class AdamState:
     scratch: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray], alpha: float, **kwargs) -> "AdamState":
+    def for_params(cls, params: list[np.ndarray], alpha: float) -> "AdamState":
         return cls(
             m=[np.zeros_like(p) for p in params],
             v=[np.zeros_like(p) for p in params],
             t=0,
             alpha=alpha,
-            **kwargs,
         )
 
 

@@ -170,21 +170,6 @@ class QFunction:
             nets = [DenseNet.create(s + m, hidden, k, rng, activation, slope)]
         return cls(variant, space, nets)
 
-    @property
-    def net(self) -> DenseNet:
-        if len(self.nets) != 1:
-            raise ValueError(f"{self.variant} variant has one network per action")
-        return self.nets[0]
-
-    def parameters(self) -> list[np.ndarray]:
-        out = []
-        for net in self.nets:
-            out.extend(net.parameters())
-        return out
-
-    def num_parameters(self) -> int:
-        return sum(net.num_parameters() for net in self.nets)
-
     def copy(self) -> "QFunction":
         return QFunction(self.variant, self.space, [n.copy() for n in self.nets])
 

@@ -6,6 +6,8 @@ analytic gradient in the package: they only ever call the forward pass.
 
 import ctypes
 import glob
+import hashlib
+import json
 import os
 import sys
 from dataclasses import replace
@@ -80,7 +82,7 @@ def fd_input_grads(net, batch, upstream, h=1e-5):
 def fd_param_grads(net, batch, upstream, h=1e-5):
     """Central finite differences w.r.t. every weight and bias."""
     grads = []
-    for p in net.parameters():
+    for p in net.parts(net.flat):
         g = np.zeros_like(p)
         for idx in np.ndindex(p.shape):
             saved = p[idx]
@@ -167,15 +169,22 @@ def patch_everywhere(monkeypatch, module, name, replacement):
             monkeypatch.setattr(mod, name, replacement)
 
 
-def assert_training_bytes_unchanged(tmp_path, config, patch, kinds=("csv",), **overrides):
+def assert_training_bytes_unchanged(tmp_path_factory, config, patch, kinds=("csv",),
+                                    **overrides):
     """Train seed 0 of ``configs/<config>.conf`` with ``overrides``, call
     ``patch()``, and train it again: the first run must have made updates,
     and the second must write the same bytes for each artifact in
-    ``kinds``."""
+    ``kinds``. The first, unpatched run is trained once per session, in a
+    directory named by a digest of its whole ``RunConfig``; later calls with
+    the same config read it there."""
     cfg = replace(harness.load_config(str(CONFIGS / f"{config}.conf")), seeds=(0,), **overrides)
-    first = harness.train_seed(cfg, 0, str(tmp_path / "first"))
+    key = hashlib.sha256(repr(cfg).encode()).hexdigest()[:16]
+    done = tmp_path_factory.getbasetemp() / "unpatched" / key / "paths.json"
+    if not done.exists():
+        done.write_text(json.dumps(harness.train_seed(cfg, 0, str(done.parent))))
+    first = json.loads(done.read_text())
     assert any(r["q_loss"] != "nan" for r in harness.read_csv(first["csv"])), "no update ran"
     patch()
-    second = harness.train_seed(cfg, 0, str(tmp_path / "second"))
+    second = harness.train_seed(cfg, 0, str(tmp_path_factory.mktemp("patched")))
     for kind in kinds:
         assert Path(second[kind]).read_bytes() == Path(first[kind]).read_bytes(), kind

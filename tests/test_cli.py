@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -152,3 +150,17 @@ class TestSweepCommands:
         main(["sweep-report", "--dir", str(tmp_path / "sweep")])
         out = capsys.readouterr().out
         assert "#1" in out and "#2" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["diagnose-sensitivity", "--action", "0", "--state-index", "-1"],
+    ["diagnose-sensitivity", "--action", "0", "--points", "0"],
+    ["eval", "--episodes", "0"],
+], ids=["state-index", "points", "episodes"])
+def test_count_below_its_least_value_rejected(argv, capsys):
+    # each value is one below its least; the check runs as the arguments
+    # parse, before any checkpoint is read
+    with pytest.raises(SystemExit):
+        main([*argv, "--checkpoint", "missing.ckpt"])
+    least = int(argv[-1]) + 1
+    assert f"argument {argv[-2]}: must be at least {least}" in capsys.readouterr().err

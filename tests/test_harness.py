@@ -95,6 +95,11 @@ class TestSummarize:
         assert format_summary(0.9871, 0.0391) == "0.987 ± 0.039"
 
 
+# each parses as a float; only the config's finiteness check keeps it from training
+NON_FINITE = [("lr_q", "nan"), ("lr_actor", "inf"), ("clip_grad", "inf"), ("ou_sigma", "nan"),
+              ("ou_dt", "nan"), ("leaky_slope", "nan")]
+
+
 class TestConfigParsing:
     def test_round_trip_of_known_keys(self):
         cfg = parse_config_text(BANDIT_CFG)
@@ -202,7 +207,9 @@ class TestConfigParsing:
     @pytest.mark.parametrize("text, message", [
         ("env = bandit\nplatform.length = 50\n", "bandit takes no overrides"),
         ("env = platform\nplatform.length = 50\n", "platforms must span"),
-    ], ids=["bandit", "platform-ending-past-length"])
+        ("platform.run_law = 3,nan\n", r"run_law must be finite, got \(3.0, nan\)"),
+        ("platform.enemy_speed = nan\n", "enemy_speed must be finite"),
+    ], ids=["bandit", "platform-ending-past-length", "nan-law", "nan-enemy-speed"])
     def test_overrides_that_build_no_env_rejected_at_load(self, text, message):
         with pytest.raises(ValueError, match=message):
             parse_config_text(text)
@@ -216,8 +223,11 @@ class TestConfigParsing:
         ("env = bandit\nplatform.length = 50\n", "line 2: bandit takes no overrides"),
         ("platform.enemy_speed = 0.5\n# the env\nenv = bandit\n", "line 3: bandit takes no overrides"),
         ("env = platform\nplatform.length = 50\n", "line 2: platforms must span"),
+        *((f"episodes = 5\n{key} = {value}\n", f"line 2: {key} must be finite, got {value}")
+          for key, value in NON_FINITE),
     ], ids=["range", "cross-key", "cross-key-mended", "first-of-two", "bandit",
-            "bandit-after-override", "platform-ending-past-length"])
+            "bandit-after-override", "platform-ending-past-length",
+            *(f"{key}-{value}" for key, value in NON_FINITE)])
     def test_config_that_builds_nothing_names_its_line(self, text, message):
         """The blamed line is the first after which the lines read so far
         build no config, and the message is the error they give."""
@@ -449,10 +459,9 @@ class TestCheckpointRoundTrip:
         save_checkpoint(path, agent, "pdqn-multipass", "bandit", {},
                         meta={"seed": 7}, rng_state=rng.bit_generator.state)
         loaded, header = load_checkpoint(path)
-        for p, q in zip(agent.qf.parameters(), loaded.qf.parameters()):
-            assert (p == q).all()
-        for p, q in zip(agent.actor.net.parameters(), loaded.actor.net.parameters()):
-            assert (p == q).all()
+        for net, twin in zip([*agent.qf.nets, agent.actor.net],
+                             [*loaded.qf.nets, loaded.actor.net]):
+            assert (net.flat == twin.flat).all()
         assert loaded.q_opt.t == agent.q_opt.t
         s = rng.standard_normal(2)
         x = rng.uniform(-1, 1, 2)

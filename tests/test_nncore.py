@@ -253,7 +253,7 @@ class TestBackward:
         net, batch = make_safe_net(3, (4,), 2, seed=5)
         _, cache = forward(net, batch)
         state = AdamState.for_params([net.flat], alpha=0.01)
-        grads = [np.ones_like(p) for p in net.parameters()]
+        grads = [np.ones(shape) for shape in net.layout]
         adam_step_net(net, grads, state)
         for grad_fn in (backward, input_gradient):
             with pytest.raises(ValueError, match="stale"):
@@ -439,6 +439,11 @@ def address(a):
     return a.__array_interface__["data"][0]
 
 
+def held(net):
+    """The arrays the network's layers hold, [W0, b0, W1, b1, ...]."""
+    return [a for layer in net.layers for a in (layer.weights, layer.biases)]
+
+
 def assert_back_to_back(arrays, buffer=None):
     """The arrays are C-contiguous and follow each other in memory; with a
     `buffer`, they are views filling it in order."""
@@ -456,9 +461,8 @@ class TestFlatLayout:
 
     def test_parameters_and_gradients_view_one_buffer(self):
         net, batch = make_safe_net(3, (4, 5), 2, seed=9)
-        assert_back_to_back(net.parameters(), net.flat)
-        assert net.layout == tuple(p.shape for p in net.parameters())
-        assert net.num_parameters() == net.flat.size
+        assert_back_to_back(held(net), net.flat)
+        assert net.layout == tuple(p.shape for p in held(net))
         _, cache = forward(net, batch)
         upstream = np.ones((batch.shape[0], 2))
         grads, _ = backward(net, cache, upstream)
@@ -493,7 +497,7 @@ class TestFlatLayout:
         twin = net.copy()
         assert not np.shares_memory(twin.flat, net.flat)
         assert np.array_equal(twin.flat, net.flat) and twin.layout == net.layout
-        assert_back_to_back(twin.parameters(), twin.flat)
+        assert_back_to_back(held(twin), twin.flat)
         net.flat += 1.0
         assert not np.array_equal(twin.flat, net.flat)
 
@@ -507,7 +511,7 @@ class TestFlatLayout:
             assert np.array_equal(copied.flat, original.flat)
             assert copied.layout == original.layout
             assert not np.shares_memory(copied.flat, original.flat)
-            assert_back_to_back(copied.parameters(), copied.flat)
+            assert_back_to_back(held(copied), copied.flat)
         # the copies share working arrays as the originals do
         assert twin._arrays is twin_target._arrays and twin._arrays is not net._arrays
         twin.flat[:] = 0.0
@@ -545,7 +549,7 @@ class TestFlatLayout:
         upstream = np.random.default_rng(17).standard_normal((batch.shape[0], 2))
         target, twin, twin_target = net.copy(), net.copy(), net.copy()
         flat_state = AdamState.for_params([net.flat], alpha=0.01)
-        array_state = AdamState.for_params(twin.parameters(), alpha=0.01)
+        array_state = AdamState.for_params(held(twin), alpha=0.01)
         for step in range(3):
             _, cache = forward(net, batch)
             grads = np.empty_like(net.flat)
@@ -558,9 +562,9 @@ class TestFlatLayout:
 
             _, cache = forward(twin, batch)
             per_array, _ = backward(twin, cache, upstream)
-            adam_step(twin.parameters(), reference.clip(per_array, max_norm), array_state)
+            adam_step(held(twin), reference.clip(per_array, max_norm), array_state)
             twin.mark_updated()
-            polyak_update(twin_target.parameters(), twin.parameters(), 0.1)
+            polyak_update(held(twin_target), held(twin), 0.1)
         assert np.array_equal(net.flat, twin.flat)
         assert np.array_equal(target.flat, twin_target.flat)
         assert all(np.array_equal(m, a)
@@ -570,8 +574,8 @@ class TestFlatLayout:
 
 @pytest.mark.parametrize("config, episodes", [("bandit_oracle", 200), ("platform_desk", 60)])
 @pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
-def test_training_bytes_match_allocating_passes(tmp_path, monkeypatch, config, episodes,
-                                                algorithm):
+def test_training_bytes_match_allocating_passes(tmp_path_factory, monkeypatch, config,
+                                                episodes, algorithm):
     """Training with working arrays reused from call to call writes the CSV
     that passes allocating them anew at every forward write. Platform
     updates start after about 40 episodes for the slower-filling
@@ -585,7 +589,8 @@ def test_training_bytes_match_allocating_passes(tmp_path, monkeypatch, config, e
         return take_input(self, n, width)
 
     assert_training_bytes_unchanged(
-        tmp_path, config, lambda: monkeypatch.setattr(nncore._LayerArrays, "input", fresh_input),
+        tmp_path_factory, config,
+        lambda: monkeypatch.setattr(nncore._LayerArrays, "input", fresh_input),
         algorithm=algorithm, episodes=episodes)
     assert allocations
 
@@ -596,8 +601,8 @@ def test_training_bytes_match_allocating_passes(tmp_path, monkeypatch, config, e
       for algorithm in harness.ALGORITHMS),
     ("platform_desk", 60, "pdqn-separate", True),
 ])
-def test_training_bytes_match_per_array_steps(tmp_path, monkeypatch, config, episodes,
-                                              algorithm, mixed_targets):
+def test_training_bytes_match_per_array_steps(tmp_path_factory, monkeypatch, config,
+                                              episodes, algorithm, mixed_targets):
     """The agent's clip, Adam step and Polyak averaging over one buffer per
     network write the training CSV and the checkpoint that the reference's
     steps over each parameter array write."""
@@ -606,7 +611,7 @@ def test_training_bytes_match_per_array_steps(tmp_path, monkeypatch, config, epi
             return [p for net, buffer in zip(nets, buffers) for p in net.parts(buffer)]
 
         opt.t += 1
-        reference.adam([p for net in nets for p in net.parameters()],
+        reference.adam(parts([net.flat for net in nets]),
                        reference.clip(parts(grads), self.config.clip_grad), parts(opt.m),
                        parts(opt.v), opt.t, opt.alpha, opt.beta1, opt.beta2, opt.eps)
         for net in nets:
@@ -618,14 +623,15 @@ def test_training_bytes_match_per_array_steps(tmp_path, monkeypatch, config, epi
             ([self.actor_target.net], [self.actor.net], self.config.tau_actor),
         ):
             for target, online in zip(targets, onlines):
-                reference.polyak(target.parameters(), online.parameters(), tau)
+                reference.polyak(held(target), held(online), tau)
                 target.mark_updated()
 
     def per_array_steps():
         monkeypatch.setattr(PDQNAgent, "_step", per_array_step)
         monkeypatch.setattr(PDQNAgent, "sync_targets", per_array_sync)
 
-    assert_training_bytes_unchanged(tmp_path, config, per_array_steps, ("csv", "checkpoint"),
+    assert_training_bytes_unchanged(tmp_path_factory, config, per_array_steps,
+                                    ("csv", "checkpoint"),
                                     algorithm=algorithm, episodes=episodes,
                                     mixed_targets=mixed_targets)
 

@@ -17,7 +17,7 @@ from pamdp.qfunction import (
     q_separate,
     sum_q_gradient,
 )
-from conftest import fd_scalar_grad, make_safe_net, relative_error
+from conftest import fd_scalar_grad, relative_error
 
 SPACE = ActionSpaceSpec(state_dim=4, param_dims=(1, 2, 1))
 
@@ -59,9 +59,9 @@ class TestActionSpaceSpec:
 class TestJoint:
     def test_zero_weight_network_returns_biases(self):
         qf = make_qf(JOINT)
-        for layer in qf.net.layers:
+        for layer in qf.nets[0].layers:
             layer.weights[:] = 0.0
-        qf.net.layers[-1].biases[:] = [1.0, 2.0, 3.0]
+        qf.nets[0].layers[-1].biases[:] = [1.0, 2.0, 3.0]
         s, x = random_point(SPACE, 1)
         assert np.allclose(q_joint(qf, s, x), [1.0, 2.0, 3.0])
 
@@ -102,7 +102,7 @@ class TestMultipass:
             batched = q_multipass(qf, s, x)
             for k in range(SPACE.num_actions):
                 row = np.concatenate([s, basis_mask(SPACE, x, k)])
-                single = forward(qf.net, row[None, :])[0][0, k]
+                single = forward(qf.nets[0], row[None, :])[0][0, k]
                 assert abs(batched[k] - single) <= 1e-9
 
     def test_unrelated_parameter_exactly_ignored(self):
@@ -190,9 +190,8 @@ class TestSeparate:
         # closed form: joint (12->128->3), separate 3 x (10->128->1)
         expected_joint = 12 * 128 + 128 + 128 * 3 + 3
         expected_sep = 3 * (10 * 128 + 128 + 128 * 1 + 1)
-        assert joint.num_parameters() == expected_joint
-        assert sep.num_parameters() == expected_sep
-        assert sep.num_parameters() > joint.num_parameters()
+        assert sum(net.flat.size for net in joint.nets) == expected_joint
+        assert sum(net.flat.size for net in sep.nets) == expected_sep > expected_joint
 
 
 class TestCrossGradientMatrix:

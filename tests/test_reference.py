@@ -28,13 +28,13 @@ def relative_difference(got, want) -> float:
     return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
 
 
-def random_agent(rng, algorithm, param_dims, state_dim, hidden, activation, mixed, clip):
-    """An agent with every array of its checkpoint drawn at random, bounds
-    of random widths, and random Adam step counts."""
+def random_agent(rng, algorithm, param_dims, state_dim, **config):
+    """An agent of ``AgentConfig(**config)`` with every array of its
+    checkpoint drawn at random, bounds of random widths, and random Adam
+    step counts."""
     lows = rng.uniform(-2.0, 1.0, sum(param_dims))
     bounds = np.column_stack([lows, lows + rng.uniform(0.5, 2.0, len(lows))])
-    config = AgentConfig(hidden=hidden, activation=activation, mixed_targets=mixed,
-                         clip_grad=clip, tau_q=0.3, tau_actor=0.2, lr_q=0.01, lr_actor=0.01)
+    config = AgentConfig(tau_q=0.3, tau_actor=0.2, lr_q=0.01, lr_actor=0.01, **config)
     agent = make_agent(algorithm, ActionSpaceSpec(state_dim, param_dims, bounds), config, rng)
     for name, a in _agent_arrays(agent):
         if "_opt/v" in name:
@@ -65,7 +65,7 @@ def random_batch(rng, agent, rows, executed, terminal_share):
     seed=st.integers(0, 2**32 - 1),
     param_dims=st.lists(st.integers(1, 3), min_size=1, max_size=4),
     state_dim=st.integers(1, 4),
-    hidden=st.lists(st.integers(1, 9), min_size=1, max_size=2).map(tuple),
+    hidden=st.lists(st.integers(1, 9), max_size=2).map(tuple),
     activation=st.sampled_from(["relu", "leaky_relu"]),
     rows=st.integers(1, 130),
     data=st.data(),
@@ -73,12 +73,16 @@ def random_batch(rng, agent, rows, executed, terminal_share):
 def test_update_matches_reference(algorithm, seed, param_dims, state_dim, hidden, activation,
                                   rows, data):
     rng = np.random.default_rng(seed)
-    mixed = data.draw(st.booleans(), "mixed targets")
-    clip = data.draw(st.sampled_from([0.05, 1.0, 100.0]), "clip norm")
+    config = dict(
+        hidden=hidden, activation=activation,
+        mixed_targets=data.draw(st.booleans(), "mixed targets"),
+        clip_grad=data.draw(st.sampled_from([0.05, 1.0, 100.0]), "clip norm"),
+        gamma=data.draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]), "gamma"),
+        beta_mix=data.draw(st.sampled_from([0.0, 0.25, 1.0]), "beta_mix"),
+    )
     executed = data.draw(st.integers(1, len(param_dims)), "actions executed")
     terminal_share = data.draw(st.sampled_from([0.0, 0.5, 1.0]), "terminal share")
-    agent = random_agent(rng, algorithm, tuple(param_dims), state_dim, hidden, activation,
-                         mixed, clip)
+    agent = random_agent(rng, algorithm, tuple(param_dims), state_dim, **config)
     batch = random_batch(rng, agent, rows, executed, terminal_share)
     slow = reference.Agent(agent, algorithm)
 

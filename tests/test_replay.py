@@ -179,8 +179,8 @@ class TestDimensionlessBuffer:
 
 @pytest.mark.parametrize("config, episodes", [("bandit_oracle", 200), ("platform_desk", 60)])
 @pytest.mark.parametrize("algorithm", ["pdqn-multipass", "pdqn-joint", "pdqn-separate", "paddpg"])
-def test_training_bytes_match_restacked_sampling(tmp_path, monkeypatch, config, episodes,
-                                                 algorithm):
+def test_training_bytes_match_restacked_sampling(tmp_path_factory, monkeypatch, config,
+                                                 episodes, algorithm):
     """Training on the gathered rows writes the CSV that restacking the
     pushed objects writes, drawn from the reference's list ring with the
     same draws, on whatever machine both run. Platform updates start after
@@ -200,7 +200,7 @@ def test_training_bytes_match_restacked_sampling(tmp_path, monkeypatch, config, 
         monkeypatch.setattr(ReplayBuffer, "push", push_and_keep)
         monkeypatch.setattr(PDQNAgent, "_sample_batch", restacked_objects)
 
-    assert_training_bytes_unchanged(tmp_path, config, restack, algorithm=algorithm,
+    assert_training_bytes_unchanged(tmp_path_factory, config, restack, algorithm=algorithm,
                                     episodes=episodes)
 
 
