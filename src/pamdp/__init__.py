@@ -11,7 +11,7 @@ from .agent import AgentConfig, PADDPGAgent, ParameterisedAction, PDQNAgent
 from .envs import ChainPAMDP, ParamBandit, Platform, PlatformConfig, make_env, oracle_q
 from .harness import RunConfig, load_config, smooth, summarize, sweep, train
 from .nncore import AdamState, DenseNet, Layer, adam_step, backward, clip_grad_norm, forward, he_init, input_gradient, polyak_update
-from .policy import Actor, EpsilonSchedule, OUNoise, Passthrough, invert_gradients
+from .policy import Actor, EpsilonSchedule, OUNoise, invert_gradients
 from .qfunction import (
     ActionSpaceSpec,
     QFunction,

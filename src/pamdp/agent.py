@@ -32,7 +32,7 @@ import numpy as np
 
 from . import nncore
 from .nncore import AdamState, DenseNet, backward, clip_grad_norm, forward
-from .policy import Actor, EpsilonSchedule, OUNoise, Passthrough, invert_gradients
+from .policy import Actor, EpsilonSchedule, OUNoise, invert_gradients
 from .qfunction import JOINT, ActionSpaceSpec, QFunction, sum_q_gradient
 from .replay import ReplayBuffer, Transition, _stack_batch
 
@@ -89,6 +89,11 @@ class AgentConfig:
         if not 0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0:
             raise ValueError("epsilon schedule must satisfy 0 <= end <= start <= 1")
         self.hidden = tuple(int(h) for h in self.hidden)
+        if min(self.hidden, default=1) < 1:
+            raise ValueError(f"hidden layer widths must be >= 1, got {self.hidden}")
+        if self.activation not in nncore.ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.activation!r}")
+        OUNoise(1, self.ou_theta, self.ou_sigma, self.ou_mu, self.ou_dt)  # its parameter check
 
 
 @dataclass
@@ -143,7 +148,6 @@ class PDQNAgent:
         variant: str,
         config: AgentConfig,
         rng: np.random.Generator,
-        passthrough: Passthrough | None = None,
     ):
         self.space = space
         self.config = config
@@ -158,7 +162,7 @@ class PDQNAgent:
         actor_net = DenseNet.create(
             sd, config.hidden, dim, rng, config.activation, config.leaky_slope
         )
-        self.actor = Actor(actor_net, self.bounds, passthrough)
+        self.actor = Actor(actor_net, self.bounds)
         self.actor_target = self.actor.copy()
         self.q_opt = AdamState.for_params([n.flat for n in self.qf.nets], config.lr_q)
         self.actor_opt = AdamState.for_params([actor_net.flat], config.lr_actor)
@@ -352,21 +356,8 @@ class PADDPGAgent(PDQNAgent):
     actor step and the bootstrap target are P-DQN's.
     """
 
-    def __init__(
-        self,
-        space: ActionSpaceSpec,
-        config: AgentConfig,
-        rng: np.random.Generator,
-        passthrough: Passthrough | None = None,
-    ):
-        k, m, sd = space.num_actions, space.joint_dim, space.state_dim
-        if passthrough is not None and passthrough.weights.shape == (sd, m):
-            # parameter-only passthrough: pad with zero rows for the K scores
-            passthrough = Passthrough(
-                np.hstack([np.zeros((sd, k)), passthrough.weights]),
-                np.concatenate([np.zeros(k), passthrough.bias]),
-            )
-        super().__init__(space, JOINT, config, rng, passthrough)
+    def __init__(self, space: ActionSpaceSpec, config: AgentConfig, rng: np.random.Generator):
+        super().__init__(space, JOINT, config, rng)
 
     def _q_space(self) -> ActionSpaceSpec:
         """One action over K selection scores in [-1, 1] ++ the joint vector."""
@@ -402,11 +393,10 @@ def make_agent(
     space: ActionSpaceSpec,
     config: AgentConfig,
     rng: np.random.Generator,
-    passthrough: Passthrough | None = None,
 ):
     """The agent an algorithm id names: ``paddpg`` or ``pdqn-<variant>``."""
     if algorithm == "paddpg":
-        return PADDPGAgent(space, config, rng, passthrough)
+        return PADDPGAgent(space, config, rng)
     if algorithm.startswith("pdqn-"):
-        return PDQNAgent(space, algorithm.removeprefix("pdqn-"), config, rng, passthrough)
+        return PDQNAgent(space, algorithm.removeprefix("pdqn-"), config, rng)
     raise ValueError(f"unknown algorithm {algorithm!r}")

@@ -23,12 +23,14 @@ from dataclasses import asdict
 import numpy as np
 
 from .agent import AgentConfig, PADDPGAgent, PDQNAgent, make_agent
-from .policy import Passthrough
 from .qfunction import ActionSpaceSpec
 
 MAGIC = b"PAQC"
 FORMAT_VERSION = 1
 HEADER_START = 16  # magic, version and header length come first
+# earlier writers of format v1 appended the actor's fixed passthrough map as
+# this pair; no agent applies one now, so the loader reads it only as zeros
+PASSTHROUGH = ("passthrough/weights", "passthrough/bias")
 
 
 def _net_arrays(prefix: str, net) -> list[tuple[str, np.ndarray]]:
@@ -66,9 +68,6 @@ def _agent_arrays(agent) -> list[tuple[str, np.ndarray]]:
     arrays += _net_arrays("actor_target", agent.actor_target.net)
     arrays += _opt_arrays("q_opt", agent.q_opt, agent.qf.nets)
     arrays += _opt_arrays("actor_opt", agent.actor_opt, [agent.actor.net])
-    if agent.actor.passthrough is not None:
-        arrays.append(("passthrough/weights", agent.actor.passthrough.weights))
-        arrays.append(("passthrough/bias", agent.actor.passthrough.bias))
     return arrays
 
 
@@ -134,10 +133,11 @@ def load_checkpoint(path):
     """Rebuild the agent. Returns (agent, header dict).
 
     A file that is not a readable checkpoint, or whose payload holds a
-    non-finite value or a negative Adam second moment, raises ValueError
-    naming the path and the byte offset where reading failed; a readable
-    header that does not rebuild an agent raises ValueError naming the path
-    and the header field.
+    non-finite value, a negative Adam second moment or a nonzero value in
+    an earlier writer's passthrough pair, raises ValueError naming the path
+    and the byte offset where reading failed; a readable header that does
+    not rebuild an agent raises ValueError naming the path and the header
+    field.
     """
     with open(path, "rb") as fh:
         data = memoryview(fh.read())
@@ -159,6 +159,11 @@ def load_checkpoint(path):
             raise ValueError(f"corrupt checkpoint {path}: array {name} holds "
                              f"{float(src[fault])} at byte offset {offset + 8 * fault}; "
                              f"values must be finite, Adam second moments >= 0")
+        if name in PASSTHROUGH and np.logical_or.reduce(src):
+            at = int(np.flatnonzero(src)[0])
+            raise ValueError(f"checkpoint {path}: array {name} holds {float(src[at])} at byte "
+                             f"offset {offset + 8 * at}; this version applies no actor "
+                             f"passthrough, so the pair must be all zero")
         offset += count
         dst[...] = src.reshape(dst.shape)
     if offset != len(data):
@@ -190,19 +195,15 @@ def _rebuild(header: dict, path):
         )
         field = "config"
         config = AgentConfig(**header["config"])
-        field = "arrays"
-        shapes = {e["name"]: tuple(e["shape"]) for e in header["arrays"]}
-        passthrough = None
-        if "passthrough/weights" in shapes:
-            passthrough = Passthrough(
-                np.zeros(shapes["passthrough/weights"]), np.zeros(shapes["passthrough/bias"])
-            )
         field = "algorithm"
         # placeholder weights and draws: the payload overwrites every array
-        agent = make_agent(header["algorithm"], space, config, np.random.default_rng(0),
-                           passthrough)
+        agent = make_agent(header["algorithm"], space, config, np.random.default_rng(0))
         field = "arrays"
         arrays = _agent_arrays(agent)
+        if any(e["name"] in PASSTHROUGH for e in header["arrays"]):
+            net = agent.actor.net
+            arrays += [(PASSTHROUGH[0], np.zeros((net.input_dim, net.output_dim))),
+                       (PASSTHROUGH[1], np.zeros(net.output_dim))]
         if [(n, list(a.shape)) for n, a in arrays] != [
             (e["name"], list(e["shape"])) for e in header["arrays"]
         ]:

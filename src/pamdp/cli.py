@@ -67,6 +67,14 @@ def _cmd_diagnose(args):
             f"the sensitivity sweep needs a P-DQN checkpoint; {args.checkpoint} holds "
             f"a {header['algorithm']} agent"
         )
+    num_actions = agent.space.num_actions
+    if not 0 <= args.action < num_actions:
+        raise SystemExit(f"--action must lie in [0, {num_actions}) for {args.checkpoint}, "
+                         f"got {args.action}")
+    width = agent.space.param_dims[args.action]
+    if not 0 <= args.coordinate < width:
+        raise SystemExit(f"--coordinate must lie in [0, {width}) for action {args.action} "
+                         f"of {args.checkpoint}, got {args.coordinate}")
     env = make_env(header["env_id"], header["env_overrides"])
     # one step past the index, so the probed state is the first of a transition
     _, transitions, _ = harness.run_episode(

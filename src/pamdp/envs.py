@@ -26,14 +26,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .policy import Passthrough
 from .qfunction import ActionSpaceSpec, action_index
 
 
 class Env:
     """reset/step interface with a terminal guard and the action checks.
 
-    A subclass implements ``_reset(seed)`` and ``_step(k, x)``, where ``x``
+    A subclass implements ``_reset()`` and ``_step(k, x)``, where ``x``
     is action k's parameter block as a list of Python floats that passed
     every check.
     """
@@ -47,9 +46,9 @@ class Env:
         )
         self._terminal = True
 
-    def reset(self, seed: int | None = None) -> np.ndarray:
+    def reset(self) -> np.ndarray:
         self._terminal = False
-        return self._reset(seed)
+        return self._reset()
 
     def step(self, k: int, x_k: np.ndarray) -> tuple[np.ndarray, float, bool]:
         if self._terminal:
@@ -71,7 +70,7 @@ class Env:
         self._terminal = bool(terminal)
         return state, float(reward), self._terminal
 
-    def _reset(self, seed):
+    def _reset(self):
         raise NotImplementedError
 
     def _step(self, k, x):
@@ -184,7 +183,7 @@ class Platform(Env):
         self._platform = 0
         self._enemies: list[list[float]] = []  # [position, direction] per patrol
 
-    def _reset(self, seed):
+    def _reset(self):
         self._agent_x = 0.0
         self._last_disp = 0.0
         self._platform = 0
@@ -272,11 +271,6 @@ class Platform(Env):
         ])
 
 
-def platform_default_passthrough(spec: ActionSpaceSpec) -> Passthrough:
-    """Initial parameter policy for Platform: constant mid-range (0 scaled)."""
-    return Passthrough.zeros(spec.state_dim, spec.joint_dim)
-
-
 class ParamBandit(Env):
     """One-step, two-action bandit with quadratic parameter payoffs.
 
@@ -289,7 +283,7 @@ class ParamBandit(Env):
     def __init__(self):
         super().__init__(ActionSpaceSpec(state_dim=1, param_dims=(1, 1)))
 
-    def _reset(self, seed):
+    def _reset(self):
         return np.zeros(1)
 
     def reward(self, k: int, x: float) -> float:
@@ -321,7 +315,7 @@ class ChainPAMDP(Env):
         s[self._pos] = 1.0
         return s
 
-    def _reset(self, seed):
+    def _reset(self):
         self._pos = 0
         return self._encode()
 

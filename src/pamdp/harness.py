@@ -26,7 +26,7 @@ import numpy as np
 
 from .agent import AgentConfig, make_agent
 from .checkpoint import load_checkpoint, save_checkpoint
-from .envs import PlatformConfig, make_env, platform_default_passthrough
+from .envs import PlatformConfig, make_env
 from .replay import Transition, finalize_episode
 
 ALGORITHMS = ("pdqn-joint", "pdqn-separate", "pdqn-multipass", "paddpg")
@@ -182,8 +182,7 @@ def seed_stream(seed: int) -> np.random.Generator:
 
 
 def build_agent(cfg: RunConfig, space, rng: np.random.Generator):
-    passthrough = platform_default_passthrough(space) if cfg.env == "platform" else None
-    return make_agent(cfg.algorithm, space, cfg.agent_config(), rng, passthrough)
+    return make_agent(cfg.algorithm, space, cfg.agent_config(), rng)
 
 
 def csv_line(values) -> str:
@@ -342,11 +341,9 @@ def smooth(series, window: int):
     if window < 1:
         raise ValueError("window must be >= 1")
     csum = np.concatenate([[0.0], np.cumsum(series)])
-    out = np.empty_like(series)
-    for i in range(series.size):
-        lo = max(0, i - window + 1)
-        out[i] = (csum[i + 1] - csum[lo]) / (i + 1 - lo)
-    return out
+    end = np.arange(1, series.size + 1)
+    start = np.maximum(end - min(window, series.size), 0)  # no int64 overflow
+    return (csum[end] - csum[start]) / (end - start)
 
 
 def evaluate_checkpoint(ckpt_path: str, episodes: int, out_csv: str | None = None,

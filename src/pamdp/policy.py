@@ -7,15 +7,6 @@ remaining headroom toward the bound it pushes against, so saturated
 dimensions stop moving outward but can always move back in). The clamp is
 ``Actor.clamp``, against the lower and upper bounds as two contiguous arrays
 that the actor stores once; greedy and exploring actions both go through it.
-
-An optional passthrough term adds a fixed affine map of the state to the
-network output before clamping, encoding an initial parameter policy. It is
-a one-layer linear ``DenseNet`` run by ``nncore.forward``, so, like the
-actor network, it is batch-invariant: a row's output bits do not depend on
-the batch around it. Its weights never change after construction, except
-that a checkpoint load fills them in place. An all-zero passthrough, such as
-Platform's, adds nothing and is skipped; that is checked on every call, not
-recorded once, so a loaded passthrough is seen.
 """
 
 from __future__ import annotations
@@ -24,53 +15,18 @@ import math
 
 import numpy as np
 
-from .nncore import DenseNet, ForwardCache, Layer, float_rows, forward
-
-
-class Passthrough:
-    """Fixed affine state -> output map added to the actor network output:
-    ``net``, one linear layer. ``weights`` and ``bias`` are views of its
-    parameters, which a checkpoint load fills in place."""
-
-    def __init__(self, weights: np.ndarray, bias: np.ndarray):
-        self.net = DenseNet([Layer(weights, bias)])
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.net.layers[0].weights
-
-    @property
-    def bias(self) -> np.ndarray:
-        return self.net.layers[0].biases
-
-    @classmethod
-    def zeros(cls, state_dim: int, out_dim: int) -> "Passthrough":
-        return cls(np.zeros((state_dim, out_dim)), np.zeros(out_dim))
-
-    def is_zero(self) -> bool:
-        # np.count_nonzero's test, without its Python-level dispatch
-        return not np.logical_or.reduce(self.net.flat)
-
-    def apply(self, states: np.ndarray) -> np.ndarray:
-        """``states @ weights + bias``, computed as ``nncore.forward``
-        computes any layer."""
-        return forward(self.net, states)[0]
+from .nncore import DenseNet, ForwardCache, float_rows, forward
 
 
 class Actor:
     """state -> bounded joint parameter vector."""
 
-    def __init__(self, net: DenseNet, bounds: np.ndarray, passthrough: Passthrough | None = None):
+    def __init__(self, net: DenseNet, bounds: np.ndarray):
         bounds = np.asarray(bounds, dtype=np.float64)
         if bounds.shape != (net.output_dim, 2):
             raise ValueError(f"bounds must be ({net.output_dim}, 2), got {bounds.shape}")
-        if passthrough is not None and (
-            passthrough.weights.shape != (net.input_dim, net.output_dim)
-        ):
-            raise ValueError("passthrough shape does not match the actor network")
         self.net = net
         self.bounds = bounds
-        self.passthrough = passthrough
         # the clamp's bounds, contiguous
         self._lo, self._hi = bounds[:, 0].copy(), bounds[:, 1].copy()
 
@@ -90,15 +46,12 @@ class Actor:
         The clamp is treated as pass-through during updates; bounding of the
         learning signal is the job of invert_gradients.
         """
-        states = float_rows(states)
-        out, cache = forward(self.net, states)
-        pt = self.passthrough
+        out, cache = forward(self.net, float_rows(states))
         # ``out`` is the cache's last pre-activation; the clamp writes a new array
-        raw = out if pt is None or pt.is_zero() else out + pt.apply(states)
-        return self.clamp(raw), cache
+        return self.clamp(out), cache
 
     def copy(self) -> "Actor":
-        return Actor(self.net.copy(), self.bounds.copy(), self.passthrough)
+        return Actor(self.net.copy(), self.bounds.copy())
 
 
 def invert_gradients(grad: np.ndarray, x: np.ndarray, bounds: np.ndarray) -> np.ndarray:

@@ -117,20 +117,6 @@ class TestActorUpdate:
         agent.actor_update(np.random.default_rng(18).standard_normal((4, 2)))
         assert (params(agent.actor.net) == before).all()
 
-    def test_passthrough_weights_never_change(self):
-        from pamdp.policy import Passthrough
-
-        passthrough = Passthrough(np.full((2, 2), 0.25), np.zeros(2))
-        agent = PDQNAgent(SPACE, "multipass", small_config(), np.random.default_rng(19),
-                          passthrough)
-        snapshot = passthrough.weights.copy()
-        rng = np.random.default_rng(20)
-        for t in [make_transition(SPACE, rng) for _ in range(8)]:
-            agent.replay.push(t)
-        for _ in range(20):
-            agent.update_from_replay(rng)
-        assert (passthrough.weights == snapshot).all()
-
 
 class TestInvariants:
     def test_multipass_updates_preserve_independence(self):

@@ -115,6 +115,23 @@ class TestDiagnoseCommand:
                   "--points", "3", "--out", str(out)])
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--action", "5"], r"--action must lie in \[0, 2\) for .*, got 5$"),
+        (["--action", "-1"], r"--action must lie in \[0, 2\) for .*, got -1$"),
+        (["--action", "0", "--coordinate", "3"],
+         r"--coordinate must lie in \[0, 1\) for action 0 of .*, got 3$"),
+        (["--action", "1", "--coordinate", "-1"],
+         r"--coordinate must lie in \[0, 1\) for action 1 of .*, got -1$"),
+    ], ids=["action-5", "action--1", "coordinate-3", "coordinate--1"])
+    def test_index_outside_the_checkpoint_space_rejected(self, trained, flags, message):
+        # the bandit has two actions of one parameter each
+        ckpt = trained / "run" / "checkpoint_seed0.ckpt"
+        out = trained / "sweep.csv"
+        with pytest.raises(SystemExit, match=message):
+            main(["diagnose-sensitivity", "--checkpoint", str(ckpt), *flags, "--points", "3",
+                  "--out", str(out)])
+        assert not out.exists()
+
     @pytest.mark.parametrize("state_index", [0, 3])
     def test_probes_the_state_a_greedy_rollout_reaches(self, untrained_platform, tmp_path,
                                                        state_index):

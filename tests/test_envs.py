@@ -37,21 +37,21 @@ SCRIPTED = [
 class TestPlatformBasics:
     def test_reset_feature_vector(self):
         env = Platform()
-        s = env.reset(seed=0)
+        s = env.reset()
         assert s.shape == (9,)
         assert s[0] == 0.0  # agent at the origin
         expected = [0.0, 0.0, 0.28, -1.0, 0.0, 0.3, 0.08, 0.3, 0.3]
         assert np.allclose(s, expected)
 
     def test_reset_deterministic(self):
-        a = Platform().reset(seed=3)
-        b = Platform().reset(seed=3)
+        a = Platform().reset()
+        b = Platform().reset()
         assert (a == b).all()
 
     def test_trajectory_deterministic(self):
         def roll():
             env = Platform()
-            env.reset(seed=1)
+            env.reset()
             states = []
             for k, x in SCRIPTED:
                 s, r, t = env.step(k, np.array([x]))

@@ -223,10 +223,16 @@ class TestConfigParsing:
         ("env = bandit\nplatform.length = 50\n", "line 2: bandit takes no overrides"),
         ("platform.enemy_speed = 0.5\n# the env\nenv = bandit\n", "line 3: bandit takes no overrides"),
         ("env = platform\nplatform.length = 50\n", "line 2: platforms must span"),
+        ("episodes = 5\nhidden = 0\n", r"line 2: hidden layer widths must be >= 1, got \(0,\)"),
+        ("episodes = 5\nactivation = tanh\n", "line 2: unknown activation 'tanh'"),
+        ("episodes = 5\nou_sigma = -1\n", "line 2: invalid OU parameters"),
+        ("episodes = 5\nou_theta = -1\n", "line 2: invalid OU parameters"),
+        ("episodes = 5\nou_dt = 0\n", "line 2: invalid OU parameters"),
         *((f"episodes = 5\n{key} = {value}\n", f"line 2: {key} must be finite, got {value}")
           for key, value in NON_FINITE),
     ], ids=["range", "cross-key", "cross-key-mended", "first-of-two", "bandit",
-            "bandit-after-override", "platform-ending-past-length",
+            "bandit-after-override", "platform-ending-past-length", "hidden-width-0",
+            "activation-tanh", "ou_sigma-negative", "ou_theta-negative", "ou_dt-0",
             *(f"{key}-{value}" for key, value in NON_FINITE)])
     def test_config_that_builds_nothing_names_its_line(self, text, message):
         """The blamed line is the first after which the lines read so far
@@ -469,30 +475,6 @@ class TestCheckpointRoundTrip:
         assert header["meta"]["seed"] == 7
         assert header["rng_state"] is not None
 
-    @pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
-    def test_nonzero_passthrough_survives_round_trip(self, tmp_path, algorithm):
-        """The loader builds a zero passthrough and fills it in place; the
-        loaded actor must then apply it, as the saved one does."""
-        from pamdp.agent import AgentConfig, make_agent
-        from pamdp.policy import Passthrough
-        from pamdp.qfunction import ActionSpaceSpec
-
-        space = ActionSpaceSpec(state_dim=9, param_dims=(1, 1, 1))
-        rng = np.random.default_rng(8)
-        passthrough = Passthrough(0.1 * rng.standard_normal((9, 3)), 0.1 * rng.standard_normal(3))
-        agent = make_agent(algorithm, space, AgentConfig(hidden=(8,)),
-                           np.random.default_rng(9), passthrough)
-        path = tmp_path / "agent.ckpt"
-        save_checkpoint(path, agent, algorithm, "platform", {})
-        loaded, _ = load_checkpoint(path)
-        assert not loaded.actor.passthrough.is_zero()
-        assert (loaded.actor.passthrough.net.flat == agent.actor.passthrough.net.flat).all()
-        states = rng.standard_normal((5, 9))
-        assert np.array_equal(loaded.actor.forward(states), agent.actor.forward(states))
-        for s in states:
-            a, b = agent.select_action(s, False, rng), loaded.select_action(s, False, rng)
-            assert a.k == b.k and np.array_equal(a.emitted, b.emitted)
-
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
@@ -601,6 +583,61 @@ class TestCheckpointRoundTrip:
         path.write_bytes(bytes(data))
         loaded, _ = load_checkpoint(path)
         assert np.signbit(loaded.q_opt.v[0][0]) and loaded.q_opt.v[0][0] == 0.0
+
+    @staticmethod
+    def with_passthrough_pair(path, weights: np.ndarray, bias: np.ndarray):
+        """Rewrite a saved checkpoint as earlier writers of format v1 saved
+        an actor with a fixed passthrough map: the pair last in the manifest
+        and in the payload. With an all-zero pair this gives the bytes those
+        writers saved for a Platform agent of the same weights."""
+        data = path.read_bytes()
+        hlen = int.from_bytes(data[8:16], "little")
+        header = json.loads(data[16 : 16 + hlen])
+        header["arrays"] += [{"name": "passthrough/weights", "shape": list(weights.shape)},
+                             {"name": "passthrough/bias", "shape": list(bias.shape)}]
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(data[:8] + len(blob).to_bytes(8, "little") + blob + data[16 + hlen :]
+                         + weights.astype("<f8").tobytes() + bias.astype("<f8").tobytes())
+
+    @pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
+    def test_zero_passthrough_pair_of_an_earlier_writer_loads(self, tmp_path, algorithm):
+        """Earlier versions saved every Platform agent with an all-zero pair;
+        such a file loads to the saved arrays and acts as the saved agent."""
+        from pamdp.checkpoint import _agent_arrays
+        from pamdp.envs import make_env
+
+        cfg = parse_config_text(f"env = platform\nalgorithm = {algorithm}\nhidden = 8\n")
+        agent = harness.build_agent(cfg, make_env("platform", {}).spec, seed_stream(0))
+        path = tmp_path / "agent.ckpt"
+        save_checkpoint(path, agent, algorithm, "platform", {})
+        dim = agent.actor.net.output_dim
+        self.with_passthrough_pair(path, np.zeros((9, dim)), np.zeros(dim))
+        loaded, header = load_checkpoint(path)
+        assert header["arrays"][-1]["name"] == "passthrough/bias"
+        saved = _agent_arrays(agent)
+        assert [n for n, _ in _agent_arrays(loaded)] == [n for n, _ in saved]
+        for (name, a), (_, b) in zip(saved, _agent_arrays(loaded)):
+            assert np.array_equal(a, b), name
+        rng = np.random.default_rng(5)
+        for s in rng.uniform(-1.0, 1.0, (16, 9)):
+            a, b = agent.select_action(s, False, rng), loaded.select_action(s, False, rng)
+            assert a.k == b.k and np.array_equal(a.emitted, b.emitted)
+
+    @pytest.mark.parametrize("array, index", [("passthrough/weights", 2),
+                                              ("passthrough/bias", 1)])
+    def test_nonzero_passthrough_pair_names_path_array_and_offset(self, tmp_path, array, index):
+        """No agent applies a passthrough now, so a nonzero one cannot load."""
+        path = tmp_path / "agent.ckpt"
+        self.saved_checkpoint(path)
+        pair = {"passthrough/weights": np.zeros((2, 2)), "passthrough/bias": np.zeros(2)}
+        pair[array].flat[index] = 0.5
+        self.with_passthrough_pair(path, *pair.values())
+        offset = self.array_offset(path.read_bytes(), array) + 8 * index
+        with pytest.raises(ValueError) as excinfo:
+            load_checkpoint(path)
+        message = str(excinfo.value)
+        assert str(path) in message and f"array {array} " in message
+        assert f"holds 0.5 at byte offset {offset};" in message
 
     @pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
     @settings(max_examples=60, deadline=None)

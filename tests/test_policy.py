@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pamdp.nncore import ROW_QUANTUM, DenseNet, Layer, padded_rows
-from pamdp.policy import Actor, EpsilonSchedule, OUNoise, Passthrough, invert_gradients
+from pamdp.nncore import DenseNet, Layer
+from pamdp.policy import Actor, EpsilonSchedule, OUNoise, invert_gradients
 
 BOUNDS3 = np.tile([-1.0, 1.0], (3, 1))
 
@@ -14,13 +14,6 @@ def zero_net(in_dim, out_dim):
 
 
 class TestActor:
-    def test_zero_network_passes_through(self):
-        p = Passthrough(np.array([[0.5, -2.0, 0.1]]), np.array([0.0, 0.0, 0.3]))
-        actor = Actor(zero_net(1, 3), BOUNDS3, p)
-        s = np.array([1.0])
-        expected = np.clip(np.array([0.5, -2.0, 0.4]), -1.0, 1.0)
-        assert np.allclose(actor.forward(s[None, :])[0], expected)
-
     def test_hand_set_single_layer(self):
         net = DenseNet([Layer(np.array([[0.2], [0.3]]), np.array([-0.1]))])
         actor = Actor(net, np.array([[-1.0, 1.0]]))
@@ -38,62 +31,11 @@ class TestActor:
         out = actor.forward(rng.standard_normal((5, 4)))
         assert (out >= -1.0).all() and (out <= 1.0).all()
 
-    def test_nonzero_passthrough_is_batch_invariant(self):
-        """Each row gets the bits of its own 1-row call, in every batch."""
-        rng = np.random.default_rng(21)
-        p = Passthrough(rng.standard_normal((9, 3)), rng.standard_normal(3))
-        net = DenseNet.create(9, (128,), 3, rng)
-        wide = np.tile([-100.0, 100.0], (3, 1))  # no clamping to hide a difference
-        actor = Actor(net, wide, p)
-        states = rng.standard_normal((128, 9))
-        alone = np.vstack([actor.forward(row[None, :]) for row in states])
-        for n in (2, 3, 4, 5, 127, 128):
-            assert np.array_equal(actor.forward(states[:n]), alone[:n]), f"batch of {n}"
-        assert np.allclose(p.apply(states), states @ p.weights + p.bias, rtol=0, atol=1e-12)
-        assert not np.array_equal(alone, Actor(net, wide).forward(states))
-
-    def test_passthrough_filled_in_place_is_applied(self):
-        """The zero test runs on every call: a passthrough built as zeros and
-        filled afterwards, as a checkpoint load does, is not skipped."""
-        p = Passthrough.zeros(1, 3)
-        actor = Actor(zero_net(1, 3), BOUNDS3, p)
-        s = np.array([[1.0]])
-        assert p.is_zero() and (actor.forward(s) == 0.0).all()
-        p.weights[...] = [[0.5, -0.25, 0.1]]
-        p.bias[...] = [0.0, 0.0, 0.3]
-        assert not p.is_zero()
-        assert np.allclose(actor.forward(s)[0], [0.5, -0.25, 0.4], rtol=0, atol=1e-15)
-
-    def test_nonzero_passthrough_matches_padded_affine_gemm(self):
-        """The passthrough runs through nncore.forward and gives, bit for bit,
-        ``[states, 1] @ [W; b]`` on the rows rounded up to ROW_QUANTUM, the
-        formula it was computed with before it was a network."""
-        rng = np.random.default_rng(22)
-        for state_dim, out_dim in ((1, 3), (9, 3), (4, 7), (17, 2)):
-            p = Passthrough(rng.standard_normal((state_dim, out_dim)), rng.standard_normal(out_dim))
-            affine = np.vstack([p.weights, p.bias])
-            for n in range(1, 2 * ROW_QUANTUM + 2):
-                states = rng.standard_normal((n, state_dim))
-                rows = np.zeros((padded_rows(n), state_dim + 1))
-                rows[:n, :-1] = states
-                rows[:, -1] = 1.0
-                assert np.array_equal(p.apply(states), (rows @ affine)[:n]), (state_dim, n)
-
-    def test_passthrough_checked_like_a_layer(self):
-        with pytest.raises(ValueError, match="bias shape"):
-            Passthrough(np.zeros((2, 3)), np.zeros(2))
-        with pytest.raises(ValueError, match="finite"):
-            Passthrough(np.full((2, 3), np.nan), np.zeros(3))
-
     def test_clamp_gives_np_clip_bits_in_a_new_array(self):
         actor = Actor(zero_net(1, 3), np.array([[-1.0, 1.0], [0.0, 2.0], [-3.0, -2.0]]))
         u = np.array([-1.5, 2.5, -2.5])
         assert np.array_equal(actor.clamp(u), np.clip(u, actor.bounds[:, 0], actor.bounds[:, 1]))
         assert actor.clamp(u) is not u
-
-    def test_passthrough_shape_checked(self):
-        with pytest.raises(ValueError):
-            Actor(zero_net(2, 3), BOUNDS3, Passthrough(np.zeros((3, 3)), np.zeros(3)))
 
 
 class TestInvertGradients:
