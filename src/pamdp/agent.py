@@ -86,14 +86,18 @@ class AgentConfig:
             raise ValueError("beta_mix must lie in [0, 1]")
         if self.epsilon_horizon < 0:
             raise ValueError("epsilon_horizon must be non-negative")
-        if not 0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0:
-            raise ValueError("epsilon schedule must satisfy 0 <= end <= start <= 1")
         self.hidden = tuple(int(h) for h in self.hidden)
         if min(self.hidden, default=1) < 1:
             raise ValueError(f"hidden layer widths must be >= 1, got {self.hidden}")
         if self.activation not in nncore.ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        OUNoise(1, self.ou_theta, self.ou_sigma, self.ou_mu, self.ou_dt)  # its parameter check
+        # the agent's schedule and noise check their own parameters
+        self.epsilon_schedule()
+        OUNoise(1, self.ou_theta, self.ou_sigma, self.ou_mu, self.ou_dt)
+
+    def epsilon_schedule(self) -> EpsilonSchedule:
+        """The agent's schedule; a horizon of 0 decays over 1 episode."""
+        return EpsilonSchedule(self.epsilon_start, self.epsilon_end, max(self.epsilon_horizon, 1))
 
 
 @dataclass
@@ -173,9 +177,7 @@ class PDQNAgent:
             num_actions=space.num_actions,
             bounds=self.bounds,
         )
-        self.epsilon = EpsilonSchedule(
-            config.epsilon_start, config.epsilon_end, max(config.epsilon_horizon, 1)
-        )
+        self.epsilon = config.epsilon_schedule()
         self.noise = OUNoise(dim, config.ou_theta, config.ou_sigma, config.ou_mu, config.ou_dt)
 
     def _q_space(self) -> ActionSpaceSpec:

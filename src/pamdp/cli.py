@@ -17,10 +17,18 @@ from .harness import format_summary, load_config, seed_stream, write_sensitivity
 from .qfunction import q_sensitivity_sweep
 
 
+def _config(path: str):
+    """The config at ``path``; a config that does not load exits with its error."""
+    try:
+        return load_config(path)
+    except ValueError as exc:
+        raise SystemExit(f"{path}: {exc}") from None
+
+
 def _cmd_train(args):
-    cfg = load_config(args.config)
-    if args.seeds:
-        cfg = replace(cfg, seeds=harness.CONFIG_KEYS["seeds"](args.seeds))
+    cfg = _config(args.config)
+    if args.seeds is not None:
+        cfg = replace(cfg, seeds=args.seeds)
     if args.out:
         cfg = replace(cfg, out_dir=args.out)
     paths = harness.train(cfg)
@@ -39,7 +47,7 @@ def _cmd_eval(args):
 
 
 def _cmd_sweep(args):
-    cfg = load_config(args.config)
+    cfg = _config(args.config)
     results = harness.sweep(cfg)
     for row in results:
         print(f"#{row['rank']} {row['cell']}: {format_summary(row['mean'], row['std'])}")
@@ -106,13 +114,25 @@ def _at_least(minimum: int):
     return count
 
 
+def _seed_list(text: str) -> tuple[int, ...]:
+    """An argparse type: a non-empty comma-separated list of integer seeds."""
+    try:
+        seeds = harness.CONFIG_KEYS["seeds"](text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    if not seeds:
+        raise argparse.ArgumentTypeError("expected at least one seed")
+    return seeds
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pamdp")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train every configured seed")
     p.add_argument("--config", required=True)
-    p.add_argument("--seeds", help="comma-separated override of the config's seed list")
+    p.add_argument("--seeds", type=_seed_list,
+                   help="comma-separated override of the config's seed list")
     p.add_argument("--out", help="override the config's output directory")
     p.set_defaults(func=_cmd_train)
 
@@ -147,7 +167,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+    except FileNotFoundError as exc:
+        raise SystemExit(f"pamdp {args.command}: no such file or directory: "
+                         f"{exc.filename}") from None
 
 
 if __name__ == "__main__":

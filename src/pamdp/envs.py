@@ -364,10 +364,10 @@ def make_env(env_id: str, overrides: dict | None = None) -> Env:
     overrides = overrides or {}
     if env_id == "platform":
         return Platform(PlatformConfig(**overrides))
+    others = {"bandit": ParamBandit, "chain": ChainPAMDP}
+    if env_id not in others:
+        raise ValueError(f"unknown environment {env_id!r}; expected one of "
+                         f"{('platform', *others)}")
     if overrides:
         raise ValueError(f"{env_id} takes no overrides")
-    if env_id == "bandit":
-        return ParamBandit()
-    if env_id == "chain":
-        return ChainPAMDP()
-    raise ValueError(f"unknown environment {env_id!r}")
+    return others[env_id]()

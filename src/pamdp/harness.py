@@ -30,7 +30,6 @@ from .envs import PlatformConfig, make_env
 from .replay import Transition, finalize_episode
 
 ALGORITHMS = ("pdqn-joint", "pdqn-separate", "pdqn-multipass", "paddpg")
-ENV_IDS = ("platform", "bandit", "chain")
 
 TRAIN_HEADER = ["seed", "episode", "return", "steps", "epsilon", "q_loss", "actor_loss"]
 EVAL_HEADER = ["seed", "episode", "return", "steps"]
@@ -55,8 +54,6 @@ class RunConfig(AgentConfig):
     grid: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.env not in ENV_IDS:
-            raise ValueError(f"unknown env {self.env!r}; expected one of {ENV_IDS}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(
                 f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}"
@@ -69,7 +66,14 @@ class RunConfig(AgentConfig):
             raise ValueError("sweep_seeds must be positive")
         self.seeds = tuple(int(s) for s in self.seeds)
         super().__post_init__()
-        make_env(self.env, self.env_overrides)  # bad overrides fail here, not mid-sweep
+        make_env(self.env, self.env_overrides)  # a bad env id or override fails here
+        # and so does a sweep cell that builds no run, not mid-sweep
+        for combo in itertools.product(*self.grid.values()) if self.grid else ():
+            cell = dict(zip(self.grid, combo))
+            try:
+                replace(self, grid={}, **cell)
+            except ValueError as exc:
+                raise ValueError(f"sweep cell {_cell_name(cell)}: {exc}") from None
 
     def agent_config(self) -> AgentConfig:
         """The agent's share; a zero epsilon horizon becomes the first 10%
@@ -121,7 +125,8 @@ PLATFORM_KEYS = {f.name: _PARSERS[f.type] for f in fields(PlatformConfig)}
 
 
 def parse_config_text(text: str) -> RunConfig:
-    """Parse the flat ``key = value`` format; unknown keys raise.
+    """Parse the flat ``key = value`` format; unknown keys, and keys set
+    twice, raise.
 
     Every error names a line. A config that does not build names the first
     line after which the lines read so far build none.
@@ -129,6 +134,7 @@ def parse_config_text(text: str) -> RunConfig:
     kwargs: dict = {}
     overrides: dict = {}
     grid: dict = {}
+    set_on: dict = {}  # the line that set each key
     last = 0  # the last line that sets a key
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -137,7 +143,9 @@ def parse_config_text(text: str) -> RunConfig:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw_line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
-        last = lineno
+        if key in set_on:
+            raise ValueError(f"line {lineno}: {key} is set again; line {set_on[key]} set it")
+        set_on[key] = last = lineno
         try:
             if key.startswith("platform."):
                 sub = key.removeprefix("platform.")

@@ -7,7 +7,8 @@ gradients of ``sum(upstream * outputs)`` with respect to both parameters and
 inputs; the test suite holds them against central finite differences. The
 input gradients are what the actor updates consume, so they are first-class
 outputs here rather than an afterthought: :func:`input_gradient` computes
-them alone, without the parameter gradients.
+them alone, without the parameter gradients, and only for the trailing
+input columns a caller reads.
 
 Everything operates on plain ``np.ndarray`` in float64. Layer weights have
 shape ``(fan_in, fan_out)``, activations act row-wise on ``(batch, dim)``
@@ -42,8 +43,9 @@ arrays it reuses from call to call (and shares with its copies), grown to
 the largest batch seen. Allocated per call, a 384 x 128 float64 array of a
 multipass update lies above glibc's mmap threshold and would be mapped,
 faulted in and unmapped on every update. So a forward cache lives until the
-next forward of the same network or of a copy, or the next taking of its
-input rows; using it later raises. ``forward`` returns a new array.
+next forward of the same network or of a copy, the next taking of its
+input rows, or the next ``mark_updated`` of either; using it later raises.
+``forward`` returns a new array.
 
 A network's parameters ``[W0, b0, W1, b1, ...]`` live back to back in one
 plain float64 array, ``DenseNet.flat``, laid out as ``DenseNet.layout``,
@@ -70,6 +72,10 @@ import numpy as np
 
 # the row count a forward GEMM is padded to a multiple of; see forward
 ROW_QUANTUM = 4
+# the column block and the largest product (in multiply-adds) of the BLAS
+# kernel's small-matrix path; see _input_columns
+COL_QUANTUM = 8
+SMALL_GEMM = 100**3
 
 RELU = "relu"
 LEAKY_RELU = "leaky_relu"
@@ -211,10 +217,10 @@ class _LayerArrays:
 
     They hold up to ``rows`` rows, a multiple of ``ROW_QUANTUM``, and grow to
     the largest row count seen; a call on n rows works in leading-row
-    views, made once per n. Every :meth:`input`, and so every forward,
-    bumps ``generation``, which outdates the caches of the forwards before
-    it. The output layer keeps only its GEMM output here: what ``forward``
-    returns is always a new array.
+    views, made once per n. Every :meth:`input` (so every forward) and every
+    ``mark_updated`` of a network working here bumps ``generation``, which
+    outdates the caches of earlier forwards. The output layer keeps only its
+    GEMM output here: what ``forward`` returns is always a new array.
     """
 
     def __init__(self, widths: list[int]):
@@ -289,11 +295,10 @@ class DenseNet:
 
     The parameters are copied into one buffer, ``flat``, laid out as
     ``layout``, and the network's layers hold views of it (the given
-    ``Layer`` objects are left alone). ``version`` counts in-place parameter
-    updates so that a forward cache can be recognised as stale by
-    :func:`backward` and :func:`input_gradient`. The layers' working arrays
-    are reused from forward to forward and shared with :meth:`copy`, so a
-    cache also goes stale at the next forward of this network or of a copy.
+    ``Layer`` objects are left alone). The layers' working arrays are reused
+    from forward to forward and shared with :meth:`copy`, so a forward cache
+    goes stale at the next forward of this network or of a copy, and at the
+    next :meth:`mark_updated` of either.
     """
 
     def __init__(self, layers: list[Layer]):
@@ -319,7 +324,6 @@ class DenseNet:
         self._affine = _affine_views(self.flat, self.layout)
         self.input_dim = layers[0].weights.shape[0]
         self.output_dim = layers[-1].weights.shape[1]
-        self.version = 0
         self._grad = None  # see gradient_buffer
         self._arrays = _LayerArrays([l.weights.shape[1] for l in layers])
 
@@ -379,7 +383,9 @@ class DenseNet:
         return _sharing, (self.layers, self._arrays)
 
     def mark_updated(self):
-        self.version += 1
+        """The parameters were written in place: a new generation of the
+        working arrays, which outdates every earlier forward cache."""
+        self._arrays.generation += 1
 
 
 def _sharing(layers: list[Layer], arrays: _LayerArrays) -> DenseNet:
@@ -394,12 +400,10 @@ class ForwardCache:
     """Intermediate activations retained for one backward pass.
 
     Every entry but the output is a view of the network's reusable arrays,
-    valid until the next forward of the network or of a copy sharing them,
-    or the next taking of its input rows (``generation`` tells).
+    valid while they stay in the cache's ``generation`` (see ``DenseNet``).
     """
 
     net_id: int
-    version: int
     generation: int
     inputs: list  # input to each layer and a column of ones; inputs[0] holds the batch
     preacts: list  # pre-activation z for each layer
@@ -452,25 +456,24 @@ def forward(net: DenseNet, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]
         raise FloatingPointError(
             f"non-finite values in the output of a {widths} network on {n} rows"
         )
-    return out, ForwardCache(id(net), net.version, generation, inputs, [*views.preacts, out])
+    return out, ForwardCache(id(net), generation, inputs, [*views.preacts, out])
 
 
 def _layer_deltas(
-    net: DenseNet, cache: ForwardCache, upstream: np.ndarray, input_grads: bool = True
+    net: DenseNet, cache: ForwardCache, upstream: np.ndarray, input_start: int | None = 0
 ) -> tuple[list[np.ndarray], np.ndarray | None]:
     """Backpropagate `upstream` through the cached forward pass.
 
     Returns ``(dz, input_grads)``: dz[i] is the gradient with respect to
     layer i's pre-activation, input_grads the gradient with respect to the
-    batch, or None, and its GEMM skipped, when ``input_grads`` is false. A
-    hidden layer's dz lives in the network's reusable delta array.
+    batch's columns from ``input_start`` on, or None, and its GEMM skipped,
+    when ``input_start`` is None. A hidden layer's dz lives in the network's
+    reusable delta array.
     """
     if cache.net_id != id(net):
         raise ValueError("cache does not belong to this network")
-    if cache.version != net.version:
-        raise ValueError("stale cache: network parameters were updated after forward")
     if cache.generation != net._arrays.generation:
-        raise ValueError("stale cache: a later forward reused the network's arrays")
+        raise ValueError("stale cache: a later forward or update reused the network's arrays")
     # the output layer's dz: contiguous, as the GEMMs on it must take the
     # kernels a fresh array takes
     upstream = np.ascontiguousarray(upstream, dtype=np.float64)
@@ -490,12 +493,30 @@ def _layer_deltas(
         # on the whole rows, the extra column included: contiguous
         _scale_by_activation_grad(h.delta, h.z_rows, layer.activation, layer.slope)
         dz = h.dz
-    if not input_grads:
+    if input_start is None:
         return dzs, None
-    weights = layers[0].weights
-    if weights.shape[1] == 1:
-        return dzs, _width_one_backprop(dz, weights, arrays)
-    return dzs, dz @ _transposed(weights)
+    return dzs, _input_columns(dz, layers[0].weights, input_start, arrays)
+
+
+def _input_columns(dz, weights, start: int, arrays: _LayerArrays) -> np.ndarray:
+    """Columns ``start:`` of ``dz @ weights.T``, with their bits in the whole
+    product. OpenBLAS's SkylakeX kernel gives a column the bits of its block
+    of ``COL_QUANTUM`` columns, counted from the first, as long as the
+    product stays on the small-matrix path (``SMALL_GEMM``) and is no GEMV
+    (one row or column). So the product starts at the block holding
+    ``start`` where it keeps to those, else at column 0.
+    ``TestInputColumns`` is the guard, as ``TestBatchInvariance`` is for
+    ``ROW_QUANTUM``."""
+    n, (fan_in, fan_out) = len(dz), weights.shape
+    first = start - start % COL_QUANTUM
+    if n < 2 or fan_in - first < 2 or n * fan_in * fan_out > SMALL_GEMM:
+        first = 0
+    weights = weights[first:]
+    if fan_out == 1:
+        product = _width_one_backprop(dz, weights, arrays)
+    else:
+        product = dz @ _transposed(weights)
+    return product[:, start - first:] if start > first else product
 
 
 def _width_one_backprop(dz, weights, arrays: _LayerArrays, out=None) -> np.ndarray:
@@ -533,7 +554,7 @@ def backward(
     from a :func:`forward` call on this exact network with no parameter
     updates in between.
     """
-    dzs, input_grads = _layer_deltas(net, cache, upstream, input_grads)
+    dzs, input_grads = _layer_deltas(net, cache, upstream, 0 if input_grads else None)
     if net._grad is not None and out is net._grad[0]:
         _, affine, parts = net._grad
     else:
@@ -549,13 +570,14 @@ def backward(
     return parts, input_grads
 
 
-def input_gradient(net: DenseNet, cache: ForwardCache, upstream: np.ndarray) -> np.ndarray:
-    """``backward(net, cache, upstream)[1]`` without the parameter gradients.
-
-    For callers that only need the gradient with respect to the batch, such
-    as the actor's value gradient.
-    """
-    return _layer_deltas(net, cache, upstream)[1]
+def input_gradient(
+    net: DenseNet, cache: ForwardCache, upstream: np.ndarray, start: int = 0
+) -> np.ndarray:
+    """Columns ``start:`` of ``backward(net, cache, upstream)[1]``, their
+    bits, without the parameter gradients or, where the bits allow, the
+    earlier columns: for the actor's value gradient, which reads the
+    action-parameter columns after the state."""
+    return _layer_deltas(net, cache, upstream, start)[1]
 
 
 @dataclass

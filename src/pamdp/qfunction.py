@@ -179,10 +179,11 @@ class QFunction:
 
         Yields per network ``(net, rows, q_at, out_at, grad_at, in_at)``:
         ``q[q_at] = out.take(out_at)`` and, with ``actions`` None, ``grad[grad_at]
-        = in_grad.take(in_at)`` for the rows' output and input gradient. With
-        ``actions`` None ``q`` is (B, K); else it is (B,), sample b asking for
-        ``actions[b]``, and the last two are None. Draw a pass only after using
-        the last: their rows share the padded input. Rows keep sample order.
+        = g``, or ``g.take(in_at)`` given an ``in_at``, for the rows' output and
+        the input gradient g of their columns after the state. With ``actions``
+        None ``q`` is (B, K); else it is (B,), sample b asking for ``actions[b]``,
+        and the last two are None. Draw a pass only after using the last: their
+        rows share the padded input. Rows keep sample order.
         """
         space, b = self.space, len(states)
         first, out_at, in_at, _ = self._index_arrays(b)
@@ -192,7 +193,7 @@ class QFunction:
                 sl = space.block(i)
                 if actions is None:
                     rows = _fill_rows(net.input_rows(b), states, params[:, sl])
-                    yield net, rows, (_ALL, i), out_at[i], (_ALL, sl), in_at[i]
+                    yield net, rows, (_ALL, i), out_at[i], (_ALL, sl), None
                 else:
                     mine = (actions == i).nonzero()[0]  # np.flatnonzero, undispatched
                     rows = _fill_rows(net.input_rows(len(mine)), states[mine], params[mine, sl])
@@ -208,7 +209,7 @@ class QFunction:
         elif self.variant == JOINT:
             # one row per sample feeds every column; action a is output column a
             rows = _fill_rows(net.input_rows(b), states, params)
-            yield net, rows, _ALL, out_at[0], _ALL, in_at[0]
+            yield net, rows, _ALL, out_at[0], _ALL, None
         else:
             # multipass: the row of (sample b, action a) keeps block a only and
             # is read at column a
@@ -217,26 +218,25 @@ class QFunction:
 
     def _index_arrays(self, b: int) -> tuple:
         """``(first, out_at, in_at, ones)`` for b samples, read-only: each row's
-        first output's flat index, and per pass of all K values its ``out_at``,
-        ``in_at`` and upstream gradient of sum_k Q_k."""
+        first output's flat index, and per pass of all K values its ``out_at``
+        and upstream gradient of sum_k Q_k, and multipass's one ``in_at``."""
         consts = self._indices.get(b)
         if consts is None:
-            space, k, sd = self.space, self.space.num_actions, self.space.state_dim
+            space, k, m = self.space, self.space.num_actions, self.space.joint_dim
+            in_at = []
             if self.variant == SEPARATE:
                 first = np.arange(b)
                 out_at, shape = [first] * k, (b, 1)
-                in_at = [first[:, None] * (sd + m) + sd + np.arange(m) for m in space.param_dims]
             else:
                 first = np.arange(0, b * k, k)
-                width, cols = sd + space.joint_dim, sd + np.arange(space.joint_dim)
                 # the multipass row of (sample b, action a) is b * K + a, and
                 # column j of sample b is fed by the row of the action owning j
                 row = np.arange(b * k).reshape(b, k)
                 if self.variant == JOINT:
-                    out_at, in_at, shape = [row], [np.arange(b)[:, None] * width + cols], (b, k)
+                    out_at, shape = [row], (b, k)
                 else:
                     out_at, shape = [row * k + np.arange(k)], (b * k, k)
-                    in_at = [row[:, space._owner] * width + cols]
+                    in_at = [row[:, space._owner] * m + np.arange(m)]
             ones = [np.zeros(shape) for _ in out_at]
             for upstream, at in zip(ones, out_at):
                 upstream.put(at, 1.0)
@@ -339,7 +339,8 @@ def _q_gradient(qf: QFunction, states, params, weight=None):
         if weight is not None:
             upstream = np.zeros(out.shape)
             upstream.put(out_at, weight[q_at])
-        grad[grad_at] = input_gradient(net, cache, upstream).take(in_at)
+        g = input_gradient(net, cache, upstream, qf.space.state_dim)
+        grad[grad_at] = g if in_at is None else g.take(in_at)
     return grad, q
 
 

@@ -8,6 +8,7 @@ import ctypes
 import glob
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -25,6 +26,25 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # the same draws on every run (``--hypothesis-profile=ci``), so that a CI
 # failure replays locally as it ran there
 settings.register_profile("ci", derandomize=True, deadline=None)
+
+
+# a one-step bandit run that makes updates in a few episodes
+BANDIT_CFG = """
+env = bandit
+algorithm = pdqn-multipass
+episodes = 6
+seeds = 0,1
+eval_episodes = 3
+gamma = 0.9
+batch_size = 4
+initial_fill = 4
+replay_capacity = 64
+hidden = 8
+lr_q = 1e-2
+lr_actor = 1e-3
+epsilon_horizon = 3
+ou_sigma = 0.1
+"""
 
 
 def openblas_core() -> str | None:
@@ -149,12 +169,30 @@ def rng():
 
 def adam_step_net(net: DenseNet, grads: list[np.ndarray], state: AdamState):
     """Adam on a network's buffer from per-parameter gradients, as
-    ``backward`` returns them, with ``state`` made for ``[net.flat]``; bumps
-    the version counter."""
+    ``backward`` returns them, with ``state`` made for ``[net.flat]``; marks
+    the network updated."""
     if [g.shape for g in grads] != list(net.layout):
         raise ValueError("gradients do not match the network's parameters")
     adam_step([net.flat], [np.concatenate([g.ravel() for g in grads])], state)
     net.mark_updated()
+
+
+def zero_nets(*nets):
+    """Zero every weight and bias of the networks."""
+    for net in nets:
+        net.flat.fill(0.0)
+        net.mark_updated()
+
+
+def checkpoint_arrays(data: bytes) -> dict:
+    """Per payload array of checkpoint file bytes, by name in the header's
+    manifest order, its byte offset and shape."""
+    size = int.from_bytes(data[8:16], "little")
+    offset, arrays = 16 + size, {}
+    for entry in json.loads(data[16 : 16 + size])["arrays"]:
+        arrays[entry["name"]] = offset, tuple(entry["shape"])
+        offset += 8 * math.prod(entry["shape"])
+    return arrays
 
 
 def patch_everywhere(monkeypatch, module, name, replacement):

@@ -1,5 +1,4 @@
 import copy
-import json
 import math
 from pathlib import Path
 
@@ -14,7 +13,7 @@ from pamdp.agent import AgentConfig, PADDPGAgent, PDQNAgent, ParameterisedAction
 from pamdp.checkpoint import _agent_arrays, load_checkpoint, save_checkpoint
 from pamdp.qfunction import ActionSpaceSpec, cross_gradient_matrix
 from pamdp.replay import Transition
-from conftest import patch_everywhere
+from conftest import checkpoint_arrays, patch_everywhere, zero_nets
 
 SPACE = ActionSpaceSpec(state_dim=2, param_dims=(1, 1))
 SPACE3 = ActionSpaceSpec(state_dim=4, param_dims=(1, 2, 1))
@@ -28,14 +27,6 @@ def small_config(**kwargs):
     )
     defaults.update(kwargs)
     return AgentConfig(**defaults)
-
-
-def zero_nets(*nets):
-    for net in nets:
-        for layer in net.layers:
-            layer.weights[:] = 0.0
-            layer.biases[:] = 0.0
-        net.mark_updated()
 
 
 def params(*nets):
@@ -295,17 +286,10 @@ class TestFlatBuffers:
 
 
 def payload_arrays(path) -> dict:
-    """The arrays of a checkpoint file by name, read with the header's
-    manifest."""
+    """The arrays of a checkpoint file by name."""
     data = Path(path).read_bytes()
-    size = int.from_bytes(data[8:16], "little")
-    offset = 16 + size
-    arrays = {}
-    for entry in json.loads(data[16:offset])["arrays"]:
-        count = math.prod(entry["shape"])
-        arrays[entry["name"]] = np.frombuffer(data, "<f8", count, offset)
-        offset += 8 * count
-    return arrays
+    return {name: np.frombuffer(data, "<f8", math.prod(shape), offset)
+            for name, (offset, shape) in checkpoint_arrays(data).items()}
 
 
 class TestMixedTargets:

@@ -6,26 +6,13 @@ from pamdp.cli import main
 from pamdp.envs import make_env
 from pamdp.harness import build_agent, parse_config_text, read_csv, seed_stream
 from pamdp.qfunction import q_sensitivity_sweep
-
-MINI_CONF = """
-env = bandit
-algorithm = pdqn-multipass
-episodes = 5
-seeds = 0
-eval_episodes = 2
-batch_size = 4
-initial_fill = 4
-replay_capacity = 32
-hidden = 8
-epsilon_horizon = 2
-ou_sigma = 0.1
-"""
+from conftest import BANDIT_CFG
 
 
 @pytest.fixture
 def trained(tmp_path):
     conf = tmp_path / "run.conf"
-    conf.write_text(MINI_CONF + f"out_dir = {tmp_path / 'run'}\n")
+    conf.write_text(BANDIT_CFG + f"out_dir = {tmp_path / 'run'}\n")
     main(["train", "--config", str(conf)])
     return tmp_path
 
@@ -49,7 +36,7 @@ class TestTrainCommand:
 
     def test_seed_and_out_overrides(self, tmp_path):
         conf = tmp_path / "run.conf"
-        conf.write_text(MINI_CONF + f"out_dir = {tmp_path / 'ignored'}\n")
+        conf.write_text(BANDIT_CFG + f"out_dir = {tmp_path / 'ignored'}\n")
         main(["train", "--config", str(conf), "--seeds", "7", "--out",
               str(tmp_path / "override")])
         assert (tmp_path / "override" / "train_seed7.csv").exists()
@@ -158,7 +145,7 @@ class TestSweepCommands:
     def test_sweep_and_report(self, tmp_path, capsys):
         conf = tmp_path / "sweep.conf"
         conf.write_text(
-            MINI_CONF
+            BANDIT_CFG
             + f"out_dir = {tmp_path / 'sweep'}\n"
             + "sweep.lr_q = 1e-2,1e-3\nsweep.seeds = 1\n"
         )
@@ -181,3 +168,18 @@ def test_count_below_its_least_value_rejected(argv, capsys):
         main([*argv, "--checkpoint", "missing.ckpt"])
     least = int(argv[-1]) + 1
     assert f"argument {argv[-2]}: must be at least {least}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--config", "missing.conf", "--seeds", ""], "--seeds: expected at least one seed"),
+    (["train", "--config", "missing.conf", "--seeds", "a"], "--seeds: expected comma-separated"),
+    (["train", "--config", "missing.conf"], "pamdp train: no such file or directory: missing.conf"),
+    (["sweep", "--config", __file__], f"{__file__}: line 1: expected 'key = value'"),
+    (["eval", "--checkpoint", "missing.ckpt"], "pamdp eval: no such file or directory: missing.ckpt"),
+    (["sweep-report", "--dir", "missing"], "no such file or directory: missing/sweep_results.csv"),
+], ids=["seeds-empty", "seeds-not-integers", "config", "not-a-config", "checkpoint", "dir"])
+def test_bad_input_exits_with_a_message(argv, message, capsys):
+    # argparse prints its message and exits 2; the others exit with theirs
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert message in f"{capsys.readouterr().err}{stop.value.code}"

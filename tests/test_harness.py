@@ -4,6 +4,7 @@ import math
 import os
 import runpy
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pamdp import harness
-from pamdp.checkpoint import load_checkpoint, save_checkpoint
+from pamdp.agent import AgentConfig, PDQNAgent, make_agent
+from pamdp.checkpoint import _agent_arrays, load_checkpoint, save_checkpoint
+from pamdp.envs import PlatformConfig, make_env
 from pamdp.harness import (
     RunConfig,
     evaluate_checkpoint,
@@ -29,25 +32,9 @@ from pamdp.harness import (
     train,
     train_seed,
 )
-
-BANDIT_CFG = """
-env = bandit
-algorithm = pdqn-multipass
-episodes = 6
-seeds = 0,1
-eval_episodes = 3
-gamma = 0.9
-batch_size = 4
-initial_fill = 4
-replay_capacity = 64
-hidden = 8
-lr_q = 1e-2
-lr_actor = 1e-3
-epsilon_horizon = 3
-ou_sigma = 0.1
-"""
-
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+from pamdp.qfunction import ActionSpaceSpec
+from pamdp.replay import Transition
+from conftest import BANDIT_CFG, CONFIGS, checkpoint_arrays
 
 
 def bandit_cfg(tmp_path, **kwargs):
@@ -143,10 +130,6 @@ class TestConfigParsing:
     }
 
     def test_every_hyperparameter_reaches_the_agent_config(self):
-        from dataclasses import fields
-
-        from pamdp.agent import AgentConfig
-
         table = self.HYPERPARAMETER_TEXT
         assert sorted(table) == sorted(f.name for f in fields(AgentConfig))
         text = "".join(f"{key} = {raw}\n" for key, (raw, _) in table.items())
@@ -173,10 +156,6 @@ class TestConfigParsing:
         assert cfg.env_overrides["run_law"] == (2.0, 5.0)
 
     def test_every_platform_field_is_a_platform_key(self):
-        from dataclasses import fields
-
-        from pamdp.envs import PlatformConfig
-
         text = {
             "length": ("60", 60.0),
             "platforms": ("0:20, 25:60", ((0.0, 20.0), (25.0, 60.0))),
@@ -199,6 +178,8 @@ class TestConfigParsing:
         ("sweep.hidden = 8|1.5", "invalid literal for int"),
         ("platform.bogus = 1", "unknown platform key 'bogus'"),
         ("sweep.gamma = 0.5", "unknown sweep key 'gamma'"),
+        ("episodes = 6", "episodes is set again; line 1 set it"),
+        ("sweep.hidden = 8|0", r"sweep cell hidden=0: hidden layer widths must be >= 1"),
     ])
     def test_malformed_line_named(self, line, message):
         with pytest.raises(ValueError, match=f"^line 2: {message}"):
@@ -228,11 +209,16 @@ class TestConfigParsing:
         ("episodes = 5\nou_sigma = -1\n", "line 2: invalid OU parameters"),
         ("episodes = 5\nou_theta = -1\n", "line 2: invalid OU parameters"),
         ("episodes = 5\nou_dt = 0\n", "line 2: invalid OU parameters"),
+        ("gamma = 0.5\nepisodes = 5\ngamma = 0.7\n", "line 3: gamma is set again; line 1 set it"),
+        ("sweep.hidden = 8|0\nepisodes = 5\n", r"line 1: sweep cell hidden=0: hidden layer widths"),
+        ("episodes = 5\nenv = cartpole\n",
+         r"line 2: unknown environment 'cartpole'; expected one of \('platform', 'bandit', 'chain'\)"),
         *((f"episodes = 5\n{key} = {value}\n", f"line 2: {key} must be finite, got {value}")
           for key, value in NON_FINITE),
     ], ids=["range", "cross-key", "cross-key-mended", "first-of-two", "bandit",
             "bandit-after-override", "platform-ending-past-length", "hidden-width-0",
             "activation-tanh", "ou_sigma-negative", "ou_theta-negative", "ou_dt-0",
+            "key-set-twice", "sweep-cell-hidden-0", "unknown-env",
             *(f"{key}-{value}" for key, value in NON_FINITE)])
     def test_config_that_builds_nothing_names_its_line(self, text, message):
         """The blamed line is the first after which the lines read so far
@@ -310,12 +296,6 @@ class TestTrain:
         meta = json.load(open(result["meta"]))
         assert meta["status"] == "complete"
 
-    def test_same_seed_bit_identical_csv(self, tmp_path):
-        cfg = bandit_cfg(tmp_path)
-        a = train_seed(cfg, 0, str(tmp_path / "a"))
-        b = train_seed(cfg, 0, str(tmp_path / "b"))
-        assert open(a["csv"], "rb").read() == open(b["csv"], "rb").read()
-
     def test_csv_schema_and_length(self, tmp_path):
         cfg = bandit_cfg(tmp_path, seeds=(1,))
         (result,) = train(cfg)
@@ -326,8 +306,6 @@ class TestTrain:
         assert int(rows[-1]["episode"]) == cfg.episodes - 1
 
     def test_crash_marks_meta_failed(self, tmp_path, monkeypatch):
-        from pamdp.agent import PDQNAgent
-
         def raise_fpe(self, rng):
             raise FloatingPointError("injected")
 
@@ -342,8 +320,6 @@ class TestTrain:
         assert not os.path.exists(os.path.join(cfg.out_dir, "checkpoint_seed0.ckpt"))
 
     def test_crash_names_episode_network_and_rows(self, tmp_path, monkeypatch):
-        from pamdp.agent import PDQNAgent
-
         begin = PDQNAgent.begin_episode
 
         def poison_actor_at_episode_3(self, episode):
@@ -446,10 +422,6 @@ class TestEvaluate:
 
 class TestCheckpointRoundTrip:
     def test_parameters_survive_round_trip(self, tmp_path):
-        from pamdp.agent import AgentConfig, PDQNAgent
-        from pamdp.qfunction import ActionSpaceSpec
-        from pamdp.replay import Transition
-
         space = ActionSpaceSpec(state_dim=2, param_dims=(1, 1))
         cfg = AgentConfig(batch_size=4, initial_fill=4, replay_capacity=32,
                           hidden=(8,), epsilon_horizon=5)
@@ -482,10 +454,18 @@ class TestCheckpointRoundTrip:
             load_checkpoint(path)
 
     @staticmethod
-    def saved_checkpoint(path) -> bytes:
-        from pamdp.agent import AgentConfig, PDQNAgent
-        from pamdp.qfunction import ActionSpaceSpec
+    def load_error(path, data=None) -> str:
+        """The message of the ValueError that loading ``path``, after writing
+        ``data`` there if given, raises; it names the file."""
+        if data is not None:
+            path.write_bytes(bytes(data))
+        with pytest.raises(ValueError) as excinfo:
+            load_checkpoint(path)
+        assert str(path) in str(excinfo.value)
+        return str(excinfo.value)
 
+    @staticmethod
+    def saved_checkpoint(path) -> bytes:
         space = ActionSpaceSpec(state_dim=2, param_dims=(1, 1))
         cfg = AgentConfig(hidden=(8,))
         agent = PDQNAgent(space, "multipass", cfg, np.random.default_rng(3))
@@ -516,44 +496,23 @@ class TestCheckpointRoundTrip:
         hlen = int.from_bytes(data[8:16], "little")
         flipped = data.index(token, 16, 16 + hlen) + len(token) // 2
         data[flipped] ^= 0x01  # another ASCII letter: the header stays valid JSON
-        path.write_bytes(bytes(data))
-        with pytest.raises(ValueError) as excinfo:
-            load_checkpoint(path)
-        message = str(excinfo.value)
-        assert str(path) in message
-        assert f"header field {field!r}" in message
+        assert f"header field {field!r}" in self.load_error(path, data)
 
     @pytest.mark.parametrize("field", ["version", "header length", "header", "payload"])
     def test_truncated_file_names_path_and_offset(self, tmp_path, field):
         path = tmp_path / "agent.ckpt"
         data = self.saved_checkpoint(path)
         hlen = int.from_bytes(data[8:16], "little")
-        last = json.loads(data[16 : 16 + hlen])["arrays"][-1]
-        last_offset = len(data) - 8 * math.prod(last["shape"])
+        last_offset = [*checkpoint_arrays(data).values()][-1][0]
         cut, offset = {
             "version": (6, 4),
             "header length": (12, 8),
             "header": (16 + hlen // 2, 16),
             "payload": (len(data) - 4, last_offset),
         }[field]
-        path.write_bytes(data[:cut])
-        with pytest.raises(ValueError) as excinfo:
-            load_checkpoint(path)
-        message = str(excinfo.value)
-        assert str(path) in message
+        message = self.load_error(path, data[:cut])
         assert f"byte offset {offset} " in message
         assert f"file ends at byte {cut}" in message
-
-    @staticmethod
-    def array_offset(data: bytes, name: str) -> int:
-        """The byte offset of a payload array, from the header's manifest."""
-        hlen = int.from_bytes(data[8:16], "little")
-        offset = 16 + hlen
-        for entry in json.loads(data[16 : 16 + hlen])["arrays"]:
-            if entry["name"] == name:
-                return offset
-            offset += 8 * math.prod(entry["shape"])
-        raise KeyError(name)
 
     @pytest.mark.parametrize("array, value, what", [
         ("q/net0/layer0/weights", np.nan, "nan"),
@@ -566,19 +525,15 @@ class TestCheckpointRoundTrip:
         rejected at load, where it is written."""
         path = tmp_path / "agent.ckpt"
         data = bytearray(self.saved_checkpoint(path))
-        offset = self.array_offset(data, array)
+        offset = checkpoint_arrays(data)[array][0]
         data[offset : offset + 8] = np.float64(value).tobytes()
-        path.write_bytes(bytes(data))
-        with pytest.raises(ValueError) as excinfo:
-            load_checkpoint(path)
-        message = str(excinfo.value)
-        assert str(path) in message and f"array {array} " in message
-        assert f"holds {what} at byte offset {offset};" in message
+        message = self.load_error(path, data)
+        assert f"array {array} " in message and f"holds {what} at byte offset {offset};" in message
 
     def test_negative_zero_second_moment_loads(self, tmp_path):
         path = tmp_path / "agent.ckpt"
         data = bytearray(self.saved_checkpoint(path))
-        offset = self.array_offset(data, "q_opt/v0")
+        offset = checkpoint_arrays(data)["q_opt/v0"][0]
         data[offset : offset + 8] = np.float64(-0.0).tobytes()
         path.write_bytes(bytes(data))
         loaded, _ = load_checkpoint(path)
@@ -603,9 +558,6 @@ class TestCheckpointRoundTrip:
     def test_zero_passthrough_pair_of_an_earlier_writer_loads(self, tmp_path, algorithm):
         """Earlier versions saved every Platform agent with an all-zero pair;
         such a file loads to the saved arrays and acts as the saved agent."""
-        from pamdp.checkpoint import _agent_arrays
-        from pamdp.envs import make_env
-
         cfg = parse_config_text(f"env = platform\nalgorithm = {algorithm}\nhidden = 8\n")
         agent = harness.build_agent(cfg, make_env("platform", {}).spec, seed_stream(0))
         path = tmp_path / "agent.ckpt"
@@ -632,12 +584,9 @@ class TestCheckpointRoundTrip:
         pair = {"passthrough/weights": np.zeros((2, 2)), "passthrough/bias": np.zeros(2)}
         pair[array].flat[index] = 0.5
         self.with_passthrough_pair(path, *pair.values())
-        offset = self.array_offset(path.read_bytes(), array) + 8 * index
-        with pytest.raises(ValueError) as excinfo:
-            load_checkpoint(path)
-        message = str(excinfo.value)
-        assert str(path) in message and f"array {array} " in message
-        assert f"holds 0.5 at byte offset {offset};" in message
+        offset = checkpoint_arrays(path.read_bytes())[array][0] + 8 * index
+        message = self.load_error(path)
+        assert f"array {array} " in message and f"holds 0.5 at byte offset {offset};" in message
 
     @pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
     @settings(max_examples=60, deadline=None)
@@ -648,9 +597,6 @@ class TestCheckpointRoundTrip:
         ValueError naming the file or loads: the format has no checksum, so
         a changed payload value, or a header change that still rebuilds an
         agent, loads. No other exception escapes."""
-        from pamdp.agent import AgentConfig, make_agent
-        from pamdp.qfunction import ActionSpaceSpec
-
         path = tmp_path_factory.mktemp("fuzz") / "agent.ckpt"
         agent = make_agent(algorithm, ActionSpaceSpec(2, (1, 1)), AgentConfig(hidden=(4,)),
                            np.random.default_rng(3))
@@ -674,11 +620,7 @@ class TestCheckpointRoundTrip:
         hlen = int.from_bytes(data[8:16], "little")
         flipped = 16 + hlen // 3
         data[flipped] ^= 0x80  # the header is ASCII JSON, so this is invalid UTF-8
-        path.write_bytes(bytes(data))
-        with pytest.raises(ValueError) as excinfo:
-            load_checkpoint(path)
-        assert str(path) in str(excinfo.value)
-        assert str(excinfo.value).endswith(f"byte offset {flipped}")
+        assert self.load_error(path, data).endswith(f"byte offset {flipped}")
 
 
 class TestSweep:

@@ -310,6 +310,28 @@ class TestWidthOneLayers:
         assert inner and 1 not in inner
 
 
+class TestInputColumns:
+    """``input_gradient`` from a start column has the whole input gradient's
+    bits. (rows, first width, input width, start): each Platform, bandit and
+    chain value gradient, then each bound of ``_input_columns``, width 1."""
+
+    @pytest.mark.parametrize("shape", [
+        (384, 128, 12, 9), (128, 128, 12, 9), (128, 128, 10, 9), (128, 128, 15, 9),
+        (64, 64, 3, 1), (32, 64, 3, 1), (32, 64, 2, 1), (32, 64, 5, 1), (64, 64, 5, 3),
+        (384, 256, 12, 9), (512, 128, 20, 9), (1, 128, 10, 9), (32, 64, 9, 8), (6, 1, 10, 9),
+    ], ids=lambda shape: "x".join(map(str, shape)))
+    def test_columns_have_the_whole_products_bits(self, shape):
+        rows, width, fan_in, start = shape
+        rng = np.random.default_rng(rows * width + fan_in)
+        for _ in range(20):
+            net = DenseNet.create(fan_in, (width,), 3, rng)
+            batch, upstream = rng.standard_normal((rows, fan_in)), rng.standard_normal((rows, 3))
+            _, cache = forward(net, batch)
+            whole = backward(net, cache, upstream)[1][:, start:]
+            part = input_gradient(net, cache, upstream, start)
+            assert part.tobytes() == whole.tobytes()
+
+
 def fresh_copy(net):
     """The same parameters in a network with working arrays of its own."""
     return DenseNet(
@@ -717,12 +739,6 @@ class TestClipGradNorm:
 
 
 class TestPolyak:
-    def test_tau_one_hard_copy(self):
-        target = [np.array([5.0, -1.0])]
-        online = [np.array([1.0, 2.0])]
-        polyak_update(target, online, 1.0)
-        assert target[0].tolist() == [1.0, 2.0]
-
     def test_convex_combination(self):
         target = [np.zeros(1)]
         online = [np.ones(1)]

