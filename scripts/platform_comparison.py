@@ -1,6 +1,7 @@
 """Train the three Q-architectures and the relaxed-continuous baseline on
-Platform with shared seeds and hyperparameters, then print the evaluation
-table (mean +/- std over seeds, exploration-free).
+Platform with shared seeds and the hyperparameters of
+configs/platform_desk.conf, then print the evaluation table (mean +/- std
+over seeds, exploration-free).
 
 Usage:
     python3 scripts/platform_comparison.py [--episodes N] [--seeds a,b,...]
@@ -9,16 +10,19 @@ Usage:
 
 import argparse
 from dataclasses import replace
+from pathlib import Path
 
 from pamdp.harness import (
     ALGORITHMS,
     CONFIG_KEYS,
-    RunConfig,
     evaluate_run,
     format_summary,
+    load_config,
     train,
     write_summary_csv,
 )
+
+DESK = Path(__file__).resolve().parents[1] / "configs" / "platform_desk.conf"
 
 
 def main():
@@ -29,13 +33,12 @@ def main():
     parser.add_argument("--out", default="runs/comparison")
     args = parser.parse_args()
 
-    base = RunConfig(
-        env="platform",
+    base = replace(
+        load_config(str(DESK)),
         episodes=args.episodes,
         seeds=CONFIG_KEYS["seeds"](args.seeds),
         eval_episodes=args.eval_episodes,
         out_dir=args.out,
-        ou_sigma=0.1,
     )
     summaries = []
     for algorithm in ALGORITHMS:

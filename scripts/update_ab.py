@@ -78,7 +78,7 @@ def warmed_checkpoint(config: str, algorithm: str, episodes: int, path: str):
         _, transitions, _ = harness.run_episode(env, agent, rng, True, cfg.max_episode_steps)
         replay.finalize_episode(agent.replay, transitions, agent, cfg.beta_mix)
     batch = agent._sample_batch(rng)
-    checkpoint.save_checkpoint(path, agent, algorithm, cfg.env, cfg.env_overrides)
+    checkpoint.save_checkpoint(path, agent, cfg.env, cfg.env_overrides)
     return batch
 
 

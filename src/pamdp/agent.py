@@ -180,6 +180,11 @@ class PDQNAgent:
         self.epsilon = config.epsilon_schedule()
         self.noise = OUNoise(dim, config.ou_theta, config.ou_sigma, config.ou_mu, config.ou_dt)
 
+    @property
+    def algorithm(self) -> str:
+        """The id ``make_agent`` builds this agent from."""
+        return f"pdqn-{self.variant}"
+
     def _q_space(self) -> ActionSpaceSpec:
         """The action space the Q-function and the actor work in."""
         return self.space
@@ -357,6 +362,8 @@ class PADDPGAgent(PDQNAgent):
     parameter block is the whole (K + M)-vector, so the Q regression, the
     actor step and the bootstrap target are P-DQN's.
     """
+
+    algorithm = "paddpg"
 
     def __init__(self, space: ActionSpaceSpec, config: AgentConfig, rng: np.random.Generator):
         super().__init__(space, JOINT, config, rng)

@@ -71,13 +71,13 @@ def _agent_arrays(agent) -> list[tuple[str, np.ndarray]]:
     return arrays
 
 
-def save_checkpoint(path, agent, algorithm: str, env_id: str, env_overrides: dict,
+def save_checkpoint(path, agent, env_id: str, env_overrides: dict,
                     meta: dict | None = None, rng_state: dict | None = None):
     arrays = _agent_arrays(agent)
     header = {
         "format": "pamdp-checkpoint",
         "version": FORMAT_VERSION,
-        "algorithm": algorithm,
+        "algorithm": agent.algorithm,
         "env_id": env_id,
         "env_overrides": env_overrides,
         "config": asdict(agent.config),

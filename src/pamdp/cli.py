@@ -48,6 +48,8 @@ def _cmd_eval(args):
 
 def _cmd_sweep(args):
     cfg = _config(args.config)
+    if not cfg.grid:
+        raise SystemExit(f"{args.config}: sets no sweep.* key, so there is no grid to sweep")
     results = harness.sweep(cfg)
     for row in results:
         print(f"#{row['rank']} {row['cell']}: {format_summary(row['mean'], row['std'])}")

@@ -8,9 +8,11 @@ config never perturbs existing runs. Logs are appended line by line and
 flushed, so a crashed run leaves a valid CSV plus a meta file that records
 how far it was supposed to go.
 
-Config files are flat ``key = value`` text; unknown keys are errors. Every
-CSV line is built by ``csv_line``, with shortest round-trip float
-formatting, so every summary is recomputable from the raw logs.
+Config files are flat ``key = value`` text; unknown keys are errors, and a
+``sweep.*`` grid becomes its runs as it loads, so a bad cell fails before
+any training. Every CSV line is built by ``csv_line``, with shortest
+round-trip float formatting, so every summary is recomputable from the raw
+logs.
 """
 
 from __future__ import annotations
@@ -39,7 +41,10 @@ SUMMARY_HEADER = ["algorithm", "env", "n_seeds", "mean", "std", "stderr"]
 @dataclass
 class RunConfig(AgentConfig):
     """One experiment: the agent's hyperparameters, inherited from
-    ``AgentConfig``, plus the run's own settings."""
+    ``AgentConfig``, plus the run's own settings.
+
+    ``runs`` and ``rejected`` are ``sweep_runs``'s lists, built when the
+    config is made; ``dataclasses.replace`` builds them again."""
 
     env: str = "platform"
     algorithm: str = "pdqn-multipass"
@@ -68,12 +73,7 @@ class RunConfig(AgentConfig):
         super().__post_init__()
         make_env(self.env, self.env_overrides)  # a bad env id or override fails here
         # and so does a sweep cell that builds no run, not mid-sweep
-        for combo in itertools.product(*self.grid.values()) if self.grid else ():
-            cell = dict(zip(self.grid, combo))
-            try:
-                replace(self, grid={}, **cell)
-            except ValueError as exc:
-                raise ValueError(f"sweep cell {_cell_name(cell)}: {exc}") from None
+        self.runs, self.rejected = sweep_runs(self) if self.grid else ([], [])
 
     def agent_config(self) -> AgentConfig:
         """The agent's share; a zero epsilon horizon becomes the first 10%
@@ -290,7 +290,6 @@ def train_seed(cfg: RunConfig, seed: int, out_dir: str) -> dict:
         save_checkpoint(
             ckpt_path,
             agent,
-            cfg.algorithm,
             cfg.env,
             cfg.env_overrides,
             meta={"seed": seed, "episodes_trained": cfg.episodes},
@@ -378,20 +377,18 @@ def evaluate_checkpoint(ckpt_path: str, episodes: int, out_csv: str | None = Non
     return returns, steps, header
 
 
-def evaluate_run(cfg: RunConfig, episodes: int | None = None,
-                 out_dir: str | None = None) -> EvalSummary:
+def evaluate_run(cfg: RunConfig, episodes: int | None = None) -> EvalSummary:
     """Evaluate every seed checkpoint of a finished run and aggregate."""
     episodes = episodes or cfg.eval_episodes
-    out_dir = out_dir or cfg.out_dir
     means = []
     for seed in cfg.seeds:
-        ckpt = os.path.join(out_dir, f"checkpoint_seed{seed}.ckpt")
-        out_csv = os.path.join(out_dir, f"eval_seed{seed}.csv")
+        ckpt = os.path.join(cfg.out_dir, f"checkpoint_seed{seed}.ckpt")
+        out_csv = os.path.join(cfg.out_dir, f"eval_seed{seed}.csv")
         returns, _, _ = evaluate_checkpoint(ckpt, episodes, out_csv)
         means.append(float(np.mean(returns)))
     mean, std, stderr = summarize(means)
     summary = EvalSummary(cfg.algorithm, cfg.env, tuple(means), mean, std, stderr)
-    write_summary_csv(os.path.join(out_dir, "summary.csv"), [summary])
+    write_summary_csv(os.path.join(cfg.out_dir, "summary.csv"), [summary])
     return summary
 
 
@@ -416,81 +413,66 @@ def read_csv(path: str) -> list[dict]:
 # -- hyperparameter sweeps ----------------------------------------------
 
 
-def expand_grid(cfg: RunConfig) -> tuple[list[dict], list[tuple[dict, str]]]:
-    """Cells of the config's grid, split into (valid, rejected-with-reason).
+def sweep_runs(cfg: RunConfig) -> tuple[list[tuple[str, RunConfig]], list[tuple[str, str]]]:
+    """The config's grid, one cell per key combination in sorted key order,
+    as (cell name, run) pairs and rejected (cell name, reason) pairs.
 
-    The learning-rate and Polyak constraints mirror the search space the
-    defaults came from: lr_actor <= lr_q and tau_actor <= tau_q.
+    A cell's run trains the first ``sweep_seeds`` seeds into a directory
+    named after the cell. Cells that break lr_actor <= lr_q or tau_actor <=
+    tau_q, the search space the defaults came from, are rejected. A cell
+    that builds no run raises, and so does a grid with no valid run.
     """
-    if not cfg.grid:
-        raise ValueError("config defines no sweep.* grid values")
     keys = sorted(cfg.grid)
-    valid, rejected = [], []
+    runs, rejected = [], []
     for combo in itertools.product(*(cfg.grid[k] for k in keys)):
-        cell = dict(zip(keys, combo))
-        lr_q = cell.get("lr_q", cfg.lr_q)
-        lr_actor = cell.get("lr_actor", cfg.lr_actor)
-        tau_q = cell.get("tau_q", cfg.tau_q)
-        tau_actor = cell.get("tau_actor", cfg.tau_actor)
-        if lr_actor > lr_q:
-            rejected.append((cell, f"lr_actor {lr_actor} > lr_q {lr_q}"))
-        elif tau_actor > tau_q:
-            rejected.append((cell, f"tau_actor {tau_actor} > tau_q {tau_q}"))
+        name = "_".join(f"{k}={_cell_value(v)}" for k, v in zip(keys, combo))
+        try:
+            run = replace(cfg, seeds=cfg.seeds[: cfg.sweep_seeds], grid={},
+                          out_dir=os.path.join(cfg.out_dir, name), **dict(zip(keys, combo)))
+        except ValueError as exc:
+            raise ValueError(f"sweep cell {name}: {exc}") from None
+        if run.lr_actor > run.lr_q:
+            rejected.append((name, f"lr_actor {run.lr_actor} > lr_q {run.lr_q}"))
+        elif run.tau_actor > run.tau_q:
+            rejected.append((name, f"tau_actor {run.tau_actor} > tau_q {run.tau_q}"))
         else:
-            valid.append(cell)
-    if not valid:
-        raise ValueError("every grid cell violates the sweep constraints")
-    return valid, rejected
+            runs.append((name, run))
+    if not runs:
+        raise ValueError("every sweep cell is rejected ({}: {})".format(*rejected[0]))
+    return runs, rejected
 
 
-def _cell_name(cell: dict) -> str:
-    parts = []
-    for key in sorted(cell):
-        value = cell[key]
-        if isinstance(value, tuple):
-            value = "x".join(str(v) for v in value)
-        parts.append(f"{key}={value}")
-    return "_".join(parts) or "base"
+def _cell_value(value):
+    """A grid value as cell names and the results table write it: a tuple's
+    entries joined by ``x``, as in ``8x8``."""
+    return "x".join(map(str, value)) if isinstance(value, tuple) else value
 
 
 def sweep(cfg: RunConfig) -> list[dict]:
-    """Train and evaluate each valid grid cell; rank by mean eval return."""
-    valid, rejected = expand_grid(cfg)
+    """Train and evaluate the runs the config built at load, none without a
+    grid; rank them by mean eval return."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    if rejected:
+    if cfg.rejected:
         _write_csv(os.path.join(cfg.out_dir, "rejected_cells.csv"), ["cell", "reason"],
-                   [[_cell_name(cell), reason] for cell, reason in rejected])
+                   cfg.rejected)
     results = []
-    for cell in valid:
-        name = _cell_name(cell)
-        cell_dir = os.path.join(cfg.out_dir, name)
-        cell_cfg = replace(
-            cfg,
-            out_dir=cell_dir,
-            seeds=cfg.seeds[: cfg.sweep_seeds],
-            grid={},
-            **cell,
-        )
-        train(cell_cfg)
-        summary = evaluate_run(cell_cfg)
+    for name, run in cfg.runs:
+        train(run)
+        summary = evaluate_run(run)
         results.append(
             {"cell": name, "mean": summary.mean, "std": summary.std,
-             "stderr": summary.stderr, "n_seeds": summary.n_seeds, **{
-                 k: (v if not isinstance(v, tuple) else "x".join(map(str, v)))
-                 for k, v in cell.items()}}
+             "stderr": summary.stderr, "n_seeds": summary.n_seeds,
+             **{k: _cell_value(getattr(run, k)) for k in cfg.grid}}
         )
     results.sort(key=lambda r: r["mean"], reverse=True)
     for rank, row in enumerate(results, start=1):
         row["rank"] = rank
-    header = ["rank", "cell", "n_seeds", "mean", "std", "stderr"]
-    cols = header + sorted({k for r in results for k in r} - set(header))
+    cols = ["rank", "cell", "n_seeds", "mean", "std", "stderr", *sorted(cfg.grid)]
     _write_csv(os.path.join(cfg.out_dir, "sweep_results.csv"), cols,
-               [[row.get(c, "") for c in cols] for row in results])
+               [[row[c] for c in cols] for row in results])
     return results
 
 
 def sweep_report(out_dir: str) -> list[dict]:
-    """Read back a sweep directory and return the ranked rows."""
-    rows = read_csv(os.path.join(out_dir, "sweep_results.csv"))
-    rows.sort(key=lambda r: int(r["rank"]))
-    return rows
+    """The ranked rows of a sweep directory, as ``sweep`` wrote them."""
+    return read_csv(os.path.join(out_dir, "sweep_results.csv"))

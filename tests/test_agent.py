@@ -247,7 +247,7 @@ class TestFlatBuffers:
         for _ in range(3):
             agent.update_from_replay(rng)
         path = tmp_path / "agent.ckpt"
-        save_checkpoint(path, agent, algorithm, "chain", {})
+        save_checkpoint(path, agent, "chain", {})
         loaded, _ = load_checkpoint(path)
         payload = payload_arrays(path)
 

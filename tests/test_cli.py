@@ -6,7 +6,7 @@ from pamdp.cli import main
 from pamdp.envs import make_env
 from pamdp.harness import build_agent, parse_config_text, read_csv, seed_stream
 from pamdp.qfunction import q_sensitivity_sweep
-from conftest import BANDIT_CFG
+from conftest import BANDIT_CFG, CONFIGS
 
 
 @pytest.fixture
@@ -24,7 +24,7 @@ def untrained_platform(tmp_path):
     cfg = parse_config_text("env = platform\nalgorithm = pdqn-joint\nhidden = 8\n")
     ckpt = tmp_path / "platform.ckpt"
     agent = build_agent(cfg, make_env("platform", {}).spec, seed_stream(0))
-    save_checkpoint(ckpt, agent, "pdqn-joint", "platform", {})
+    save_checkpoint(ckpt, agent, "platform", {})
     return ckpt
 
 
@@ -95,7 +95,7 @@ class TestDiagnoseCommand:
         cfg = parse_config_text("env = bandit\nalgorithm = paddpg\nhidden = 8\n")
         ckpt = tmp_path / "paddpg.ckpt"
         agent = build_agent(cfg, make_env("bandit", {}).spec, seed_stream(0))
-        save_checkpoint(ckpt, agent, "paddpg", "bandit", {})
+        save_checkpoint(ckpt, agent, "bandit", {})
         out = tmp_path / "sweep.csv"
         with pytest.raises(SystemExit, match="needs a P-DQN checkpoint; .* holds a paddpg agent"):
             main(["diagnose-sensitivity", "--checkpoint", str(ckpt), "--action", "0",
@@ -175,9 +175,12 @@ def test_count_below_its_least_value_rejected(argv, capsys):
     (["train", "--config", "missing.conf", "--seeds", "a"], "--seeds: expected comma-separated"),
     (["train", "--config", "missing.conf"], "pamdp train: no such file or directory: missing.conf"),
     (["sweep", "--config", __file__], f"{__file__}: line 1: expected 'key = value'"),
+    (["sweep", "--config", str(CONFIGS / "bandit_oracle.conf")],
+     "bandit_oracle.conf: sets no sweep.* key, so there is no grid to sweep"),
     (["eval", "--checkpoint", "missing.ckpt"], "pamdp eval: no such file or directory: missing.ckpt"),
     (["sweep-report", "--dir", "missing"], "no such file or directory: missing/sweep_results.csv"),
-], ids=["seeds-empty", "seeds-not-integers", "config", "not-a-config", "checkpoint", "dir"])
+], ids=["seeds-empty", "seeds-not-integers", "config", "not-a-config", "no-sweep-key",
+        "checkpoint", "dir"])
 def test_bad_input_exits_with_a_message(argv, message, capsys):
     # argparse prints its message and exits 2; the others exit with theirs
     with pytest.raises(SystemExit) as stop:

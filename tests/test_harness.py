@@ -4,7 +4,7 @@ import math
 import os
 import runpy
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,6 @@ from pamdp.harness import (
     RunConfig,
     evaluate_checkpoint,
     evaluate_run,
-    expand_grid,
     format_summary,
     load_config,
     parse_config_text,
@@ -29,6 +28,7 @@ from pamdp.harness import (
     smooth,
     summarize,
     sweep,
+    sweep_runs,
     train,
     train_seed,
 )
@@ -38,11 +38,7 @@ from conftest import BANDIT_CFG, CONFIGS, checkpoint_arrays
 
 
 def bandit_cfg(tmp_path, **kwargs):
-    cfg = parse_config_text(BANDIT_CFG)
-    cfg.out_dir = str(tmp_path / "run")
-    for key, value in kwargs.items():
-        setattr(cfg, key, value)
-    return cfg
+    return replace(parse_config_text(BANDIT_CFG), out_dir=str(tmp_path / "run"), **kwargs)
 
 
 class TestSmooth:
@@ -211,6 +207,8 @@ class TestConfigParsing:
         ("episodes = 5\nou_dt = 0\n", "line 2: invalid OU parameters"),
         ("gamma = 0.5\nepisodes = 5\ngamma = 0.7\n", "line 3: gamma is set again; line 1 set it"),
         ("sweep.hidden = 8|0\nepisodes = 5\n", r"line 1: sweep cell hidden=0: hidden layer widths"),
+        ("episodes = 5\nsweep.lr_actor = 1e-2\n",
+         r"line 2: every sweep cell is rejected \(lr_actor=0.01: lr_actor 0.01 > lr_q 0.001\)"),
         ("episodes = 5\nenv = cartpole\n",
          r"line 2: unknown environment 'cartpole'; expected one of \('platform', 'bandit', 'chain'\)"),
         *((f"episodes = 5\n{key} = {value}\n", f"line 2: {key} must be finite, got {value}")
@@ -218,7 +216,7 @@ class TestConfigParsing:
     ], ids=["range", "cross-key", "cross-key-mended", "first-of-two", "bandit",
             "bandit-after-override", "platform-ending-past-length", "hidden-width-0",
             "activation-tanh", "ou_sigma-negative", "ou_theta-negative", "ou_dt-0",
-            "key-set-twice", "sweep-cell-hidden-0", "unknown-env",
+            "key-set-twice", "sweep-cell-hidden-0", "sweep-every-cell-rejected", "unknown-env",
             *(f"{key}-{value}" for key, value in NON_FINITE)])
     def test_config_that_builds_nothing_names_its_line(self, text, message):
         """The blamed line is the first after which the lines read so far
@@ -235,9 +233,8 @@ class TestConfigParsing:
         cfg = load_config(str(CONFIGS / "platform_sweep.conf"))
         assert cfg.grid["hidden"] == ((128,), (256, 128))
         assert cfg.grid["batch_size"] == (128,)
-        valid, rejected = expand_grid(cfg)
-        assert len(valid) == 16
-        assert rejected == []
+        assert len(cfg.runs) == 16
+        assert cfg.rejected == []
 
     def test_sweep_grid_keys(self):
         cfg = parse_config_text(
@@ -396,18 +393,14 @@ class TestEvaluate:
         assert header["algorithm"] == "pdqn-multipass"
 
     def test_summary_matches_recomputation_from_raw_csv(self, tmp_path):
+        """The eval and summary CSVs carry their headers and summary.csv the
+        returned mean; criterion 8 recomputes the summary from the CSVs."""
         cfg = bandit_cfg(tmp_path)
         train(cfg)
         summary = evaluate_run(cfg, episodes=3)
-        means = []
         for seed in cfg.seeds:
             rows = read_csv(os.path.join(cfg.out_dir, f"eval_seed{seed}.csv"))
             assert list(rows[0].keys()) == harness.EVAL_HEADER
-            means.append(np.mean([float(r["return"]) for r in rows]))
-        mean, std, stderr = summarize(means)
-        assert abs(summary.mean - mean) <= 1e-12
-        assert abs(summary.std - std) <= 1e-12
-        assert abs(summary.stderr - stderr) <= 1e-12
         srow = read_csv(os.path.join(cfg.out_dir, "summary.csv"))[0]
         assert list(srow.keys()) == harness.SUMMARY_HEADER
         assert float(srow["mean"]) == summary.mean
@@ -434,7 +427,7 @@ class TestCheckpointRoundTrip:
         for _ in range(5):
             agent.update_from_replay(rng)
         path = tmp_path / "agent.ckpt"
-        save_checkpoint(path, agent, "pdqn-multipass", "bandit", {},
+        save_checkpoint(path, agent, "bandit", {},
                         meta={"seed": 7}, rng_state=rng.bit_generator.state)
         loaded, header = load_checkpoint(path)
         for net, twin in zip([*agent.qf.nets, agent.actor.net],
@@ -446,6 +439,16 @@ class TestCheckpointRoundTrip:
         assert (agent.q_values(s, x) == loaded.q_values(s, x)).all()
         assert header["meta"]["seed"] == 7
         assert header["rng_state"] is not None
+
+    @pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
+    def test_header_names_the_saved_agent(self, tmp_path, algorithm):
+        agent = make_agent(algorithm, ActionSpaceSpec(2, (1, 1)), AgentConfig(hidden=(4,)),
+                           np.random.default_rng(3))
+        path = tmp_path / "agent.ckpt"
+        save_checkpoint(path, agent, "bandit", {})
+        loaded, header = load_checkpoint(path)
+        assert header["algorithm"] == agent.algorithm == algorithm
+        assert type(loaded) is type(agent) and loaded.variant == agent.variant
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
@@ -469,7 +472,7 @@ class TestCheckpointRoundTrip:
         space = ActionSpaceSpec(state_dim=2, param_dims=(1, 1))
         cfg = AgentConfig(hidden=(8,))
         agent = PDQNAgent(space, "multipass", cfg, np.random.default_rng(3))
-        save_checkpoint(path, agent, "pdqn-multipass", "bandit", {})
+        save_checkpoint(path, agent, "bandit", {})
         return path.read_bytes()
 
     def test_header_config_keeps_the_agent_config_fields(self, tmp_path):
@@ -561,7 +564,7 @@ class TestCheckpointRoundTrip:
         cfg = parse_config_text(f"env = platform\nalgorithm = {algorithm}\nhidden = 8\n")
         agent = harness.build_agent(cfg, make_env("platform", {}).spec, seed_stream(0))
         path = tmp_path / "agent.ckpt"
-        save_checkpoint(path, agent, algorithm, "platform", {})
+        save_checkpoint(path, agent, "platform", {})
         dim = agent.actor.net.output_dim
         self.with_passthrough_pair(path, np.zeros((9, dim)), np.zeros(dim))
         loaded, header = load_checkpoint(path)
@@ -600,7 +603,7 @@ class TestCheckpointRoundTrip:
         path = tmp_path_factory.mktemp("fuzz") / "agent.ckpt"
         agent = make_agent(algorithm, ActionSpaceSpec(2, (1, 1)), AgentConfig(hidden=(4,)),
                            np.random.default_rng(3))
-        save_checkpoint(path, agent, algorithm, "bandit", {})
+        save_checkpoint(path, agent, "bandit", {})
         saved = path.read_bytes()
         damaged = bytearray(saved)
         if data.draw(st.booleans(), "truncated"):
@@ -625,28 +628,26 @@ class TestCheckpointRoundTrip:
 
 class TestSweep:
     def test_constraint_violating_cells_rejected_with_reason(self, tmp_path):
-        cfg = bandit_cfg(tmp_path)
-        cfg.grid = {"lr_q": (1e-3,), "lr_actor": (1e-2, 1e-4)}
-        valid, rejected = expand_grid(cfg)
-        assert len(valid) == 1
-        assert valid[0]["lr_actor"] == 1e-4
-        (cell, reason) = rejected[0]
-        assert cell["lr_actor"] == 1e-2
-        assert "lr_actor" in reason
+        cfg = bandit_cfg(tmp_path, sweep_seeds=1,
+                         grid={"lr_q": (1e-3,), "lr_actor": (1e-2, 1e-4)})
+        runs, rejected = sweep_runs(cfg)
+        assert (runs, rejected) == (cfg.runs, cfg.rejected)
+        ((name, run),) = runs
+        assert name == "lr_actor=0.0001_lr_q=0.001"
+        assert run == replace(cfg, lr_q=1e-3, lr_actor=1e-4, seeds=(0,), grid={},
+                              out_dir=os.path.join(cfg.out_dir, name))
+        assert rejected == [("lr_actor=0.01_lr_q=0.001", "lr_actor 0.01 > lr_q 0.001")]
 
     def test_tau_constraint(self, tmp_path):
-        cfg = bandit_cfg(tmp_path)
-        cfg.grid = {"tau_q": (0.01,), "tau_actor": (0.1,)}
-        with pytest.raises(ValueError, match="every grid cell"):
-            expand_grid(cfg)
+        with pytest.raises(ValueError, match=r"every sweep cell is rejected "
+                           r"\(tau_actor=0.1_tau_q=0.01: tau_actor 0.1 > tau_q 0.01\)"):
+            bandit_cfg(tmp_path, grid={"tau_q": (0.01,), "tau_actor": (0.1,)})
 
     def test_single_cell_sweep_equals_direct_run(self, tmp_path):
-        cfg = bandit_cfg(tmp_path, seeds=(0, 1), sweep_seeds=2)
-        cfg.grid = {"lr_q": (0.01,)}
+        cfg = bandit_cfg(tmp_path, seeds=(0, 1), sweep_seeds=2, grid={"lr_q": (0.01,)})
         results = sweep(cfg)
         assert len(results) == 1
-        direct = bandit_cfg(tmp_path, seeds=(0, 1))
-        direct.out_dir = str(tmp_path / "direct")
+        direct = replace(bandit_cfg(tmp_path, seeds=(0, 1)), out_dir=str(tmp_path / "direct"))
         train(direct)
         summary = evaluate_run(direct, episodes=direct.eval_episodes)
         assert results[0]["mean"] == pytest.approx(summary.mean, abs=1e-15)
