@@ -32,6 +32,8 @@ def main():
     parser.add_argument("--eval-episodes", type=int, default=100)
     parser.add_argument("--out", default="runs/comparison")
     args = parser.parse_args()
+    if args.eval_episodes < 1:
+        parser.error("--eval-episodes must be >= 1")
 
     base = replace(
         load_config(str(DESK)),

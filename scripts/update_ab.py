@@ -17,14 +17,15 @@ tree's is imported from `src/`. Per config and algorithm the script
    and counts the Python-level function calls of one update with
    `sys.setprofile`.
 
-It prints one CSV line per algorithm of `harness.ALGORITHMS`
-(`harness.csv_line`): the working tree's time over the revision's, as the
+It prints one CSV line per config and algorithm (`harness.csv_line`), for
+the algorithms of `--algorithms`, by default all of `harness.ALGORITHMS`: the working tree's time over the revision's, as the
 median and quartiles of the per-pair ratios, each side's median ms per
 update and calls per update, and whether the bits were equal. It exits with status 1 if any were not.
 
 Usage:
     PYTHONPATH=src python3 scripts/update_ab.py --rev HEAD
     PYTHONPATH=src python3 scripts/update_ab.py --rev HEAD --configs bandit --blocks 3 --updates 5
+    PYTHONPATH=src python3 scripts/update_ab.py --rev HEAD --configs platform --algorithms pdqn-separate
 """
 
 import os
@@ -138,6 +139,8 @@ def main() -> int:
     parser.add_argument("--rev", default="HEAD", help="the git revision to compare against")
     parser.add_argument("--configs", nargs="+", choices=sorted(CONFIGS),
                         default=["platform", "bandit"])
+    parser.add_argument("--algorithms", nargs="+", choices=harness.ALGORITHMS,
+                        default=list(harness.ALGORITHMS))
     parser.add_argument("--blocks", type=int, default=21, help="timed blocks per side")
     parser.add_argument("--updates", type=int, default=100, help="updates per block")
     args = parser.parse_args()
@@ -149,7 +152,7 @@ def main() -> int:
         old_checkpoint = import_revision(args.rev, tmp)
         for name in args.configs:
             config, episodes = CONFIGS[name]
-            for algorithm in harness.ALGORITHMS:
+            for algorithm in args.algorithms:
                 row = compare(config, algorithm, episodes, old_checkpoint, args.blocks,
                               args.updates, tmp)
                 all_equal &= row[2]

@@ -168,7 +168,7 @@ class PDQNAgent:
         )
         self.actor = Actor(actor_net, self.bounds)
         self.actor_target = self.actor.copy()
-        self.q_opt = AdamState.for_params([n.flat for n in self.qf.nets], config.lr_q)
+        self.q_opt = AdamState.for_params([self.qf.flat], config.lr_q)
         self.actor_opt = AdamState.for_params([actor_net.flat], config.lr_actor)
         self.replay = ReplayBuffer(
             config.replay_capacity,
@@ -282,18 +282,18 @@ class PDQNAgent:
         y = self._targets(batch)
         b = y.shape[0]
         pred = np.empty(b)
-        grads = []  # each network's gradient buffer
+        # one buffer; each network's gradient buffer is a view of it
+        grads = self.qf.gradient_buffer()
         for net, rows, q_at, out_at, _, _ in self.qf.passes(s, x, k):
-            grads.append(net.gradient_buffer())
             if not len(rows):  # a separate network no sample executed
-                grads[-1].fill(0.0)
+                net.gradient_buffer().fill(0.0)
                 continue
             out, cache = forward(net, rows)
             pred[q_at] = out.take(out_at)
             upstream = np.zeros(out.shape)
             upstream.put(out_at, (pred[q_at] - y[q_at]) / b)
-            backward(net, cache, upstream, out=grads[-1], input_grads=False)
-        self._step(self.qf.nets, grads, self.q_opt)
+            backward(net, cache, upstream, out=net.gradient_buffer(), input_grads=False)
+        self._step(self.qf, grads, self.q_opt)
         # np.mean's sum and division, without its Python-level dispatch
         return float(np.add.reduce(0.5 * (pred - y) ** 2) / b)
 
@@ -311,25 +311,25 @@ class PDQNAgent:
         net = self.actor.net
         grads = net.gradient_buffer()
         backward(net, cache, upstream, out=grads, input_grads=False)
-        self._step([net], [grads], self.actor_opt)
+        self._step(net, grads, self.actor_opt)
         return -float(np.add.reduce(np.add.reduce(q, axis=1))) / b
 
-    def _step(self, nets: list[DenseNet], grads: list[np.ndarray], opt: AdamState):
-        """Clip the networks' gradient buffers jointly, then one Adam step."""
-        grads = clip_grad_norm(grads, self.config.clip_grad, [net.layout for net in nets])
-        nncore.adam_step([net.flat for net in nets], grads, opt)
-        for net in nets:
-            net.mark_updated()
+    def _step(self, owner, grads: np.ndarray, opt: AdamState):
+        """Clip the gradient buffer of a network or a Q-function (``owner``),
+        then one Adam step on its parameter buffer."""
+        grads = clip_grad_norm([grads], self.config.clip_grad, [owner.layout])
+        nncore.adam_step([owner.flat], grads, opt)
+        owner.mark_updated()
 
     def sync_targets(self):
-        """Polyak-average every target network toward its online network."""
-        for targets, onlines, tau in (
-            (self.qf_target.nets, self.qf.nets, self.config.tau_q),
-            ([self.actor_target.net], [self.actor.net], self.config.tau_actor),
+        """Polyak-average the target Q-function and actor toward their online
+        twins, one buffer each."""
+        for target, online, tau in (
+            (self.qf_target, self.qf, self.config.tau_q),
+            (self.actor_target.net, self.actor.net, self.config.tau_actor),
         ):
-            nncore.polyak_update([t.flat for t in targets], [o.flat for o in onlines], tau)
-            for target in targets:
-                target.mark_updated()
+            nncore.polyak_update([target.flat], [online.flat], tau)
+            target.mark_updated()
 
     def update(self, batch) -> tuple[float, float]:
         """One Q step and one actor step on a stacked minibatch, then a soft

@@ -41,10 +41,10 @@ def _net_arrays(prefix: str, net) -> list[tuple[str, np.ndarray]]:
     return out
 
 
-def _opt_arrays(prefix: str, opt, nets) -> list[tuple[str, np.ndarray]]:
-    # one moment buffer per network, named per parameter array it holds
-    ms = [a for m, net in zip(opt.m, nets) for a in net.parts(m)]
-    vs = [a for v, net in zip(opt.v, nets) for a in net.parts(v)]
+def _opt_arrays(prefix: str, opt, owner) -> list[tuple[str, np.ndarray]]:
+    # one moment buffer per optimizer, laid out as its network's or
+    # Q-function's parameters, named per parameter array it holds
+    ms, vs = owner.parts(opt.m[0]), owner.parts(opt.v[0])
     out = []
     for i, (m, v) in enumerate(zip(ms, vs)):
         out.append((f"{prefix}/m{i}", m))
@@ -66,8 +66,8 @@ def _agent_arrays(agent) -> list[tuple[str, np.ndarray]]:
         raise TypeError(f"cannot checkpoint {type(agent).__name__}")
     arrays += _net_arrays("actor", agent.actor.net)
     arrays += _net_arrays("actor_target", agent.actor_target.net)
-    arrays += _opt_arrays("q_opt", agent.q_opt, agent.qf.nets)
-    arrays += _opt_arrays("actor_opt", agent.actor_opt, [agent.actor.net])
+    arrays += _opt_arrays("q_opt", agent.q_opt, agent.qf)
+    arrays += _opt_arrays("actor_opt", agent.actor_opt, agent.actor.net)
     return arrays
 
 

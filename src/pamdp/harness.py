@@ -366,20 +366,23 @@ def evaluate_checkpoint(ckpt_path: str, episodes: int, out_csv: str | None = Non
     rng = seed_stream(eval_seed)
     seed = header["meta"].get("seed", 0)
     returns, steps = [], []
-    rows = []
-    for episode in range(episodes):
+    for _ in range(episodes):
         total, transitions, _ = run_episode(env, agent, rng, False, 10**6)
         returns.append(total)
         steps.append(len(transitions))
-        rows.append([seed, episode, total, len(transitions)])
     if out_csv is not None:
-        _write_csv(out_csv, EVAL_HEADER, rows)
+        _write_csv(out_csv, EVAL_HEADER, [[seed, episode, total, n] for episode, (total, n)
+                                          in enumerate(zip(returns, steps))])
     return returns, steps, header
 
 
 def evaluate_run(cfg: RunConfig, episodes: int | None = None) -> EvalSummary:
-    """Evaluate every seed checkpoint of a finished run and aggregate."""
-    episodes = episodes or cfg.eval_episodes
+    """Evaluate every seed checkpoint of a finished run and aggregate, over
+    ``episodes`` episodes each, or ``cfg.eval_episodes`` if None."""
+    if episodes is None:
+        episodes = cfg.eval_episodes
+    elif episodes < 1:
+        raise ValueError(f"episodes must be >= 1, got {episodes}")
     means = []
     for seed in cfg.seeds:
         ckpt = os.path.join(cfg.out_dir, f"checkpoint_seed{seed}.ckpt")

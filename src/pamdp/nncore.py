@@ -37,15 +37,31 @@ which numpy computes outside BLAS; padded with zeros to ``[dz, 0] @ [W.T;
 plus ``0 * 0`` and numpy's own loop adds that product to a zero start
 (:func:`_width_one_backprop`).
 
+K networks of one layout whose parameters lie back to back at one stride
+in a buffer run as one stack (:func:`stacked`): ``forward`` and
+``input_gradient`` take a leading axis of K, and each layer is one
+``np.matmul`` over ``(K, fan_in + 1, fan_out)`` strided views of the
+buffer, with one activation and one gradient mask over ``(K, rows, width
++ 1)`` arrays. A stacked ``np.matmul`` makes one BLAS call per slice with
+the strides of the 2-D call, so every slice gets the bits of its
+network's own pass, as long as every operand slice is BLAS-able: one unit
+stride and no stride 0. The stack's parameter views, working arrays and
+input rows are; a broadcast operand, such as a stride-0 batch shared by
+all K, would send the whole product through numpy's own loop, with other
+bits and times. ``TestStackedPass`` in the test suite is the guard.
+
 Forward and backward passes allocate nothing as large as a hidden layer:
 each network keeps its layers' pre-activations, activations and deltas in
-arrays it reuses from call to call (and shares with its copies), grown to
-the largest batch seen. Allocated per call, a 384 x 128 float64 array of a
-multipass update lies above glibc's mmap threshold and would be mapped,
-faulted in and unmapped on every update. So a forward cache lives until the
-next forward of the same network or of a copy, the next taking of its
-input rows, or the next ``mark_updated`` of either; using it later raises.
-``forward`` returns a new array.
+arrays it reuses from call to call (and shares with its copies and their
+stacks), grown to the largest batch and stack seen. Allocated per call, a
+384 x 128 float64 array of a multipass update lies above glibc's mmap
+threshold and would be mapped, faulted in and unmapped on every update. So
+a forward cache lives until the next forward of the same network or of a
+copy, the next taking of its input rows, or the next ``mark_updated`` of
+either; using it later raises. :func:`input_gradient`, which needs no
+parameter gradients, writes its deltas over the cached activations, so a
+stacked pass touches no delta arrays, and spends the cache too. ``forward``
+returns a new array.
 
 A network's parameters ``[W0, b0, W1, b1, ...]`` live back to back in one
 plain float64 array, ``DenseNet.flat``, laid out as ``DenseNet.layout``,
@@ -53,11 +69,13 @@ the tuple of their shapes; each layer's weights and biases are views of it.
 :func:`backward` writes the parameter gradients into a new buffer of that
 layout, or into ``out``, such as the network's reusable
 :meth:`DenseNet.gradient_buffer`, which an agent uses up within its update.
-An agent's Adam moments are buffers of that layout too. So
-:func:`adam_step`, :func:`clip_grad_norm` and :func:`polyak_update` run
-once per network; as every operation is elementwise, the bits are those of
-the per-array steps. The one sum, the global gradient norm, still adds one
-sum of squares per parameter array, in order, from the layouts it is given.
+A network's ``flat`` can also be a view of a larger buffer that several
+networks share, each laid out in turn. An agent's Adam moments are buffers
+of the layout they step. So :func:`adam_step`, :func:`clip_grad_norm` and
+:func:`polyak_update` run once per buffer; as every operation is
+elementwise, the bits are those of the per-array steps. The one sum, the
+global gradient norm, still adds one sum of squares per parameter array,
+in order, from the layouts it is given.
 """
 
 from __future__ import annotations
@@ -122,11 +140,11 @@ class Layer:
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
         self.biases = np.asarray(self.biases, dtype=np.float64)
-        if self.weights.ndim != 2:
-            raise ValueError("layer weights must be a 2-D matrix")
-        if self.biases.shape != (self.weights.shape[1],):
+        if self.weights.ndim < 2:
+            raise ValueError("layer weights must be a 2-D matrix, or a stack of them")
+        if self.biases.shape != self.weights.shape[:-2] + self.weights.shape[-1:]:
             raise ValueError(
-                f"bias shape {self.biases.shape} does not match fan_out {self.weights.shape[1]}"
+                f"bias shape {self.biases.shape} does not match fan_out {self.weights.shape[-1]}"
             )
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
@@ -135,13 +153,16 @@ class Layer:
 
 
 def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Consecutive views of a 1-D array shaped like ``shapes``."""
-    return [flat[start:stop].reshape(shape) for start, stop, shape in _spans(shapes)]
+    """Consecutive views of a 1-D array shaped like ``shapes``; of a (K, size)
+    array, the K views of each, stacked (each slice's last axes contiguous)."""
+    lead = flat.shape[:-1]
+    return [flat[..., start:stop].reshape(*lead, *shape) for start, stop, shape in _spans(shapes)]
 
 
 def _affine_views(flat: np.ndarray, layout) -> list[np.ndarray]:
     """Per layer, the (fan_in + 1, fan_out) view ``[W; b]`` of a buffer laid
-    out as ``[W0, b0, W1, b1, ...]``: a layer's biases follow its weights."""
+    out as ``[W0, b0, W1, b1, ...]``: a layer's biases follow its weights.
+    Of a (K, size) buffer, the (K, fan_in + 1, fan_out) views."""
     return _views(flat, tuple((w[0] + 1, w[1]) for w in layout[::2]))
 
 
@@ -163,7 +184,8 @@ class _Hidden(NamedTuple):
     column: z and a a column of ones, so that ``a @ [W; b]`` adds the next
     layer's biases inside its GEMM (every activation maps 1 to 1), the
     deltas a column that nothing reads. Elementwise steps run on the whole
-    rows, contiguous; the GEMMs write the first ``width`` columns.
+    rows, contiguous; the GEMMs write the first ``width`` columns. An input
+    gradient alone writes its deltas over a's first n rows instead.
     """
 
     gemm: np.ndarray  # padded rows of z without its ones: the GEMM output
@@ -172,6 +194,8 @@ class _Hidden(NamedTuple):
     z_rows: np.ndarray  # the first n rows of z
     delta: np.ndarray  # the first n rows of the deltas
     dz: np.ndarray  # the same without the extra column: the GEMMs' side
+    a_rows: np.ndarray  # the first n rows of a
+    a_dz: np.ndarray  # the same without the ones
 
 
 class _Views(NamedTuple):
@@ -205,84 +229,107 @@ def _mapped(shape: tuple[int, ...]) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, 8 * count), dtype=np.float64).reshape(shape)
 
 
-def _with_ones(shape: tuple[int, int]) -> np.ndarray:
+def _with_ones(shape: tuple[int, ...]) -> np.ndarray:
     """A :func:`_mapped` array whose last column is ones."""
     a = _mapped(shape)
-    a[:, -1] = 1.0
+    a[..., -1] = 1.0
     return a
 
 
 class _LayerArrays:
-    """Reusable per-layer arrays of a network and of its copies.
+    """Reusable per-layer arrays of a network, of its copies and of stacks
+    of them.
 
-    They hold up to ``rows`` rows, a multiple of ``ROW_QUANTUM``, and grow to
-    the largest row count seen; a call on n rows works in leading-row
-    views, made once per n. Every :meth:`input` (so every forward) and every
-    ``mark_updated`` of a network working here bumps ``generation``, which
-    outdates the caches of earlier forwards. The output layer keeps only its
-    GEMM output here: what ``forward`` returns is always a new array.
+    Each array has a leading axis of ``depth`` slices: a network works in
+    the first slice, a stack of k networks (``lead = (k,)``) in the first k,
+    each slice C-contiguous. So a stack's pass and its networks' own passes
+    reuse one memory, as passes of one network do. The arrays hold up to
+    ``rows`` rows, a multiple of ``ROW_QUANTUM``, and grow to the largest
+    row count and depth seen; a call on n rows works in leading-row views,
+    made once per lead and n. Every :meth:`input` (so every forward) and
+    every ``mark_updated`` of a network working here bumps ``generation``,
+    which outdates the caches of earlier forwards. The output layer keeps
+    only its GEMM output here: what ``forward`` returns is always a new
+    array.
     """
 
     def __init__(self, widths: list[int]):
         self.widths = widths  # hidden widths, then the output width
         self.generation = 0
-        self._allocate(0)
+        self._allocate(0, 1)
 
-    def _allocate(self, rows: int):
-        self.rows = rows
+    def _allocate(self, rows: int, depth: int):
+        self.rows, self.depth = rows, depth
         hidden = self.widths[:-1]
-        self._z = [_with_ones((rows, w + 1)) for w in hidden]
-        self._a = [_with_ones((rows, w + 1)) for w in hidden]
-        self._delta = [_mapped((rows, w + 1)) for w in hidden]
-        self._out = _mapped((rows, self.widths[-1]))
+        self._z = [_with_ones((depth, rows, w + 1)) for w in hidden]
+        self._a = [_with_ones((depth, rows, w + 1)) for w in hidden]
+        self._delta = [_mapped((depth, rows, w + 1)) for w in hidden]
+        self._out = _mapped((depth, rows, self.widths[-1]))
         # batches with a column of ones, per input width: networks that
         # share these arrays can differ in it
         self._input: dict[int, np.ndarray] = {}
-        self._inputs: dict[tuple[int, int], tuple] = {}
-        self._views: dict[int, _Views] = {}
-        self._width_one: dict[int, tuple] = {}  # see width_one
+        self._inputs: dict[tuple, tuple] = {}
+        self._views: dict[tuple, _Views] = {}
+        self._pads: dict[int, tuple] = {}  # per fan_in, see width_one
+        self._width_one: dict[tuple, tuple] = {}
 
-    def views(self, n: int) -> _Views:
+    @staticmethod
+    def _slices(a: np.ndarray, lead: tuple) -> np.ndarray:
+        """The slices of ``a`` that a network (lead ``()``) or a stack of k
+        (lead ``(k,)``) works in."""
+        return a[:lead[0]] if lead else a[0]
+
+    def views(self, n: int, lead: tuple = ()) -> _Views:
         """The views for n rows; n must not exceed ``rows``."""
-        views = self._views.get(n)
+        views = self._views.get((lead, n))
         if views is None:
-            padded = padded_rows(n)
+            p, at = padded_rows(n), functools.partial(self._slices, lead=lead)
             hidden = [
-                _Hidden(z[:padded, :-1], z[:padded], a[:padded], z[:n], d[:n], d[:n, :-1])
-                for z, a, d in zip(self._z, self._a, self._delta)
+                _Hidden(z[..., :p, :-1], z[..., :p, :], a[..., :p, :], z[..., :n, :],
+                        d[..., :n, :], d[..., :n, :-1], a[..., :n, :], a[..., :n, :-1])
+                for z, a, d in zip(map(at, self._z), map(at, self._a), map(at, self._delta))
             ]
-            views = self._views[n] = _Views(
-                hidden, self._out[:padded], self._out[:n], [a[:n] for a in self._a],
-                [z[:n, :-1] for z in self._z], [h.dz for h in hidden],
+            out = at(self._out)
+            views = self._views[lead, n] = _Views(
+                hidden, out[..., :p, :], out[..., :n, :], [h.a_rows for h in hidden],
+                [h.z_rows[..., :-1] for h in hidden], [h.dz for h in hidden],
             )
         return views
 
-    def input(self, n: int, width: int) -> tuple:
+    def input(self, n: int, width: int, lead: tuple = ()) -> tuple:
         """Views of the padded input for n rows of ``width`` columns: padded,
         the first n with and without the ones, and the padding without them
         or None. Its rows are about to be overwritten: a new generation."""
-        if n > self.rows:
-            self._allocate(padded_rows(n))
+        depth = lead[0] if lead else 1
+        if n > self.rows or depth > self.depth:
+            self._allocate(max(padded_rows(n), self.rows), max(depth, self.depth))
         self.generation += 1
-        views = self._inputs.get((n, width))
+        views = self._inputs.get((lead, n, width))
         if views is None:
             whole = self._input.get(width)
             if whole is None:
-                whole = self._input[width] = _with_ones((self.rows, width + 1))
-            x = whole[:padded_rows(n)]
-            views = self._inputs[n, width] = (
-                x, x[:n], x[:n, :-1], x[n:, :-1] if len(x) > n else None
+                whole = self._input[width] = _with_ones((self.depth, self.rows, width + 1))
+            p = padded_rows(n)
+            x = self._slices(whole, lead)[..., :p, :]
+            views = self._inputs[lead, n, width] = (
+                x, x[..., :n, :], x[..., :n, :-1], x[..., n:, :-1] if p > n else None
             )
         return views
 
-    def width_one(self, n: int, fan_in: int) -> tuple[np.ndarray, np.ndarray]:
+    def width_one(self, n: int, fan_in: int, lead: tuple = ()) -> tuple:
         """Scratch for :func:`_width_one_backprop` through a width-1 layer
-        of ``fan_in`` inputs: n rows of ``[dz, 0]`` and the (2, fan_in)
-        ``[W.T; 0]``, made at first use with their zeros."""
-        pads = self._width_one.get(fan_in)
-        if pads is None:
-            pads = self._width_one[fan_in] = (np.zeros((self.rows, 2)), np.zeros((2, fan_in)))
-        return pads[0][:n], pads[1]
+        of ``fan_in`` inputs: n rows of ``[dz, 0]``, the (2, fan_in) ``[W.T;
+        0]``, and the column and the row of them it writes, made at first
+        use with their zeros."""
+        views = self._width_one.get((lead, n, fan_in))
+        if views is None:
+            pads = self._pads.get(fan_in)
+            if pads is None:
+                pads = self._pads[fan_in] = (np.zeros((self.depth, self.rows, 2)),
+                                             np.zeros((self.depth, 2, fan_in)))
+            dz, w = self._slices(pads[0], lead)[..., :n, :], self._slices(pads[1], lead)
+            views = self._width_one[lead, n, fan_in] = (dz, w, dz[..., :1], w[..., :1, :])
+        return views
 
     def __reduce__(self):
         # copy.deepcopy and pickle start over with empty arrays: copied
@@ -295,37 +342,54 @@ class DenseNet:
 
     The parameters are copied into one buffer, ``flat``, laid out as
     ``layout``, and the network's layers hold views of it (the given
-    ``Layer`` objects are left alone). The layers' working arrays are reused
-    from forward to forward and shared with :meth:`copy`, so a forward cache
-    goes stale at the next forward of this network or of a copy, and at the
-    next :meth:`mark_updated` of either.
+    ``Layer`` objects are left alone). ``flat`` is a new buffer, or the
+    given view of a larger one that several networks share. The layers'
+    working arrays, new or the given ``arrays`` of other networks, are
+    reused from forward to forward and shared with :meth:`copy`, so a
+    forward cache goes stale at the next forward of this network or of a
+    network sharing them, and at the next :meth:`mark_updated` of either.
+
+    Layers whose weights carry a leading axis of K, over a (K, size)
+    ``flat``, make a stack of K networks of one ``layout`` (see
+    :func:`stacked`): its passes take (K, n, input_dim) batches and run each
+    layer as one stacked GEMM.
     """
 
-    def __init__(self, layers: list[Layer]):
+    def __init__(self, layers: list[Layer], flat: np.ndarray | None = None,
+                 arrays: "_LayerArrays | None" = None):
         if not layers:
             raise ValueError("a network needs at least one layer")
         for a, b in zip(layers, layers[1:]):
-            if a.weights.shape[1] != b.weights.shape[0]:
+            if a.weights.shape[-1] != b.weights.shape[-2]:
                 raise ValueError(
                     f"layer dimensions do not chain: {a.weights.shape} -> {b.weights.shape}"
                 )
         if layers[-1].activation != LINEAR:
             raise ValueError("final layer must be linear")
-        arrays = [a for l in layers for a in (l.weights, l.biases)]
-        self.layout = tuple(a.shape for a in arrays)
-        self.flat = np.empty(sum(a.size for a in arrays))
-        parts = self.parts(self.flat)
-        for part, a in zip(parts, arrays):
+        lead = layers[0].weights.shape[:-2]
+        params = [a for l in layers for a in (l.weights, l.biases)]
+        self.layout = tuple(a.shape[len(lead):] for a in params)
+        size = sum(math.prod(shape) for shape in self.layout)
+        if flat is None:
+            flat = np.empty((*lead, size))
+        elif flat.shape != (*lead, size) or flat.dtype != np.float64:
+            raise ValueError(f"parameter buffer of shape {flat.shape}, expected {(*lead, size)}")
+        self.flat = flat
+        parts = self.parts(flat)
+        for part, a in zip(parts, params):
             part[...] = a
         self.layers = [
             Layer(w, b, l.activation, l.slope) for l, w, b in zip(layers, parts[::2], parts[1::2])
         ]
         # per layer, its weights with its biases as one more row: [W; b]
-        self._affine = _affine_views(self.flat, self.layout)
-        self.input_dim = layers[0].weights.shape[0]
-        self.output_dim = layers[-1].weights.shape[1]
+        self._affine = _affine_views(flat, self.layout)
+        self.input_dim = layers[0].weights.shape[-2]
+        self.output_dim = layers[-1].weights.shape[-1]
+        self.lead = lead  # () for a network, (K,) for a stack of K
         self._grad = None  # see gradient_buffer
-        self._arrays = _LayerArrays([l.weights.shape[1] for l in layers])
+        if arrays is None:
+            arrays = _LayerArrays([l.weights.shape[-1] for l in layers])
+        self._arrays = arrays
 
     @classmethod
     def create(
@@ -357,11 +421,14 @@ class DenseNet:
         """Per parameter array, in order, its view of a buffer laid out as ``flat``."""
         return _views(buffer, self.layout)
 
-    def gradient_buffer(self) -> np.ndarray:
-        """The network's reusable gradient buffer, laid out as ``flat``, made
-        at the first call with the views :func:`backward` writes through."""
-        if self._grad is None:
-            buffer = np.empty(self.flat.size)
+    def gradient_buffer(self, buffer: np.ndarray | None = None) -> np.ndarray:
+        """The network's reusable gradient buffer, laid out as ``flat``, with
+        the views :func:`backward` writes through: ``buffer`` once given,
+        such as a network's view of a buffer it shares, else one made at the
+        first call."""
+        if buffer is not None or self._grad is None:
+            if buffer is None:
+                buffer = np.empty(self.flat.shape)
             self._grad = (buffer, _affine_views(buffer, self.layout), self.parts(buffer))
         return self._grad[0]
 
@@ -369,18 +436,18 @@ class DenseNet:
         """The first n rows of the padded input, without the ones: an n-row
         batch written here and passed as this very array to :func:`forward`
         is not copied. Taking them outdates the caches of earlier forwards."""
-        return self._arrays.input(n, self.input_dim)[2]
+        return self._arrays.input(n, self.input_dim, self.lead)[2]
 
     def copy(self) -> "DenseNet":
         """Same parameters in a buffer of its own; the working arrays are
         shared, as a target network and its online network never hold a
         cache across each other's forward."""
-        return _sharing(self.layers, self._arrays)
+        return DenseNet(self.layers, arrays=self._arrays)
 
     def __reduce__(self):
         # copy.deepcopy and pickle rebuild the buffer, so the copied layers
         # view it again; networks that shared working arrays share the copy
-        return _sharing, (self.layers, self._arrays)
+        return DenseNet, (self.layers, None, self._arrays)
 
     def mark_updated(self):
         """The parameters were written in place: a new generation of the
@@ -388,11 +455,18 @@ class DenseNet:
         self._arrays.generation += 1
 
 
-def _sharing(layers: list[Layer], arrays: _LayerArrays) -> DenseNet:
-    """A network of these layers' parameters that works in ``arrays``."""
-    net = DenseNet(layers)
-    net._arrays = arrays
-    return net
+def stacked(net: DenseNet, flat: np.ndarray) -> DenseNet:
+    """The K networks laid out as ``net`` whose parameters lie back to back in
+    ``flat``, a (K, size) view of their buffer, as one stack that views it.
+
+    The stack works in the first K slices of ``net``'s working arrays, so it
+    shares them with every network working there. Its passes give each slice
+    the bits of that network's own pass (see the module docstring).
+    """
+    parts = _views(flat, net.layout)
+    layers = [Layer(w, b, l.activation, l.slope)
+              for l, w, b in zip(net.layers, parts[::2], parts[1::2])]
+    return DenseNet(layers, flat, net._arrays)
 
 
 @dataclass
@@ -417,22 +491,25 @@ def float_rows(a) -> np.ndarray:
 
 
 def forward(net: DenseNet, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Evaluate the network on a ``(batch, input_dim)`` matrix.
+    """Evaluate the network on a ``(batch, input_dim)`` matrix, or a stack of
+    K networks on a ``(K, batch, input_dim)`` array, slice k on network k.
 
     A row's output bits depend on the row alone, not on the batch around
-    it. The output is a new array; the hidden layers are computed in the
-    network's reusable arrays, so the returned cache serves backward passes
-    only until the next forward of this network or of a copy of it.
+    it, nor on the stack. The output is a new array; the hidden layers are
+    computed in the network's reusable arrays, so the returned cache serves
+    backward passes only until the next forward of this network or of a
+    copy of it.
     """
     batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != net.input_dim:
+    arrays, lead = net._arrays, net.lead
+    if (batch.ndim != len(lead) + 2 or batch.shape[-1] != net.input_dim
+            or lead and batch.shape[0] != lead[0]):
         raise ValueError(
             f"batch shape {batch.shape} incompatible with input_dim {net.input_dim}"
         )
-    n = batch.shape[0]
-    arrays = net._arrays
-    x, first, rows, padding = arrays.input(n, batch.shape[1])
-    generation, views = arrays.generation, arrays.views(n)
+    n = batch.shape[-2]
+    x, first, rows, padding = arrays.input(n, net.input_dim, lead)
+    generation, views = arrays.generation, arrays.views(n, lead)
     # each layer is one GEMM, ``[a, 1] @ [W; b]``, on the rows rounded up to
     # ROW_QUANTUM: with the BLAS kernel's row blocking every row then gets
     # the bits it gets alone or in any batch. The batch lies next to a column
@@ -460,7 +537,8 @@ def forward(net: DenseNet, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]
 
 
 def _layer_deltas(
-    net: DenseNet, cache: ForwardCache, upstream: np.ndarray, input_start: int | None = 0
+    net: DenseNet, cache: ForwardCache, upstream: np.ndarray, input_start: int | None = 0,
+    spend: bool = False,
 ) -> tuple[list[np.ndarray], np.ndarray | None]:
     """Backpropagate `upstream` through the cached forward pass.
 
@@ -468,7 +546,9 @@ def _layer_deltas(
     layer i's pre-activation, input_grads the gradient with respect to the
     batch's columns from ``input_start`` on, or None, and its GEMM skipped,
     when ``input_start`` is None. A hidden layer's dz lives in the network's
-    reusable delta array.
+    reusable delta array, or with ``spend`` over the cached activations,
+    which only the parameter gradients read: the pass then touches no delta
+    array (a stacked pass would touch K of them), and the cache is spent.
     """
     if cache.net_id != id(net):
         raise ValueError("cache does not belong to this network")
@@ -477,22 +557,27 @@ def _layer_deltas(
     # the output layer's dz: contiguous, as the GEMMs on it must take the
     # kernels a fresh array takes
     upstream = np.ascontiguousarray(upstream, dtype=np.float64)
-    n = cache.inputs[0].shape[0]
-    if upstream.shape != (n, net.output_dim):
-        raise ValueError(f"upstream shape {upstream.shape}, expected {(n, net.output_dim)}")
-
     layers, arrays, dz = net.layers, net._arrays, upstream
-    views = arrays.views(n)
+    n = cache.inputs[0].shape[-2]
+    if upstream.shape != (*net.lead, n, net.output_dim):
+        raise ValueError(f"upstream shape {upstream.shape}, expected "
+                         f"{(*net.lead, n, net.output_dim)}")
+
+    views = arrays.views(n, net.lead)
     hidden, dzs = views.hidden, [*views.dzs, upstream]
     for i in range(len(hidden) - 1, -1, -1):
         h, layer, weights = hidden[i], layers[i], layers[i + 1].weights
-        if weights.shape[1] == 1:
-            _width_one_backprop(dz, weights, arrays, h.dz)
+        delta, dz_out = (h.a_rows, h.a_dz) if spend else (h.delta, h.dz)
+        if weights.shape[-1] == 1:
+            _width_one_backprop(dz, weights, arrays, dz_out)
         else:
-            np.matmul(dz, _transposed(weights), out=h.dz)
-        # on the whole rows, the extra column included: contiguous
-        _scale_by_activation_grad(h.delta, h.z_rows, layer.activation, layer.slope)
-        dz = h.dz
+            np.matmul(dz, _transposed(weights), out=dz_out)
+        # on the whole rows, the extra column included: contiguous. a's
+        # column of ones stays 1, as act'(1) is 1
+        _scale_by_activation_grad(delta, h.z_rows, layer.activation, layer.slope)
+        dz = dz_out
+    if spend:
+        arrays.generation += 1
     if input_start is None:
         return dzs, None
     return dzs, _input_columns(dz, layers[0].weights, input_start, arrays)
@@ -507,32 +592,35 @@ def _input_columns(dz, weights, start: int, arrays: _LayerArrays) -> np.ndarray:
     ``start`` where it keeps to those, else at column 0.
     ``TestInputColumns`` is the guard, as ``TestBatchInvariance`` is for
     ``ROW_QUANTUM``."""
-    n, (fan_in, fan_out) = len(dz), weights.shape
+    n, (fan_in, fan_out) = dz.shape[-2], weights.shape[-2:]
     first = start - start % COL_QUANTUM
     if n < 2 or fan_in - first < 2 or n * fan_in * fan_out > SMALL_GEMM:
         first = 0
-    weights = weights[first:]
+    if first:
+        weights = weights[..., first:, :]
     if fan_out == 1:
         product = _width_one_backprop(dz, weights, arrays)
     else:
         product = dz @ _transposed(weights)
-    return product[:, start - first:] if start > first else product
+    return product[..., start - first:] if start > first else product
 
 
 def _width_one_backprop(dz, weights, arrays: _LayerArrays, out=None) -> np.ndarray:
     """``dz @ weights.T`` for a width-1 layer, written into ``out`` if
     given, as the GEMM ``[dz, 0] @ [W.T; 0]``: numpy's bits, an exactly-zero
     product +0 as in numpy's loop, in a fraction of that loop's time."""
-    dz_pad, w_pad = arrays.width_one(len(dz), weights.shape[0])
-    dz_pad[:, :1] = dz
-    w_pad[:1] = weights.T
+    dz_pad, w_pad, dz_col, w_row = arrays.width_one(
+        dz.shape[-2], weights.shape[-2], dz.shape[:-2])
+    dz_col[...] = dz
+    w_row[...] = weights.swapaxes(-1, -2)
     return np.matmul(dz_pad, w_pad, out=out)
 
 
 def _transposed(weights: np.ndarray) -> np.ndarray:
-    """``weights.T`` in C order: with a batch of more than a few rows, its
-    copy and a GEMM on it take less time than a GEMM on the transposed view."""
-    return np.ascontiguousarray(weights.T)
+    """The transpose of ``weights`` (of each slice of a stack) in C order:
+    with a batch of more than a few rows, its copy and a GEMM on it take
+    less time than a GEMM on the transposed view."""
+    return np.ascontiguousarray(weights.swapaxes(-1, -2))
 
 
 def backward(
@@ -542,7 +630,8 @@ def backward(
     out: np.ndarray | None = None,
     input_grads: bool = True,
 ) -> tuple[list[np.ndarray], np.ndarray | None]:
-    """Exact gradients of ``sum(upstream * outputs)``.
+    """Exact gradients of ``sum(upstream * outputs)`` for a network (a
+    stack's passes are ``forward`` and ``input_gradient``).
 
     Returns ``(param_grads, input_grads)``: param_grads in the order of
     ``net.layout``, ``[W0, b0, W1, b1, ...]``, and input_grads in the
@@ -576,8 +665,9 @@ def input_gradient(
     """Columns ``start:`` of ``backward(net, cache, upstream)[1]``, their
     bits, without the parameter gradients or, where the bits allow, the
     earlier columns: for the actor's value gradient, which reads the
-    action-parameter columns after the state."""
-    return _layer_deltas(net, cache, upstream, start)[1]
+    action-parameter columns after the state. It spends the cache: a later
+    pass on it raises, as its activations hold the deltas."""
+    return _layer_deltas(net, cache, upstream, start, spend=True)[1]
 
 
 @dataclass

@@ -18,7 +18,11 @@ one evaluation interface returning K action values:
 ``separate``
     K independent networks, each fed state ++ its own block. Same
     independence property, at the cost of duplicated parameters and no
-    shared features.
+    shared features. Their parameters lie back to back in one buffer, and
+    every run of consecutive actions whose blocks have one width runs as one
+    stack (``nncore.stacked``), so a pass over all K values is one stacked
+    pass per run: one on every shipped environment, whose blocks all have
+    width 1. Each slice keeps the bits of its network's own pass.
 
 ``QFunction.passes`` is the one place that tells the variants apart: for a
 batch and the actions asked for, it gives per network the input rows, the
@@ -26,8 +30,10 @@ output each requested value is read from, and, when every sample asks for
 all K values, the joint-vector columns each row was fed. Evaluation, the
 actor's value gradient, the cross-gradient diagnostic and the agent's Q
 update all run on that description. For one action per sample, a multipass
-row is the joint row with the other actions' blocks zeroed. Rows are written
-straight into the network's padded input (``DenseNet.input_rows``).
+row is the joint row with the other actions' blocks zeroed, and each
+separate network runs alone on its own samples' rows, so the Q regression
+stays compact. Rows are written straight into the network's padded input
+(``DenseNet.input_rows``).
 
 ``cross_gradient_matrix`` makes the distinction measurable: its entry (i, j)
 is the gradient magnitude of Q_i with respect to block j, computed from
@@ -36,12 +42,13 @@ exact input gradients.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .nncore import RELU, DenseNet, float_rows, forward, input_gradient
+from .nncore import RELU, DenseNet, _views, float_rows, forward, input_gradient, stacked
 
 JOINT = "joint"
 MULTIPASS = "multipass"
@@ -121,7 +128,14 @@ def basis_mask(space: ActionSpaceSpec, params: np.ndarray, k: int) -> np.ndarray
 
 
 class QFunction:
-    """One of the three Q-architectures behind a common K-value interface."""
+    """One of the three Q-architectures behind a common K-value interface.
+
+    Its parameters are one buffer, ``flat``, laid out as ``layout``: the
+    networks' buffers back to back, each network's ``flat`` a view of it. So
+    an optimizer steps, clips and averages the Q-function as one buffer,
+    with the bits of the per-network steps, as each is elementwise (and the
+    clip's norm sums per parameter array, in order).
+    """
 
     def __init__(self, variant: str, space: ActionSpaceSpec, nets: list[DenseNet]):
         if variant not in VARIANTS:
@@ -143,7 +157,19 @@ class QFunction:
                     raise ValueError(f"separate network {i} has wrong dimensions")
         self.variant = variant
         self.space = space
+        self.layout = sum((net.layout for net in nets), ())
+        stops = np.cumsum([net.flat.size for net in nets]).tolist()
+        self._spans = list(zip([0, *stops], stops))
+        if len(nets) == 1:
+            self.flat = nets[0].flat
+        else:
+            # the given networks' parameters, copied into views of one buffer
+            self.flat = np.empty(stops[-1])
+            nets = [DenseNet(net.layers, part, net._arrays)
+                    for net, part in zip(nets, self._net_parts(self.flat))]
         self.nets = nets
+        self._grad = None  # see gradient_buffer
+        self._stacks = None  # see _stacked
         self._indices: dict[int, tuple] = {}  # per batch size, see _index_arrays
 
     @classmethod
@@ -163,7 +189,8 @@ class QFunction:
                 for mk in space.param_dims
             ]
             # the K networks have the same widths and run one at a time, so
-            # they share one set of working arrays (and so do their copies)
+            # they share one set of working arrays (and so do their copies
+            # and their stacks' arrays)
             for net in nets[1:]:
                 net._arrays = nets[0]._arrays
         else:  # joint and multipass share the K-output network; __init__ rejects the rest
@@ -171,7 +198,55 @@ class QFunction:
         return cls(variant, space, nets)
 
     def copy(self) -> "QFunction":
-        return QFunction(self.variant, self.space, [n.copy() for n in self.nets])
+        # __init__ copies several networks into a buffer of its own
+        nets = self.nets if len(self.nets) > 1 else [self.nets[0].copy()]
+        return QFunction(self.variant, self.space, nets)
+
+    def __reduce__(self):
+        # copy.deepcopy and pickle copy the networks, and __init__ lays them
+        # out in one buffer again
+        return QFunction, (self.variant, self.space, self.nets)
+
+    def _net_parts(self, buffer: np.ndarray) -> list[np.ndarray]:
+        """Per network, its view of a buffer laid out as ``flat``."""
+        return [buffer[start:stop] for start, stop in self._spans]
+
+    def parts(self, buffer: np.ndarray) -> list[np.ndarray]:
+        """Per parameter array, in order, its view of a buffer laid out as ``flat``."""
+        return _views(buffer, self.layout)
+
+    def gradient_buffer(self) -> np.ndarray:
+        """The reusable gradient buffer, laid out as ``flat``, made at the
+        first call; each network's gradient buffer is its view of it."""
+        if self._grad is None:
+            self._grad = np.empty(self.flat.size)
+            for net, part in zip(self.nets, self._net_parts(self._grad)):
+                net.gradient_buffer(part)
+        return self._grad
+
+    def mark_updated(self):
+        """``flat`` was written in place: outdate every network's caches (a
+        stack works in the arrays of its first network)."""
+        for net in self.nets:
+            net.mark_updated()
+
+    def _stacked(self) -> list:
+        """Per run of consecutive separate networks of one layout (actions
+        whose blocks have one width), ``(stack, actions, columns)``: the
+        networks as one stack over their part of ``flat`` (nncore.stacked),
+        and the slices of the actions and of their joint-vector columns.
+        Made at first use."""
+        if self._stacks is None:
+            self._stacks, first = [], 0
+            for _, group in itertools.groupby(self.nets, key=lambda net: (
+                    net.layout, [(l.activation, l.slope) for l in net.layers])):
+                k = len(list(group))
+                last = first + k - 1
+                flat = self.flat[self._spans[first][0]:self._spans[last][1]].reshape(k, -1)
+                cols = slice(self.space.block(first).start, self.space.block(last).stop)
+                self._stacks.append((stacked(self.nets[first], flat), slice(first, last + 1), cols))
+                first += k
+        return self._stacks
 
     def passes(self, states: np.ndarray, params: np.ndarray, actions=None):
         """The one description of each variant: which rows reach which
@@ -183,21 +258,28 @@ class QFunction:
         the input gradient g of their columns after the state. With ``actions``
         None ``q`` is (B, K); else it is (B,), sample b asking for ``actions[b]``,
         and the last two are None. Draw a pass only after using the last: their
-        rows share the padded input. Rows keep sample order.
+        rows share the padded input. Rows keep sample order. The separate
+        networks run one at a time on their samples' rows for given
+        ``actions``, and else as stacks, one pass per stack (see ``_stacked``),
+        on (k, B, state_dim + width) rows.
         """
         space, b = self.space, len(states)
         first, out_at, in_at, _ = self._index_arrays(b)
         if self.variant == SEPARATE:
+            if actions is None:
+                # slice j of a stack sees state ++ the block of its action j
+                for i, (stack, acts, cols) in enumerate(self._stacked()):
+                    shape = (b, *stack.lead, stack.input_dim - space.state_dim)
+                    blocks = params[:, cols].reshape(shape).swapaxes(0, 1)
+                    rows = _fill_rows(stack.input_rows(b), states, blocks)
+                    yield stack, rows, (_ALL, acts), out_at[i], (_ALL, cols), in_at[i]
+                return
             # network i sees state ++ block i for the samples asking for action i
             for i, net in enumerate(self.nets):
-                sl = space.block(i)
-                if actions is None:
-                    rows = _fill_rows(net.input_rows(b), states, params[:, sl])
-                    yield net, rows, (_ALL, i), out_at[i], (_ALL, sl), None
-                else:
-                    mine = (actions == i).nonzero()[0]  # np.flatnonzero, undispatched
-                    rows = _fill_rows(net.input_rows(len(mine)), states[mine], params[mine, sl])
-                    yield net, rows, mine, first[:len(mine)], None, None
+                mine = (actions == i).nonzero()[0]  # np.flatnonzero, undispatched
+                rows = _fill_rows(net.input_rows(len(mine)), states[mine],
+                                  params[mine, space.block(i)])
+                yield net, rows, mine, first[:len(mine)], None, None
             return
         net = self.nets[0]
         if actions is not None:
@@ -219,25 +301,33 @@ class QFunction:
     def _index_arrays(self, b: int) -> tuple:
         """``(first, out_at, in_at, ones)`` for b samples, read-only: each row's
         first output's flat index, and per pass of all K values its ``out_at``
-        and upstream gradient of sum_k Q_k, and multipass's one ``in_at``."""
+        and upstream gradient of sum_k Q_k, and multipass's and each separate
+        stack's ``in_at``."""
         consts = self._indices.get(b)
         if consts is None:
             space, k, m = self.space, self.space.num_actions, self.space.joint_dim
-            in_at = []
             if self.variant == SEPARATE:
                 first = np.arange(b)
-                out_at, shape = [first] * k, (b, 1)
+                out_at, in_at, shapes = [], [], []
+                for stack, _, _ in self._stacked():
+                    # slice j, row r of a stack's output and input gradient
+                    # hold sample r's action j and its block's columns
+                    (kj,), width = stack.lead, stack.input_dim - space.state_dim
+                    out_at.append(first[:, None] + b * np.arange(kj))
+                    in_at.append((width * out_at[-1][:, :, None] + np.arange(width))
+                                 .reshape(b, kj * width))
+                    shapes.append((kj, b, 1))
             else:
                 first = np.arange(0, b * k, k)
                 # the multipass row of (sample b, action a) is b * K + a, and
                 # column j of sample b is fed by the row of the action owning j
                 row = np.arange(b * k).reshape(b, k)
                 if self.variant == JOINT:
-                    out_at, shape = [row], (b, k)
+                    out_at, in_at, shapes = [row], [], [(b, k)]
                 else:
-                    out_at, shape = [row * k + np.arange(k)], (b * k, k)
+                    out_at, shapes = [row * k + np.arange(k)], [(b * k, k)]
                     in_at = [row[:, space._owner] * m + np.arange(m)]
-            ones = [np.zeros(shape) for _ in out_at]
+            ones = [np.zeros(shape) for shape in shapes]
             for upstream, at in zip(ones, out_at):
                 upstream.put(at, 1.0)
             consts = (first, out_at, in_at, ones)

@@ -177,6 +177,21 @@ def adam_step_net(net: DenseNet, grads: list[np.ndarray], state: AdamState):
     net.mark_updated()
 
 
+def address(a):
+    return a.__array_interface__["data"][0]
+
+
+def assert_back_to_back(arrays, buffer=None):
+    """The arrays are C-contiguous and follow each other in memory; with a
+    `buffer`, they are views filling it in order."""
+    at = address(arrays[0] if buffer is None else buffer)
+    for a in arrays:
+        assert a.flags.c_contiguous and address(a) == at
+        assert buffer is None or np.shares_memory(a, buffer)
+        at += a.nbytes
+    assert buffer is None or at == address(buffer) + buffer.nbytes
+
+
 def zero_nets(*nets):
     """Zero every weight and bias of the networks."""
     for net in nets:

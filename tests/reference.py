@@ -91,12 +91,10 @@ class Optimizer:
 
     def __init__(self, opt, nets):
         def per_array(buffers):
-            out = []
-            for buffer, net in zip(buffers, nets):
-                at = 0
-                for p in net.params():
-                    out.append(buffer[at:at + p.size].reshape(p.shape).copy())
-                    at += p.size
+            buffer, out, at = np.concatenate(buffers), [], 0
+            for p in (p for net in nets for p in net.params()):
+                out.append(buffer[at:at + p.size].reshape(p.shape).copy())
+                at += p.size
             return out
 
         self.m, self.v, self.t = per_array(opt.m), per_array(opt.v), opt.t

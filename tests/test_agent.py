@@ -1,5 +1,6 @@
 import copy
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from pamdp.agent import AgentConfig, PADDPGAgent, PDQNAgent, ParameterisedAction
 from pamdp.checkpoint import _agent_arrays, load_checkpoint, save_checkpoint
 from pamdp.qfunction import ActionSpaceSpec, cross_gradient_matrix
 from pamdp.replay import Transition
-from conftest import checkpoint_arrays, patch_everywhere, zero_nets
+from conftest import assert_back_to_back, checkpoint_arrays, patch_everywhere, zero_nets
 
 SPACE = ActionSpaceSpec(state_dim=2, param_dims=(1, 1))
 SPACE3 = ActionSpaceSpec(state_dim=4, param_dims=(1, 2, 1))
@@ -191,12 +192,21 @@ def test_reused_workspaces_match_a_fresh_agent(algorithm):
         assert a.tobytes() == b.tobytes(), name
 
 
+def assert_one_buffer(qf):
+    """The Q-function's networks' parameters, and their gradient buffers if
+    made, are views that fill its parameter and gradient buffers in order."""
+    assert_back_to_back([net.flat for net in qf.nets], qf.flat)
+    if qf._grad is not None:
+        assert_back_to_back([net.gradient_buffer() for net in qf.nets], qf._grad)
+
+
 class TestFlatBuffers:
-    """Each update step passes one buffer per network to Adam, the clip and
-    Polyak averaging."""
+    """Each update step passes one buffer per optimizer to Adam, the clip and
+    Polyak averaging: the actor's, and the Q-function's, whose networks'
+    parameters and gradients are views of it."""
 
     @pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
-    def test_update_passes_one_buffer_per_network(self, monkeypatch, algorithm):
+    def test_update_passes_one_buffer_per_optimizer(self, monkeypatch, algorithm):
         space = SPACE3
         agent = agent_module.make_agent(algorithm, space, small_config(), np.random.default_rng(31))
         calls = []
@@ -214,26 +224,59 @@ class TestFlatBuffers:
             batch = (batch[0], batch[1], rng.uniform(-1, 1, (6, 3 + space.joint_dim)), *batch[3:])
         agent.update(batch)
 
-        q_nets, actor = agent.qf.nets, agent.actor.net
-        assert len(q_nets) == (3 if algorithm == "pdqn-separate" else 1)
+        qf, actor = agent.qf, agent.actor.net
+        assert len(qf.nets) == (3 if algorithm == "pdqn-separate" else 1)
+        assert qf.layout == sum((net.layout for net in qf.nets), ())
+        assert_one_buffer(qf)
         assert [name for name, _ in calls] == [
             "clip_grad_norm", "adam_step", "clip_grad_norm", "adam_step",
             "polyak_update", "polyak_update"]
         (_, (q_grads, _, q_layouts)), (_, q_adam), (_, (a_grads, _, a_layouts)), (_, a_adam) = (
             calls[:4])
-        for grads, layouts, nets in ((q_grads, q_layouts, q_nets), (a_grads, a_layouts, [actor])):
-            assert layouts == [net.layout for net in nets]
-            assert [g.shape for g in grads] == [net.flat.shape for net in nets]
-            assert all(g.ndim == 1 for g in grads)
-        for (params, _, state), nets, opt in ((q_adam, q_nets, agent.q_opt),
-                                              (a_adam, [actor], agent.actor_opt)):
-            assert [id(p) for p in params] == [id(net.flat) for net in nets]
-            assert state is opt and len(state.m) == len(state.v) == len(nets)
+        for grads, layouts, owner in ((q_grads, q_layouts, qf), (a_grads, a_layouts, actor)):
+            assert layouts == [owner.layout]
+            assert [id(g) for g in grads] == [id(owner.gradient_buffer())]
+        for (params, _, state), owner, opt in ((q_adam, qf, agent.q_opt),
+                                               (a_adam, actor, agent.actor_opt)):
+            assert [id(p) for p in params] == [id(owner.flat)]
+            assert state is opt and len(state.m) == len(state.v) == 1
+            assert state.m[0].shape == owner.flat.shape
         (_, q_polyak), (_, a_polyak) = calls[4:]
-        assert [id(t) for t in q_polyak[0]] == [id(net.flat) for net in agent.qf_target.nets]
-        assert [id(o) for o in q_polyak[1]] == [id(net.flat) for net in q_nets]
+        assert [id(t) for t in q_polyak[0]] == [id(agent.qf_target.flat)]
+        assert [id(o) for o in q_polyak[1]] == [id(qf.flat)]
         assert [id(t) for t in a_polyak[0]] == [id(agent.actor_target.net.flat)]
         assert [id(o) for o in a_polyak[1]] == [id(actor.flat)]
+
+    @pytest.mark.parametrize("how", ["deepcopy", "pickle", "checkpoint"])
+    def test_copies_keep_one_buffer_per_optimizer(self, tmp_path, how):
+        """A copied, pickled or loaded separate agent keeps each Q-function's
+        networks' parameters and gradient buffers as views of one buffer and
+        its Adam moments as one buffer each, with the original's values and
+        next update; so does ``QFunction.copy``."""
+        agent = agent_module.make_agent("pdqn-separate", SPACE3, small_config(),
+                                        np.random.default_rng(35))
+        rng = np.random.default_rng(36)
+        batch = _stack_batch([make_transition(SPACE3, rng) for _ in range(6)])
+        agent.update(batch)
+        if how == "checkpoint":
+            save_checkpoint(tmp_path / "agent.ckpt", agent, "chain", {})
+            twin, _ = load_checkpoint(tmp_path / "agent.ckpt")
+        else:
+            twin = (copy.deepcopy(agent) if how == "deepcopy"
+                    else pickle.loads(pickle.dumps(agent)))
+        for qf, original in ((twin.qf, agent.qf), (twin.qf_target, agent.qf_target),
+                             (agent.qf.copy(), agent.qf)):
+            assert not np.shares_memory(qf.flat, original.flat)
+            assert qf.flat.tobytes() == original.flat.tobytes()
+            qf.gradient_buffer()
+            assert_one_buffer(qf)
+        (m,), (v,) = twin.q_opt.m, twin.q_opt.v
+        assert m.shape == v.shape == twin.qf.flat.shape
+        s, x = rng.standard_normal(SPACE3.state_dim), rng.uniform(-1, 1, SPACE3.joint_dim)
+        assert twin.q_values(s, x).tobytes() == agent.q_values(s, x).tobytes()
+        assert twin.update(batch) == agent.update(batch)
+        assert twin.qf.flat.tobytes() == agent.qf.flat.tobytes()
+        assert_one_buffer(twin.qf)
 
     @pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
     def test_loaded_checkpoint_fills_the_buffers(self, tmp_path, algorithm):

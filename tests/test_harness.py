@@ -405,6 +405,17 @@ class TestEvaluate:
         assert list(srow.keys()) == harness.SUMMARY_HEADER
         assert float(srow["mean"]) == summary.mean
 
+    def test_episode_count_below_one_rejected(self, tmp_path):
+        """0 episodes is a count, not "use the config's": it raises, as does
+        -1; None evaluates ``cfg.eval_episodes``."""
+        cfg = bandit_cfg(tmp_path, seeds=(0,), eval_episodes=2)
+        train(cfg)
+        for episodes in (0, -1):
+            with pytest.raises(ValueError, match=f"episodes must be >= 1, got {episodes}"):
+                evaluate_run(cfg, episodes=episodes)
+        evaluate_run(cfg)
+        assert len(read_csv(os.path.join(cfg.out_dir, "eval_seed0.csv"))) == 2
+
     def test_evaluation_is_repeatable(self, tmp_path):
         cfg = bandit_cfg(tmp_path, seeds=(0,))
         (result,) = train(cfg)

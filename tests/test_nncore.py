@@ -31,6 +31,7 @@ from pamdp.nncore import (
 from conftest import (
     CONFIGS,
     adam_step_net,
+    assert_back_to_back,
     assert_training_bytes_unchanged,
     fd_input_grads,
     fd_param_grads,
@@ -332,6 +333,57 @@ class TestInputColumns:
             assert part.tobytes() == whole.tobytes()
 
 
+class TestStackedPass:
+    """Each slice of a stack's forward output and input-gradient columns has
+    the bits of its network's own 2-D pass: a stacked ``np.matmul`` makes
+    one BLAS call per slice, with the 2-D call's strides. The stacks lie at
+    a uniform stride, at an offset, in one buffer; the row counts cross the
+    padding quantum and the single-row and large-product paths."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 4), rows=st.sampled_from([*range(1, 10), 128, 384]),
+           hidden=st.sampled_from([(), (1,), (7,), (64,), (128,), (16, 8), (64, 32)]),
+           activation=st.sampled_from(["relu", "leaky_relu"]), input_dim=st.integers(2, 15),
+           data=st.data())
+    def test_slices_have_their_networks_bits(self, k, rows, hidden, activation, input_dim,
+                                             data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+        nets = [DenseNet.create(input_dim, hidden, 1, rng, activation) for _ in range(k)]
+        for net in nets:
+            net.flat += rng.uniform(-0.1, 0.1, net.flat.size)  # nonzero biases
+        size, offset = nets[0].flat.size, data.draw(st.integers(0, 3), "offset")
+        buffer = np.full(offset + k * size + 2, np.nan)
+        buffer[offset:offset + k * size] = np.concatenate([net.flat for net in nets])
+        stack = nncore.stacked(nets[0], buffer[offset:offset + k * size].reshape(k, size))
+        start = data.draw(st.integers(0, input_dim - 1), "start")
+        batch = rng.standard_normal((k, rows, input_dim))
+        upstream = rng.standard_normal((k, rows, 1))
+
+        out, cache = forward(stack, batch)
+        columns = input_gradient(stack, cache, upstream, start)
+        assert out.shape == (k, rows, 1) and columns.shape == (k, rows, input_dim - start)
+        for net, x, up, got, got_columns in zip(nets, batch, upstream, out, columns):
+            own, own_cache = forward(net, x)
+            assert got.tobytes() == own.tobytes()
+            assert got_columns.tobytes() == input_gradient(net, own_cache, up, start).tobytes()
+
+    def test_stack_views_the_buffer(self):
+        rng = np.random.default_rng(50)
+        nets = [DenseNet.create(5, (8,), 1, rng) for _ in range(3)]
+        buffer = np.concatenate([net.flat for net in nets])
+        stack = nncore.stacked(nets[0], buffer.reshape(3, -1))
+        assert stack.lead == (3,) and stack.layout == nets[0].layout
+        assert stack._arrays is nets[0]._arrays
+        for layer, (weights, biases) in zip(stack.layers, ((0, 1), (2, 3))):
+            assert np.shares_memory(layer.weights, buffer)
+            assert np.array_equal(layer.weights, [net.parts(net.flat)[weights] for net in nets])
+            assert np.array_equal(layer.biases, [net.parts(net.flat)[biases] for net in nets])
+        with pytest.raises(ValueError, match="incompatible"):
+            forward(stack, np.zeros((2, 4, 5)))  # two slices for a stack of three
+        with pytest.raises(ValueError, match="incompatible"):
+            forward(stack, np.zeros((4, 5)))
+
+
 def fresh_copy(net):
     """The same parameters in a network with working arrays of its own."""
     return DenseNet(
@@ -457,24 +509,9 @@ class TestReusedArrays:
             assert all(np.array_equal(g, f) for g, f in zip(got, fresh)), f"batch of {b}"
 
 
-def address(a):
-    return a.__array_interface__["data"][0]
-
-
 def held(net):
     """The arrays the network's layers hold, [W0, b0, W1, b1, ...]."""
     return [a for layer in net.layers for a in (layer.weights, layer.biases)]
-
-
-def assert_back_to_back(arrays, buffer=None):
-    """The arrays are C-contiguous and follow each other in memory; with a
-    `buffer`, they are views filling it in order."""
-    at = address(arrays[0] if buffer is None else buffer)
-    for a in arrays:
-        assert a.flags.c_contiguous and address(a) == at
-        assert buffer is None or np.shares_memory(a, buffer)
-        at += a.nbytes
-    assert buffer is None or at == address(buffer) + buffer.nbytes
 
 
 class TestFlatLayout:
@@ -605,10 +642,10 @@ def test_training_bytes_match_allocating_passes(tmp_path_factory, monkeypatch, c
     take_input = nncore._LayerArrays.input
     allocations = []
 
-    def fresh_input(self, n, width):
+    def fresh_input(self, n, width, lead=()):
         allocations.append(n)
-        self._allocate(padded_rows(n))
-        return take_input(self, n, width)
+        self._allocate(padded_rows(n), lead[0] if lead else 1)
+        return take_input(self, n, width, lead)
 
     assert_training_bytes_unchanged(
         tmp_path_factory, config,
@@ -626,18 +663,14 @@ def test_training_bytes_match_allocating_passes(tmp_path_factory, monkeypatch, c
 def test_training_bytes_match_per_array_steps(tmp_path_factory, monkeypatch, config,
                                               episodes, algorithm, mixed_targets):
     """The agent's clip, Adam step and Polyak averaging over one buffer per
-    network write the training CSV and the checkpoint that the reference's
+    optimizer write the training CSV and the checkpoint that the reference's
     steps over each parameter array write."""
-    def per_array_step(self, nets, grads, opt):
-        def parts(buffers):
-            return [p for net, buffer in zip(nets, buffers) for p in net.parts(buffer)]
-
+    def per_array_step(self, owner, grads, opt):
+        (m,), (v,), parts = opt.m, opt.v, owner.parts
         opt.t += 1
-        reference.adam(parts([net.flat for net in nets]),
-                       reference.clip(parts(grads), self.config.clip_grad), parts(opt.m),
-                       parts(opt.v), opt.t, opt.alpha, opt.beta1, opt.beta2, opt.eps)
-        for net in nets:
-            net.mark_updated()
+        reference.adam(parts(owner.flat), reference.clip(parts(grads), self.config.clip_grad),
+                       parts(m), parts(v), opt.t, opt.alpha, opt.beta1, opt.beta2, opt.eps)
+        owner.mark_updated()
 
     def per_array_sync(self):
         for targets, onlines, tau in (

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pamdp import nncore
 from pamdp.nncore import DenseNet, Layer, backward, forward, input_gradient
 from pamdp.qfunction import (
     JOINT,
@@ -17,7 +18,7 @@ from pamdp.qfunction import (
     q_separate,
     sum_q_gradient,
 )
-from conftest import fd_scalar_grad, relative_error, zero_nets
+from conftest import fd_scalar_grad, patch_everywhere, relative_error, zero_nets
 
 SPACE = ActionSpaceSpec(state_dim=4, param_dims=(1, 2, 1))
 
@@ -164,6 +165,39 @@ class TestSeparate:
                 with pytest.raises(ValueError, match="stale cache"):
                     grad_fn(qf.nets[i], cache, np.ones((1, 1)))
 
+    @pytest.mark.parametrize("param_dims, stacks", [
+        ((1, 1, 1), 1), ((1, 2, 1), 3), ((2, 2, 1, 1, 3), 3), ((2,), 1)])
+    def test_all_k_passes_run_one_stack_per_block_width(self, monkeypatch, param_dims, stacks):
+        """Evaluation and the value gradient make one forward per run of
+        equal-width blocks (one on Platform's (1, 1, 1)), and every value and
+        gradient column has the bits of its network's own pass."""
+        space = ActionSpaceSpec(state_dim=9, param_dims=param_dims)
+        qf = make_qf(SEPARATE, space, hidden=(128,), seed=26)
+        rng = np.random.default_rng(27)
+        states = rng.standard_normal((5, space.state_dim))
+        params = rng.uniform(-1, 1, (5, space.joint_dim))
+        own_q, own_grad = np.empty((5, len(param_dims))), np.empty(params.shape)
+        for i, net in enumerate(qf.nets):
+            rows = np.hstack([states, params[:, space.block(i)]])
+            out, cache = forward(net, rows)
+            own_q[:, i] = out[:, 0]
+            own_grad[:, space.block(i)] = input_gradient(net, cache, np.ones((5, 1)),
+                                                         space.state_dim)
+        calls = []
+
+        def spy(net, batch):
+            calls.append(batch.shape)
+            return forward(net, batch)
+
+        patch_everywhere(monkeypatch, nncore, "forward", spy)
+        q = qf.evaluate(states, params)
+        assert len(calls) == stacks and q.tobytes() == own_q.tobytes()
+        calls.clear()
+        grad, q = sum_q_gradient(qf, states, params)
+        assert len(calls) == stacks and q.tobytes() == own_q.tobytes()
+        assert grad.tobytes() == own_grad.tobytes()
+        assert sum(shape[0] for shape in calls) == len(param_dims)
+
     def test_parameter_count_exceeds_joint(self):
         space = ActionSpaceSpec(state_dim=9, param_dims=(1, 1, 1))
         joint = make_qf(JOINT, space, hidden=(128,), seed=14)
@@ -234,7 +268,9 @@ class TestBatchConstants:
         sum_q_gradient(qf, rng.standard_normal((5, SPACE.state_dim)),
                        rng.uniform(-1, 1, (5, SPACE.joint_dim)))
         first, out_at, in_at, ones = qf._indices[5]
-        assert len(in_at) == (variant == MULTIPASS)  # the others' gradients lie in place
+        # joint's gradient lies in place; multipass and each separate stack,
+        # here one per block width (1, 2, 1), gather theirs
+        assert len(in_at) == {JOINT: 0, MULTIPASS: 1, SEPARATE: 3}[variant]
         arrays = [first, *out_at, *in_at, *ones]
         assert arrays and not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError, match="read-only"):
