@@ -37,7 +37,7 @@ from .qfunction import JOINT, ActionSpaceSpec, QFunction, sum_q_gradient
 from .replay import ReplayBuffer, Transition, _stack_batch
 
 
-@dataclass
+@dataclass(frozen=True)
 class AgentConfig:
     """Hyperparameters shared by both agent families.
 
@@ -86,7 +86,7 @@ class AgentConfig:
             raise ValueError("beta_mix must lie in [0, 1]")
         if self.epsilon_horizon < 0:
             raise ValueError("epsilon_horizon must be non-negative")
-        self.hidden = tuple(int(h) for h in self.hidden)
+        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if min(self.hidden, default=1) < 1:
             raise ValueError(f"hidden layer widths must be >= 1, got {self.hidden}")
         if self.activation not in nncore.ACTIVATIONS:

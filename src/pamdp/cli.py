@@ -27,6 +27,8 @@ def _config(path: str):
 
 def _cmd_train(args):
     cfg = _config(args.config)
+    if cfg.grid:
+        raise SystemExit(f"{args.config}: sets sweep.* keys; run its grid with pamdp sweep")
     if args.seeds is not None:
         cfg = replace(cfg, seeds=args.seeds)
     if args.out:

@@ -77,7 +77,7 @@ class Env:
         raise NotImplementedError
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlatformConfig:
     """Geometry and physics constants for the platformer.
 
@@ -116,7 +116,7 @@ class PlatformConfig:
         for a, b in plats[:-1]:
             if a + self.enemy_inset >= b - self.enemy_inset:
                 raise ValueError("enemy patrol range collapses; reduce enemy_inset")
-        self.platforms = plats
+        object.__setattr__(self, "platforms", plats)
 
     @property
     def gaps(self) -> tuple:
@@ -152,10 +152,10 @@ class Platform(Env):
       - reward is (new position - old position) / length on survival and on
         the successful final step, 0 on death.
 
-    What the dynamics derive from the config (the laws, gaps, patrol ranges
-    and the features that depend on the platform alone) is derived once, at
-    construction, so the config must not change afterwards. A step computes
-    on Python floats up to the one feature array it returns.
+    What the dynamics derive from the frozen config (the laws, gaps, patrol
+    ranges and the features that depend on the platform alone) is derived
+    once, at construction. A step computes on Python floats up to the one
+    feature array it returns.
     """
 
     def __init__(self, config: PlatformConfig | None = None):

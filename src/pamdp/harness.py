@@ -38,13 +38,14 @@ EVAL_HEADER = ["seed", "episode", "return", "steps"]
 SUMMARY_HEADER = ["algorithm", "env", "n_seeds", "mean", "std", "stderr"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig(AgentConfig):
     """One experiment: the agent's hyperparameters, inherited from
     ``AgentConfig``, plus the run's own settings.
 
     ``runs`` and ``rejected`` are ``sweep_runs``'s lists, built when the
-    config is made; ``dataclasses.replace`` builds them again."""
+    config is made; the config is frozen, and ``dataclasses.replace``
+    builds them again."""
 
     env: str = "platform"
     algorithm: str = "pdqn-multipass"
@@ -69,11 +70,13 @@ class RunConfig(AgentConfig):
             raise ValueError("need at least one seed")
         if self.sweep_seeds < 1:
             raise ValueError("sweep_seeds must be positive")
-        self.seeds = tuple(int(s) for s in self.seeds)
+        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         super().__post_init__()
         make_env(self.env, self.env_overrides)  # a bad env id or override fails here
         # and so does a sweep cell that builds no run, not mid-sweep
-        self.runs, self.rejected = sweep_runs(self) if self.grid else ([], [])
+        runs, rejected = sweep_runs(self) if self.grid else ([], [])
+        object.__setattr__(self, "runs", runs)
+        object.__setattr__(self, "rejected", rejected)
 
     def agent_config(self) -> AgentConfig:
         """The agent's share; a zero epsilon horizon becomes the first 10%
@@ -83,7 +86,7 @@ class RunConfig(AgentConfig):
         return AgentConfig(**values)
 
 
-_SWEEPABLE = ("lr_q", "lr_actor", "tau_q", "tau_actor", "batch_size", "hidden")
+_SWEEPABLE = ("algorithm", "lr_q", "lr_actor", "tau_q", "tau_actor", "batch_size", "hidden")
 
 
 def _parse_bool(raw: str) -> bool:
@@ -160,7 +163,7 @@ def parse_config_text(text: str) -> RunConfig:
                     # a tuple-valued field's cells hold commas themselves
                     field_type = RunConfig.__dataclass_fields__[sub].type
                     cells = raw.split("|" if field_type.startswith("tuple") else ",")
-                    grid[sub] = tuple(CONFIG_KEYS[sub](cell) for cell in cells)
+                    grid[sub] = tuple(CONFIG_KEYS[sub](cell.strip()) for cell in cells)
                 else:
                     raise ValueError(f"unknown sweep key {sub!r}")
             elif key in CONFIG_KEYS:
@@ -390,14 +393,9 @@ def evaluate_run(cfg: RunConfig, episodes: int | None = None) -> EvalSummary:
         returns, _, _ = evaluate_checkpoint(ckpt, episodes, out_csv)
         means.append(float(np.mean(returns)))
     mean, std, stderr = summarize(means)
-    summary = EvalSummary(cfg.algorithm, cfg.env, tuple(means), mean, std, stderr)
-    write_summary_csv(os.path.join(cfg.out_dir, "summary.csv"), [summary])
-    return summary
-
-
-def write_summary_csv(path: str, summaries: list[EvalSummary]):
-    _write_csv(path, SUMMARY_HEADER,
-               [[s.algorithm, s.env, s.n_seeds, s.mean, s.std, s.stderr] for s in summaries])
+    _write_csv(os.path.join(cfg.out_dir, "summary.csv"), SUMMARY_HEADER,
+               [[cfg.algorithm, cfg.env, len(means), mean, std, stderr]])
+    return EvalSummary(cfg.algorithm, cfg.env, tuple(means), mean, std, stderr)
 
 
 def write_sensitivity_csv(fh, grid, table):
@@ -413,7 +411,7 @@ def read_csv(path: str) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
-# -- hyperparameter sweeps ----------------------------------------------
+# -- grid sweeps ------------------------------------------------------------
 
 
 def sweep_runs(cfg: RunConfig) -> tuple[list[tuple[str, RunConfig]], list[tuple[str, str]]]:

@@ -174,13 +174,15 @@ def test_count_below_its_least_value_rejected(argv, capsys):
     (["train", "--config", "missing.conf", "--seeds", ""], "--seeds: expected at least one seed"),
     (["train", "--config", "missing.conf", "--seeds", "a"], "--seeds: expected comma-separated"),
     (["train", "--config", "missing.conf"], "pamdp train: no such file or directory: missing.conf"),
+    (["train", "--config", str(CONFIGS / "platform_sweep.conf")],
+     "platform_sweep.conf: sets sweep.* keys; run its grid with pamdp sweep"),
     (["sweep", "--config", __file__], f"{__file__}: line 1: expected 'key = value'"),
     (["sweep", "--config", str(CONFIGS / "bandit_oracle.conf")],
      "bandit_oracle.conf: sets no sweep.* key, so there is no grid to sweep"),
     (["eval", "--checkpoint", "missing.ckpt"], "pamdp eval: no such file or directory: missing.ckpt"),
     (["sweep-report", "--dir", "missing"], "no such file or directory: missing/sweep_results.csv"),
-], ids=["seeds-empty", "seeds-not-integers", "config", "not-a-config", "no-sweep-key",
-        "checkpoint", "dir"])
+], ids=["seeds-empty", "seeds-not-integers", "config", "train-a-grid", "not-a-config",
+        "no-sweep-key", "checkpoint", "dir"])
 def test_bad_input_exits_with_a_message(argv, message, capsys):
     # argparse prints its message and exits 2; the others exit with theirs
     with pytest.raises(SystemExit) as stop:

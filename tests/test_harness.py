@@ -4,7 +4,7 @@ import math
 import os
 import runpy
 import sys
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -239,10 +239,29 @@ class TestConfigParsing:
     def test_sweep_grid_keys(self):
         cfg = parse_config_text(
             "sweep.lr_q = 1e-2,1e-3\nsweep.hidden = 8|16,8\nsweep.seeds = 2\n"
+            "sweep.algorithm = pdqn-joint, paddpg\n"
         )
         assert cfg.grid["lr_q"] == (0.01, 0.001)
         assert cfg.grid["hidden"] == ((8,), (16, 8))
+        # a string cell is stripped, in its value and in its cell's name
+        assert cfg.grid["algorithm"] == ("pdqn-joint", "paddpg")
+        assert cfg.runs[-1][0] == "algorithm=paddpg_hidden=16x8_lr_q=0.001"
         assert cfg.sweep_seeds == 2
+
+    def test_comparison_config_is_the_desk_config_over_every_algorithm(self):
+        comparison = load_config(str(CONFIGS / "platform_comparison.conf"))
+        desk = load_config(str(CONFIGS / "platform_desk.conf"))
+        assert comparison.grid == {"algorithm": harness.ALGORITHMS}
+        assert replace(comparison, grid={}, out_dir=desk.out_dir) == desk
+        assert [run.seeds for _, run in comparison.runs] == [desk.seeds] * 4
+
+    @pytest.mark.parametrize("config, name", [
+        (RunConfig(), "out_dir"), (AgentConfig(), "lr_q"), (PlatformConfig(), "length"),
+    ], ids=["run", "agent", "platform"])
+    def test_assigning_a_field_raises(self, config, name):
+        # a changed config is a new one, built and checked by replace
+        with pytest.raises(FrozenInstanceError):
+            setattr(config, name, getattr(config, name))
 
     def test_comments_and_blank_lines_ignored(self):
         cfg = parse_config_text("# comment\n\nepisodes = 7  # trailing\n")
@@ -654,16 +673,27 @@ class TestSweep:
                            r"\(tau_actor=0.1_tau_q=0.01: tau_actor 0.1 > tau_q 0.01\)"):
             bandit_cfg(tmp_path, grid={"tau_q": (0.01,), "tau_actor": (0.1,)})
 
-    def test_single_cell_sweep_equals_direct_run(self, tmp_path):
-        cfg = bandit_cfg(tmp_path, seeds=(0, 1), sweep_seeds=2, grid={"lr_q": (0.01,)})
+    @pytest.mark.parametrize("grid", [{"lr_q": (0.01,)},
+                                      {"algorithm": ("pdqn-joint", "paddpg")}],
+                             ids=["lr_q", "algorithm"])
+    def test_sweep_cells_equal_direct_runs(self, tmp_path, grid):
+        cfg = bandit_cfg(tmp_path, seeds=(0, 1), sweep_seeds=2, grid=grid)
         results = sweep(cfg)
-        assert len(results) == 1
-        direct = replace(bandit_cfg(tmp_path, seeds=(0, 1)), out_dir=str(tmp_path / "direct"))
-        train(direct)
-        summary = evaluate_run(direct, episodes=direct.eval_episodes)
-        assert results[0]["mean"] == pytest.approx(summary.mean, abs=1e-15)
+        assert len(results) == len(cfg.runs)
+        for row in results:
+            run = dict(cfg.runs)[row["cell"]]
+            values = {key: getattr(run, key) for key in grid}
+            direct = replace(cfg, grid={}, out_dir=str(tmp_path / "direct" / row["cell"]),
+                             **values)
+            train(direct)
+            summary = evaluate_run(direct)
+            assert row["mean"] == pytest.approx(summary.mean, abs=1e-15)
+            for seed in direct.seeds:
+                name = f"train_seed{seed}.csv"
+                assert (Path(run.out_dir) / name).read_bytes() == \
+                    (Path(direct.out_dir) / name).read_bytes()
         report = harness.sweep_report(cfg.out_dir)
-        assert report[0]["cell"] == results[0]["cell"]
+        assert [r["cell"] for r in report] == [r["cell"] for r in results]
 
     def test_default_seeds_per_cell_is_five(self):
         assert RunConfig().sweep_seeds == 5
