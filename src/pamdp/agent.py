@@ -56,14 +56,11 @@ class AgentConfig:
     tau_actor: float = 0.001
     clip_grad: float = 10.0
     hidden: tuple[int, ...] = (128,)
-    activation: str = "relu"
-    leaky_slope: float = 0.01
     epsilon_start: float = 1.0
     epsilon_end: float = 0.01
     epsilon_horizon: int = 0  # episodes; a run turns 0 into a tenth of its budget
     ou_theta: float = 0.15
     ou_sigma: float = 0.0001
-    ou_mu: float = 0.0
     ou_dt: float = 1.0
     mixed_targets: bool = False
     beta_mix: float = 0.25
@@ -89,11 +86,9 @@ class AgentConfig:
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if min(self.hidden, default=1) < 1:
             raise ValueError(f"hidden layer widths must be >= 1, got {self.hidden}")
-        if self.activation not in nncore.ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
         # the agent's schedule and noise check their own parameters
         self.epsilon_schedule()
-        OUNoise(1, self.ou_theta, self.ou_sigma, self.ou_mu, self.ou_dt)
+        OUNoise(1, self.ou_theta, self.ou_sigma, self.ou_dt)
 
     def epsilon_schedule(self) -> EpsilonSchedule:
         """The agent's schedule; a horizon of 0 decays over 1 episode."""
@@ -157,15 +152,11 @@ class PDQNAgent:
         self.config = config
         self.variant = variant
         # the Q-function's networks draw first, then the actor's
-        self.qf = QFunction.create(
-            variant, self._q_space(), config.hidden, rng, config.activation, config.leaky_slope
-        )
+        self.qf = QFunction.create(variant, self._q_space(), config.hidden, rng)
         self.qf_target = self.qf.copy()
         self.bounds = self.qf.space.bounds
         sd, dim = space.state_dim, len(self.bounds)
-        actor_net = DenseNet.create(
-            sd, config.hidden, dim, rng, config.activation, config.leaky_slope
-        )
+        actor_net = DenseNet.create(sd, config.hidden, dim, rng)
         self.actor = Actor(actor_net, self.bounds)
         self.actor_target = self.actor.copy()
         self.q_opt = AdamState.for_params([self.qf.flat], config.lr_q)
@@ -178,7 +169,7 @@ class PDQNAgent:
             bounds=self.bounds,
         )
         self.epsilon = config.epsilon_schedule()
-        self.noise = OUNoise(dim, config.ou_theta, config.ou_sigma, config.ou_mu, config.ou_dt)
+        self.noise = OUNoise(dim, config.ou_theta, config.ou_sigma, config.ou_dt)
 
     @property
     def algorithm(self) -> str:

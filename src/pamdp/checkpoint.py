@@ -31,6 +31,9 @@ HEADER_START = 16  # magic, version and header length come first
 # earlier writers of format v1 appended the actor's fixed passthrough map as
 # this pair; no agent applies one now, so the loader reads it only as zeros
 PASSTHROUGH = ("passthrough/weights", "passthrough/bias")
+# config keys of earlier writers that are constants now, with the one value
+# this version loads; their leaky_slope acted only with activation leaky_relu
+RETIRED_CONFIG = {"activation": "relu", "ou_mu": 0.0}
 
 
 def _net_arrays(prefix: str, net) -> list[tuple[str, np.ndarray]]:
@@ -185,7 +188,8 @@ def _payload_fault(name: str, values: np.ndarray) -> int | None:
 
 
 def _rebuild(header: dict, path):
-    """The agent the header describes, with its arrays still to be filled."""
+    """The agent the header describes, with its arrays still to be filled.
+    A retired config key of an earlier writer loads only at its constant."""
     field = "space"
     try:
         space = ActionSpaceSpec(
@@ -194,7 +198,13 @@ def _rebuild(header: dict, path):
             bounds=np.array(header["space"]["bounds"]),
         )
         field = "config"
-        config = AgentConfig(**header["config"])
+        config = dict(header["config"])
+        config.pop("leaky_slope", None)
+        for key, value in RETIRED_CONFIG.items():
+            if config.pop(key, value) != value:
+                raise ValueError(f"key {key!r} holds {header['config'][key]!r}; "
+                                 f"this version loads only {value!r}")
+        config = AgentConfig(**config)
         field = "algorithm"
         # placeholder weights and draws: the payload overwrites every array
         agent = make_agent(header["algorithm"], space, config, np.random.default_rng(0))

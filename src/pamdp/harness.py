@@ -55,7 +55,6 @@ class RunConfig(AgentConfig):
     eval_episodes: int = 1000
     max_episode_steps: int = 500
 
-    sweep_seeds: int = 5
     env_overrides: dict = field(default_factory=dict)
     grid: dict = field(default_factory=dict)
 
@@ -68,8 +67,6 @@ class RunConfig(AgentConfig):
             raise ValueError("episode counts out of range")
         if not self.seeds:
             raise ValueError("need at least one seed")
-        if self.sweep_seeds < 1:
-            raise ValueError("sweep_seeds must be positive")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         super().__post_init__()
         make_env(self.env, self.env_overrides)  # a bad env id or override fails here
@@ -122,7 +119,7 @@ _PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool,
 CONFIG_KEYS = {
     f.name: _PARSERS[f.type]
     for f in fields(RunConfig)
-    if f.name not in ("sweep_seeds", "env_overrides", "grid")
+    if f.name not in ("env_overrides", "grid")
 }
 PLATFORM_KEYS = {f.name: _PARSERS[f.type] for f in fields(PlatformConfig)}
 
@@ -157,9 +154,7 @@ def parse_config_text(text: str) -> RunConfig:
                 overrides[sub] = PLATFORM_KEYS[sub](raw)
             elif key.startswith("sweep."):
                 sub = key.removeprefix("sweep.")
-                if sub == "seeds":
-                    kwargs["sweep_seeds"] = int(raw)
-                elif sub in _SWEEPABLE:
+                if sub in _SWEEPABLE:
                     # a tuple-valued field's cells hold commas themselves
                     field_type = RunConfig.__dataclass_fields__[sub].type
                     cells = raw.split("|" if field_type.startswith("tuple") else ",")
@@ -418,18 +413,18 @@ def sweep_runs(cfg: RunConfig) -> tuple[list[tuple[str, RunConfig]], list[tuple[
     """The config's grid, one cell per key combination in sorted key order,
     as (cell name, run) pairs and rejected (cell name, reason) pairs.
 
-    A cell's run trains the first ``sweep_seeds`` seeds into a directory
-    named after the cell. Cells that break lr_actor <= lr_q or tau_actor <=
-    tau_q, the search space the defaults came from, are rejected. A cell
-    that builds no run raises, and so does a grid with no valid run.
+    A cell's run trains every configured seed into a directory named after
+    the cell. Cells that break lr_actor <= lr_q or tau_actor <= tau_q, the
+    search space the defaults came from, are rejected. A cell that builds
+    no run raises, and so does a grid with no valid run.
     """
     keys = sorted(cfg.grid)
     runs, rejected = [], []
     for combo in itertools.product(*(cfg.grid[k] for k in keys)):
         name = "_".join(f"{k}={_cell_value(v)}" for k, v in zip(keys, combo))
         try:
-            run = replace(cfg, seeds=cfg.seeds[: cfg.sweep_seeds], grid={},
-                          out_dir=os.path.join(cfg.out_dir, name), **dict(zip(keys, combo)))
+            run = replace(cfg, grid={}, out_dir=os.path.join(cfg.out_dir, name),
+                          **dict(zip(keys, combo)))
         except ValueError as exc:
             raise ValueError(f"sweep cell {name}: {exc}") from None
         if run.lr_actor > run.lr_q:

@@ -96,9 +96,8 @@ COL_QUANTUM = 8
 SMALL_GEMM = 100**3
 
 RELU = "relu"
-LEAKY_RELU = "leaky_relu"
 LINEAR = "linear"
-ACTIVATIONS = (RELU, LEAKY_RELU, LINEAR)
+ACTIVATIONS = (RELU, LINEAR)
 
 
 def he_init(fan_in: int, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
@@ -108,24 +107,18 @@ def he_init(fan_in: int, shape: tuple[int, ...], rng: np.random.Generator) -> np
     return rng.standard_normal(shape) * math.sqrt(2.0 / fan_in)
 
 
-def _activate(z: np.ndarray, kind: str, slope: float, out: np.ndarray):
+def _activate(z: np.ndarray, kind: str, out: np.ndarray):
     """Write act(z) into `out`."""
     if kind == RELU:
         np.maximum(z, 0.0, out=out)
-    elif kind == LEAKY_RELU:
-        np.multiply(z, slope, out=out)
-        np.putmask(out, z > 0.0, z)
     else:
         np.copyto(out, z)
 
 
-def _scale_by_activation_grad(delta: np.ndarray, z: np.ndarray, kind: str, slope: float):
-    """In place: delta *= act'(z), with subgradient 0 (relu) or `slope`
-    (leaky_relu) at exactly 0."""
+def _scale_by_activation_grad(delta: np.ndarray, z: np.ndarray, kind: str):
+    """In place: delta *= act'(z), with relu's subgradient 0 at exactly 0."""
     if kind == RELU:
         np.multiply(delta, z > 0.0, out=delta)
-    elif kind == LEAKY_RELU:
-        np.multiply(delta, np.where(z > 0.0, 1.0, slope), out=delta)
 
 
 @dataclass
@@ -135,7 +128,6 @@ class Layer:
     weights: np.ndarray
     biases: np.ndarray
     activation: str = LINEAR
-    slope: float = 0.01
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -379,7 +371,7 @@ class DenseNet:
         for part, a in zip(parts, params):
             part[...] = a
         self.layers = [
-            Layer(w, b, l.activation, l.slope) for l, w, b in zip(layers, parts[::2], parts[1::2])
+            Layer(w, b, l.activation) for l, w, b in zip(layers, parts[::2], parts[1::2])
         ]
         # per layer, its weights with its biases as one more row: [W; b]
         self._affine = _affine_views(flat, self.layout)
@@ -398,21 +390,18 @@ class DenseNet:
         hidden: tuple[int, ...],
         output_dim: int,
         rng: np.random.Generator,
-        activation: str = RELU,
-        slope: float = 0.01,
     ) -> "DenseNet":
-        """He-initialised weights, zero biases, `activation` on hidden layers."""
+        """He-initialised weights, zero biases, ReLU hidden layers."""
         dims = (input_dim, *hidden, output_dim)
         layers = []
         for i in range(len(dims) - 1):
             fan_in, fan_out = dims[i], dims[i + 1]
-            act = activation if i < len(dims) - 2 else LINEAR
+            act = RELU if i < len(dims) - 2 else LINEAR
             layers.append(
                 Layer(
                     weights=he_init(fan_in, (fan_in, fan_out), rng),
                     biases=np.zeros(fan_out),
                     activation=act,
-                    slope=slope,
                 )
             )
         return cls(layers)
@@ -464,8 +453,7 @@ def stacked(net: DenseNet, flat: np.ndarray) -> DenseNet:
     the bits of that network's own pass (see the module docstring).
     """
     parts = _views(flat, net.layout)
-    layers = [Layer(w, b, l.activation, l.slope)
-              for l, w, b in zip(net.layers, parts[::2], parts[1::2])]
+    layers = [Layer(w, b, l.activation) for l, w, b in zip(net.layers, parts[::2], parts[1::2])]
     return DenseNet(layers, flat, net._arrays)
 
 
@@ -521,7 +509,7 @@ def forward(net: DenseNet, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]
     inputs = [first, *views.inputs]
     for affine, layer, h in zip(net._affine, net.layers, views.hidden):
         np.matmul(x, affine, out=h.gemm)
-        _activate(h.z, layer.activation, layer.slope, h.a)
+        _activate(h.z, layer.activation, h.a)
         x = h.a
     np.matmul(x, net._affine[-1], out=views.gemm)
     out = views.out.copy()
@@ -574,7 +562,7 @@ def _layer_deltas(
             np.matmul(dz, _transposed(weights), out=dz_out)
         # on the whole rows, the extra column included: contiguous. a's
         # column of ones stays 1, as act'(1) is 1
-        _scale_by_activation_grad(delta, h.z_rows, layer.activation, layer.slope)
+        _scale_by_activation_grad(delta, h.z_rows, layer.activation)
         dz = dz_out
     if spend:
         arrays.generation += 1

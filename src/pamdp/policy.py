@@ -76,35 +76,28 @@ def invert_gradients(grad: np.ndarray, x: np.ndarray, bounds: np.ndarray) -> np.
 
 
 class OUNoise:
-    """Mean-reverting exploration noise shared across all parameter slots.
+    """Mean-reverting exploration noise shared across all parameter slots,
+    with mean 0.
 
-    n <- n + theta * (mu - n) * dt + sigma * sqrt(dt) * xi,  xi ~ N(0, I).
+    n <- n - theta * n * dt + sigma * sqrt(dt) * xi,  xi ~ N(0, I).
     """
 
-    def __init__(
-        self,
-        dim: int,
-        theta: float = 0.15,
-        sigma: float = 0.0001,
-        mu: float = 0.0,
-        dt: float = 1.0,
-    ):
+    def __init__(self, dim: int, theta: float = 0.15, sigma: float = 0.0001, dt: float = 1.0):
         if dim < 1 or theta < 0 or sigma < 0 or dt <= 0:
             raise ValueError("invalid OU parameters")
         self.dim = dim
         self.theta = theta
         self.sigma = sigma
-        self.mu = mu
         self.dt = dt
-        self.state = np.full(dim, mu, dtype=np.float64)
+        self.state = np.zeros(dim)
 
     def reset(self):
-        self.state = np.full(self.dim, self.mu, dtype=np.float64)
+        self.state = np.zeros(self.dim)
 
     def step(self, rng: np.random.Generator) -> np.ndarray:
         self.state = (
             self.state
-            + self.theta * (self.mu - self.state) * self.dt
+            - self.theta * self.state * self.dt
             + self.sigma * math.sqrt(self.dt) * rng.standard_normal(self.dim)
         )
         return self.state.copy()

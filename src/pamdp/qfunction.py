@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nncore import RELU, DenseNet, _views, float_rows, forward, input_gradient, stacked
+from .nncore import DenseNet, _views, float_rows, forward, input_gradient, stacked
 
 JOINT = "joint"
 MULTIPASS = "multipass"
@@ -179,22 +179,17 @@ class QFunction:
         space: ActionSpaceSpec,
         hidden: tuple[int, ...],
         rng: np.random.Generator,
-        activation: str = RELU,
-        slope: float = 0.01,
     ) -> "QFunction":
         s, m, k = space.state_dim, space.joint_dim, space.num_actions
         if variant == SEPARATE:
-            nets = [
-                DenseNet.create(s + mk, hidden, 1, rng, activation, slope)
-                for mk in space.param_dims
-            ]
+            nets = [DenseNet.create(s + mk, hidden, 1, rng) for mk in space.param_dims]
             # the K networks have the same widths and run one at a time, so
             # they share one set of working arrays (and so do their copies
             # and their stacks' arrays)
             for net in nets[1:]:
                 net._arrays = nets[0]._arrays
         else:  # joint and multipass share the K-output network; __init__ rejects the rest
-            nets = [DenseNet.create(s + m, hidden, k, rng, activation, slope)]
+            nets = [DenseNet.create(s + m, hidden, k, rng)]
         return cls(variant, space, nets)
 
     def copy(self) -> "QFunction":
@@ -238,8 +233,7 @@ class QFunction:
         Made at first use."""
         if self._stacks is None:
             self._stacks, first = [], 0
-            for _, group in itertools.groupby(self.nets, key=lambda net: (
-                    net.layout, [(l.activation, l.slope) for l in net.layers])):
+            for _, group in itertools.groupby(self.nets, key=lambda net: net.layout):
                 k = len(list(group))
                 last = first + k - 1
                 flat = self.flat[self._spans[first][0]:self._spans[last][1]].reshape(k, -1)

@@ -142,7 +142,7 @@ def relative_error(a, b):
 
 
 def kink_safe(net, batch, margin=1e-3):
-    """True when no pre-activation sits near a relu/leaky kink, so central
+    """True when no pre-activation sits near a relu kink, so central
     differences with h=1e-5 stay on one side of every corner."""
     _, cache = forward(net, batch)
     for layer, z in zip(net.layers, cache.preacts):
@@ -151,11 +151,11 @@ def kink_safe(net, batch, margin=1e-3):
     return True
 
 
-def make_safe_net(input_dim, hidden, output_dim, seed, activation="relu", batch=None):
+def make_safe_net(input_dim, hidden, output_dim, seed, batch=None):
     """Deterministically find a (net, batch) pair away from activation kinks."""
     for attempt in range(50):
         rng = np.random.default_rng(seed + 1000 * attempt)
-        net = DenseNet.create(input_dim, hidden, output_dim, rng, activation)
+        net = DenseNet.create(input_dim, hidden, output_dim, rng)
         b = rng.standard_normal((3, input_dim)) if batch is None else batch
         if kink_safe(net, b):
             return net, b

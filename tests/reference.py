@@ -12,13 +12,12 @@ import numpy as np
 
 
 class Net:
-    """A copy of a ``pamdp`` network: per layer ``act(x @ W + b)``, the
+    """A copy of a ``pamdp`` network: per layer ``relu(x @ W + b)``, the
     last layer linear."""
 
-    def __init__(self, net, activation: str, slope: float):
+    def __init__(self, net):
         self.W = [layer.weights.copy() for layer in net.layers]
         self.b = [layer.biases.copy() for layer in net.layers]
-        self.leak = {"relu": 0.0, "leaky_relu": slope}[activation]
 
     def params(self) -> list:
         return [p for pair in zip(self.W, self.b) for p in pair]
@@ -30,7 +29,7 @@ class Net:
             inputs.append(x)
             zs.append(x @ W + b)
             z = zs[-1]
-            x = z if i == len(self.W) - 1 else np.where(z > 0, z, self.leak * z)
+            x = z if i == len(self.W) - 1 else np.where(z > 0, z, 0.0)
         return x, (inputs, zs)
 
     def backward(self, cache, d):
@@ -40,7 +39,7 @@ class Net:
         grads = []
         for i in reversed(range(len(self.W))):
             if i < len(self.W) - 1:
-                d = d * np.where(zs[i] > 0, 1.0, self.leak)
+                d = d * np.where(zs[i] > 0, 1.0, 0.0)
             grads[:0] = [np.outer(inputs[i], d), d]
             d = self.W[i] @ d
         return grads, d
@@ -123,7 +122,7 @@ class Agent:
         self.cfg = cfg
         self.variant = "joint" if algorithm == "paddpg" else algorithm.removeprefix("pdqn-")
         self.q, self.q_target, self.actor, self.actor_target = (
-            [Net(net, cfg.activation, cfg.leaky_slope) for net in nets]
+            [Net(net) for net in nets]
             for nets in (agent.qf.nets, agent.qf_target.nets, [agent.actor.net],
                          [agent.actor_target.net]))
         self.q_opt = Optimizer(agent.q_opt, self.q)

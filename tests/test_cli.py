@@ -145,9 +145,9 @@ class TestSweepCommands:
     def test_sweep_and_report(self, tmp_path, capsys):
         conf = tmp_path / "sweep.conf"
         conf.write_text(
-            BANDIT_CFG
+            BANDIT_CFG.replace("seeds = 0,1", "seeds = 0")
             + f"out_dir = {tmp_path / 'sweep'}\n"
-            + "sweep.lr_q = 1e-2,1e-3\nsweep.seeds = 1\n"
+            + "sweep.lr_q = 1e-2,1e-3\n"
         )
         main(["sweep", "--config", str(conf)])
         assert (tmp_path / "sweep" / "sweep_results.csv").exists()
@@ -174,8 +174,7 @@ def test_count_below_its_least_value_rejected(argv, capsys):
     (["train", "--config", "missing.conf", "--seeds", ""], "--seeds: expected at least one seed"),
     (["train", "--config", "missing.conf", "--seeds", "a"], "--seeds: expected comma-separated"),
     (["train", "--config", "missing.conf"], "pamdp train: no such file or directory: missing.conf"),
-    (["train", "--config", str(CONFIGS / "platform_sweep.conf")],
-     "platform_sweep.conf: sets sweep.* keys; run its grid with pamdp sweep"),
+    (["train", "--config", "GRID"], "grid.conf: sets sweep.* keys; run its grid with pamdp sweep"),
     (["sweep", "--config", __file__], f"{__file__}: line 1: expected 'key = value'"),
     (["sweep", "--config", str(CONFIGS / "bandit_oracle.conf")],
      "bandit_oracle.conf: sets no sweep.* key, so there is no grid to sweep"),
@@ -183,8 +182,11 @@ def test_count_below_its_least_value_rejected(argv, capsys):
     (["sweep-report", "--dir", "missing"], "no such file or directory: missing/sweep_results.csv"),
 ], ids=["seeds-empty", "seeds-not-integers", "config", "train-a-grid", "not-a-config",
         "no-sweep-key", "checkpoint", "dir"])
-def test_bad_input_exits_with_a_message(argv, message, capsys):
+def test_bad_input_exits_with_a_message(argv, message, tmp_path, capsys):
+    # GRID names a one-cell bandit grid whose runs would train into tmp_path
+    grid = tmp_path / "grid.conf"
+    grid.write_text(BANDIT_CFG + f"out_dir = {tmp_path / 'grid'}\nsweep.lr_q = 1e-2\n")
     # argparse prints its message and exits 2; the others exit with theirs
     with pytest.raises(SystemExit) as stop:
-        main(argv)
+        main([str(grid) if arg == "GRID" else arg for arg in argv])
     assert message in f"{capsys.readouterr().err}{stop.value.code}"

@@ -80,7 +80,7 @@ class TestSummarize:
 
 # each parses as a float; only the config's finiteness check keeps it from training
 NON_FINITE = [("lr_q", "nan"), ("lr_actor", "inf"), ("clip_grad", "inf"), ("ou_sigma", "nan"),
-              ("ou_dt", "nan"), ("leaky_slope", "nan")]
+              ("ou_dt", "nan")]
 
 
 class TestConfigParsing:
@@ -96,7 +96,7 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="unknown config key"):
             parse_config_text("episodes = 5\nbogus_key = 1\n")
         # run fields that the sweep.* and platform.* keys set are no keys themselves
-        for key in ("sweep_seeds", "env_overrides", "grid"):
+        for key in ("env_overrides", "grid"):
             with pytest.raises(ValueError, match="unknown config key"):
                 parse_config_text(f"{key} = 2\n")
 
@@ -112,14 +112,11 @@ class TestConfigParsing:
         "tau_actor": ("0.05", 0.05),
         "clip_grad": ("3.5", 3.5),
         "hidden": ("16,8", (16, 8)),
-        "activation": ("leaky_relu", "leaky_relu"),
-        "leaky_slope": ("0.2", 0.2),
         "epsilon_start": ("0.9", 0.9),
         "epsilon_end": ("0.2", 0.2),
         "epsilon_horizon": ("33", 33),
         "ou_theta": ("0.3", 0.3),
         "ou_sigma": ("0.02", 0.02),
-        "ou_mu": ("0.1", 0.1),
         "ou_dt": ("0.5", 0.5),
         "mixed_targets": ("true", True),
         "beta_mix": ("0.6", 0.6),
@@ -176,6 +173,11 @@ class TestConfigParsing:
         ("sweep.gamma = 0.5", "unknown sweep key 'gamma'"),
         ("episodes = 6", "episodes is set again; line 1 set it"),
         ("sweep.hidden = 8|0", r"sweep cell hidden=0: hidden layer widths must be >= 1"),
+        # keys of earlier versions whose one value in use is now a constant
+        ("activation = relu", "unknown config key 'activation'"),
+        ("leaky_slope = 0.01", "unknown config key 'leaky_slope'"),
+        ("ou_mu = 0", "unknown config key 'ou_mu'"),
+        ("sweep.seeds = 5", "unknown sweep key 'seeds'"),
     ])
     def test_malformed_line_named(self, line, message):
         with pytest.raises(ValueError, match=f"^line 2: {message}"):
@@ -201,7 +203,6 @@ class TestConfigParsing:
         ("platform.enemy_speed = 0.5\n# the env\nenv = bandit\n", "line 3: bandit takes no overrides"),
         ("env = platform\nplatform.length = 50\n", "line 2: platforms must span"),
         ("episodes = 5\nhidden = 0\n", r"line 2: hidden layer widths must be >= 1, got \(0,\)"),
-        ("episodes = 5\nactivation = tanh\n", "line 2: unknown activation 'tanh'"),
         ("episodes = 5\nou_sigma = -1\n", "line 2: invalid OU parameters"),
         ("episodes = 5\nou_theta = -1\n", "line 2: invalid OU parameters"),
         ("episodes = 5\nou_dt = 0\n", "line 2: invalid OU parameters"),
@@ -215,7 +216,7 @@ class TestConfigParsing:
           for key, value in NON_FINITE),
     ], ids=["range", "cross-key", "cross-key-mended", "first-of-two", "bandit",
             "bandit-after-override", "platform-ending-past-length", "hidden-width-0",
-            "activation-tanh", "ou_sigma-negative", "ou_theta-negative", "ou_dt-0",
+            "ou_sigma-negative", "ou_theta-negative", "ou_dt-0",
             "key-set-twice", "sweep-cell-hidden-0", "sweep-every-cell-rejected", "unknown-env",
             *(f"{key}-{value}" for key, value in NON_FINITE)])
     def test_config_that_builds_nothing_names_its_line(self, text, message):
@@ -238,7 +239,7 @@ class TestConfigParsing:
 
     def test_sweep_grid_keys(self):
         cfg = parse_config_text(
-            "sweep.lr_q = 1e-2,1e-3\nsweep.hidden = 8|16,8\nsweep.seeds = 2\n"
+            "sweep.lr_q = 1e-2,1e-3\nsweep.hidden = 8|16,8\n"
             "sweep.algorithm = pdqn-joint, paddpg\n"
         )
         assert cfg.grid["lr_q"] == (0.01, 0.001)
@@ -246,7 +247,6 @@ class TestConfigParsing:
         # a string cell is stripped, in its value and in its cell's name
         assert cfg.grid["algorithm"] == ("pdqn-joint", "paddpg")
         assert cfg.runs[-1][0] == "algorithm=paddpg_hidden=16x8_lr_q=0.001"
-        assert cfg.sweep_seeds == 2
 
     def test_comparison_config_is_the_desk_config_over_every_algorithm(self):
         comparison = load_config(str(CONFIGS / "platform_comparison.conf"))
@@ -387,7 +387,7 @@ class TestReportedDefaults:
         assert cfg.hidden == (128,)
         assert cfg.eval_episodes == 1000
         assert (cfg.epsilon_start, cfg.epsilon_end) == (1.0, 0.01)
-        assert (cfg.ou_theta, cfg.ou_sigma, cfg.ou_mu) == (0.15, 0.0001, 0.0)
+        assert (cfg.ou_theta, cfg.ou_sigma) == (0.15, 0.0001)
 
     def test_epsilon_horizon_defaults_to_first_tenth(self):
         cfg = RunConfig(episodes=5000)
@@ -512,9 +512,8 @@ class TestCheckpointRoundTrip:
         header = json.loads(data[16 : 16 + hlen])
         assert sorted(header["config"]) == sorted([
             "gamma", "batch_size", "replay_capacity", "initial_fill", "lr_q", "lr_actor",
-            "tau_q", "tau_actor", "clip_grad", "hidden", "activation", "leaky_slope",
-            "epsilon_start", "epsilon_end", "epsilon_horizon", "ou_theta", "ou_sigma",
-            "ou_mu", "ou_dt", "mixed_targets", "beta_mix",
+            "tau_q", "tau_actor", "clip_grad", "hidden", "epsilon_start", "epsilon_end",
+            "epsilon_horizon", "ou_theta", "ou_sigma", "ou_dt", "mixed_targets", "beta_mix",
         ])
 
     @pytest.mark.parametrize("token, field", [
@@ -573,19 +572,56 @@ class TestCheckpointRoundTrip:
         assert np.signbit(loaded.q_opt.v[0][0]) and loaded.q_opt.v[0][0] == 0.0
 
     @staticmethod
-    def with_passthrough_pair(path, weights: np.ndarray, bias: np.ndarray):
+    def rewrite_header(path, edit, payload: bytes = b""):
+        """Rewrite a saved checkpoint with ``edit`` applied to its header
+        dict and ``payload`` appended to its payload."""
+        data = path.read_bytes()
+        hlen = int.from_bytes(data[8:16], "little")
+        header = json.loads(data[16 : 16 + hlen])
+        edit(header)
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(data[:8] + len(blob).to_bytes(8, "little") + blob + data[16 + hlen :]
+                         + payload)
+
+    @classmethod
+    def with_passthrough_pair(cls, path, weights: np.ndarray, bias: np.ndarray):
         """Rewrite a saved checkpoint as earlier writers of format v1 saved
         an actor with a fixed passthrough map: the pair last in the manifest
         and in the payload. With an all-zero pair this gives the bytes those
         writers saved for a Platform agent of the same weights."""
-        data = path.read_bytes()
-        hlen = int.from_bytes(data[8:16], "little")
-        header = json.loads(data[16 : 16 + hlen])
-        header["arrays"] += [{"name": "passthrough/weights", "shape": list(weights.shape)},
-                             {"name": "passthrough/bias", "shape": list(bias.shape)}]
-        blob = json.dumps(header, sort_keys=True).encode("utf-8")
-        path.write_bytes(data[:8] + len(blob).to_bytes(8, "little") + blob + data[16 + hlen :]
-                         + weights.astype("<f8").tobytes() + bias.astype("<f8").tobytes())
+        pair = [{"name": "passthrough/weights", "shape": list(weights.shape)},
+                {"name": "passthrough/bias", "shape": list(bias.shape)}]
+        cls.rewrite_header(path, lambda header: header["arrays"].extend(pair),
+                           weights.astype("<f8").tobytes() + bias.astype("<f8").tobytes())
+
+    # the config keys that earlier writers saved and this version fixes, at
+    # the values every earlier run used
+    RETIRED_KEYS = {"activation": "relu", "leaky_slope": 0.01, "ou_mu": 0.0}
+
+    @pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
+    def test_retired_config_keys_of_an_earlier_writer_load(self, tmp_path, algorithm):
+        """An earlier writer's header, with the retired keys at the values
+        every run used, loads to the saved config and arrays."""
+        agent = make_agent(algorithm, ActionSpaceSpec(2, (1, 1)), AgentConfig(hidden=(4,)),
+                           np.random.default_rng(3))
+        path = tmp_path / "agent.ckpt"
+        save_checkpoint(path, agent, "bandit", {})
+        self.rewrite_header(path, lambda header: header["config"].update(self.RETIRED_KEYS))
+        loaded, _ = load_checkpoint(path)
+        assert loaded.config == agent.config
+        for (name, a), (_, b) in zip(_agent_arrays(agent), _agent_arrays(loaded), strict=True):
+            assert np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("key, value", [("activation", "leaky_relu"), ("ou_mu", 0.1)])
+    def test_retired_config_key_off_its_constant_names_path_and_key(self, tmp_path, key, value):
+        """This version has no leaky ReLU and explores with mean-zero OU
+        noise, so a header asking for either cannot load."""
+        path = tmp_path / "agent.ckpt"
+        self.saved_checkpoint(path)
+        self.rewrite_header(
+            path, lambda header: header["config"].update(self.RETIRED_KEYS, **{key: value}))
+        message = self.load_error(path)
+        assert "header field 'config'" in message and f"key {key!r} holds {value!r}" in message
 
     @pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
     def test_zero_passthrough_pair_of_an_earlier_writer_loads(self, tmp_path, algorithm):
@@ -658,13 +694,13 @@ class TestCheckpointRoundTrip:
 
 class TestSweep:
     def test_constraint_violating_cells_rejected_with_reason(self, tmp_path):
-        cfg = bandit_cfg(tmp_path, sweep_seeds=1,
-                         grid={"lr_q": (1e-3,), "lr_actor": (1e-2, 1e-4)})
+        cfg = bandit_cfg(tmp_path, grid={"lr_q": (1e-3,), "lr_actor": (1e-2, 1e-4)})
         runs, rejected = sweep_runs(cfg)
         assert (runs, rejected) == (cfg.runs, cfg.rejected)
         ((name, run),) = runs
         assert name == "lr_actor=0.0001_lr_q=0.001"
-        assert run == replace(cfg, lr_q=1e-3, lr_actor=1e-4, seeds=(0,), grid={},
+        # a cell trains every configured seed
+        assert run == replace(cfg, lr_q=1e-3, lr_actor=1e-4, grid={},
                               out_dir=os.path.join(cfg.out_dir, name))
         assert rejected == [("lr_actor=0.01_lr_q=0.001", "lr_actor 0.01 > lr_q 0.001")]
 
@@ -677,7 +713,7 @@ class TestSweep:
                                       {"algorithm": ("pdqn-joint", "paddpg")}],
                              ids=["lr_q", "algorithm"])
     def test_sweep_cells_equal_direct_runs(self, tmp_path, grid):
-        cfg = bandit_cfg(tmp_path, seeds=(0, 1), sweep_seeds=2, grid=grid)
+        cfg = bandit_cfg(tmp_path, seeds=(0, 1), grid=grid)
         results = sweep(cfg)
         assert len(results) == len(cfg.runs)
         for row in results:
@@ -694,10 +730,6 @@ class TestSweep:
                     (Path(direct.out_dir) / name).read_bytes()
         report = harness.sweep_report(cfg.out_dir)
         assert [r["cell"] for r in report] == [r["cell"] for r in results]
-
-    def test_default_seeds_per_cell_is_five(self):
-        assert RunConfig().sweep_seeds == 5
-        assert len(RunConfig().seeds) == 5
 
 
 class TestLoadConfigFile:

@@ -84,15 +84,15 @@ class TestInvertGradients:
 
 class TestOUNoise:
     def test_deterministic_mean_reversion(self):
-        noise = OUNoise(1, theta=0.15, sigma=0.0, mu=0.0)
+        noise = OUNoise(1, theta=0.15, sigma=0.0)
         noise.state[:] = 1.0
         assert noise.step(np.random.default_rng(0))[0] == 0.85
 
     def test_reset_returns_to_mean(self):
-        noise = OUNoise(3, mu=0.25)
+        noise = OUNoise(3)
         noise.step(np.random.default_rng(1))
         noise.reset()
-        assert (noise.state == 0.25).all()
+        assert (noise.state == 0.0).all()
 
     def test_geometric_convergence_without_volatility(self):
         noise = OUNoise(1, theta=0.2, sigma=0.0)

@@ -66,15 +66,13 @@ def random_batch(rng, agent, rows, executed, terminal_share):
     param_dims=st.lists(st.integers(1, 3), min_size=1, max_size=4),
     state_dim=st.integers(1, 4),
     hidden=st.lists(st.integers(1, 9), max_size=2).map(tuple),
-    activation=st.sampled_from(["relu", "leaky_relu"]),
     rows=st.integers(1, 130),
     data=st.data(),
 )
-def test_update_matches_reference(algorithm, seed, param_dims, state_dim, hidden, activation,
-                                  rows, data):
+def test_update_matches_reference(algorithm, seed, param_dims, state_dim, hidden, rows, data):
     rng = np.random.default_rng(seed)
     config = dict(
-        hidden=hidden, activation=activation,
+        hidden=hidden,
         mixed_targets=data.draw(st.booleans(), "mixed targets"),
         clip_grad=data.draw(st.sampled_from([0.05, 1.0, 100.0]), "clip norm"),
         gamma=data.draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]), "gamma"),
