@@ -233,7 +233,8 @@ class QFunction:
         Made at first use."""
         if self._stacks is None:
             self._stacks, first = [], 0
-            for _, group in itertools.groupby(self.nets, key=lambda net: net.layout):
+            for _, group in itertools.groupby(self.nets, key=lambda net: (
+                    net.layout, [l.activation for l in net.layers])):
                 k = len(list(group))
                 last = first + k - 1
                 flat = self.flat[self._spans[first][0]:self._spans[last][1]].reshape(k, -1)

@@ -6,7 +6,7 @@ from pamdp.cli import main
 from pamdp.envs import make_env
 from pamdp.harness import build_agent, parse_config_text, read_csv, seed_stream
 from pamdp.qfunction import q_sensitivity_sweep
-from conftest import BANDIT_CFG, CONFIGS
+from conftest import BANDIT_CFG
 
 
 @pytest.fixture
@@ -174,19 +174,20 @@ def test_count_below_its_least_value_rejected(argv, capsys):
     (["train", "--config", "missing.conf", "--seeds", ""], "--seeds: expected at least one seed"),
     (["train", "--config", "missing.conf", "--seeds", "a"], "--seeds: expected comma-separated"),
     (["train", "--config", "missing.conf"], "pamdp train: no such file or directory: missing.conf"),
-    (["train", "--config", "GRID"], "grid.conf: sets sweep.* keys; run its grid with pamdp sweep"),
+    (["train", "--config", "GRID"], "GRID.conf: sets sweep.* keys; run its grid with pamdp sweep"),
     (["sweep", "--config", __file__], f"{__file__}: line 1: expected 'key = value'"),
-    (["sweep", "--config", str(CONFIGS / "bandit_oracle.conf")],
-     "bandit_oracle.conf: sets no sweep.* key, so there is no grid to sweep"),
+    (["sweep", "--config", "NOGRID"], "NOGRID.conf: sets no sweep.* key, so there is no grid to sweep"),
     (["eval", "--checkpoint", "missing.ckpt"], "pamdp eval: no such file or directory: missing.ckpt"),
     (["sweep-report", "--dir", "missing"], "no such file or directory: missing/sweep_results.csv"),
 ], ids=["seeds-empty", "seeds-not-integers", "config", "train-a-grid", "not-a-config",
         "no-sweep-key", "checkpoint", "dir"])
 def test_bad_input_exits_with_a_message(argv, message, tmp_path, capsys):
-    # GRID names a one-cell bandit grid whose runs would train into tmp_path
-    grid = tmp_path / "grid.conf"
-    grid.write_text(BANDIT_CFG + f"out_dir = {tmp_path / 'grid'}\nsweep.lr_q = 1e-2\n")
+    # GRID and NOGRID name bandit configs with a one-cell grid and without
+    # one; a command that ran them would write into tmp_path only
+    configs = {"GRID": "sweep.lr_q = 1e-2\n", "NOGRID": ""}
+    for name, grid in configs.items():
+        (tmp_path / f"{name}.conf").write_text(BANDIT_CFG + f"out_dir = {tmp_path / name}\n" + grid)
     # argparse prints its message and exits 2; the others exit with theirs
     with pytest.raises(SystemExit) as stop:
-        main([str(grid) if arg == "GRID" else arg for arg in argv])
+        main([str(tmp_path / f"{arg}.conf") if arg in configs else arg for arg in argv])
     assert message in f"{capsys.readouterr().err}{stop.value.code}"

@@ -198,6 +198,21 @@ class TestSeparate:
         assert grad.tobytes() == own_grad.tobytes()
         assert sum(shape[0] for shape in calls) == len(param_dims)
 
+    def test_networks_of_one_layout_and_other_activations_are_not_stacked(self):
+        """A stack runs every slice with its first network's activations, so
+        a network with a linear hidden layer runs apart from a ReLU network
+        of its layout, and each value is its own network's."""
+        space = ActionSpaceSpec(state_dim=2, param_dims=(1, 1))
+        rng = np.random.default_rng(28)
+        relu, other = (DenseNet.create(3, (4,), 1, rng) for _ in range(2))
+        linear = DenseNet([Layer(l.weights, l.biases) for l in other.layers])
+        qf = QFunction(SEPARATE, space, [relu, linear])
+        states, params = rng.standard_normal((5, 2)), rng.uniform(-1, 1, (5, 2))
+        q = qf.evaluate(states, params)
+        for i, net in enumerate((relu, linear)):
+            own, _ = forward(net, np.hstack([states, params[:, i:i + 1]]))
+            assert np.array_equal(q[:, i], own[:, 0])
+
     def test_parameter_count_exceeds_joint(self):
         space = ActionSpaceSpec(state_dim=9, param_dims=(1, 1, 1))
         joint = make_qf(JOINT, space, hidden=(128,), seed=14)
