@@ -15,13 +15,14 @@ import os
 
 import numpy as np
 
+from pamdp.cli import _at_least
 from pamdp.harness import csv_line, read_csv, smooth
 
 
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--dir", required=True)
-    parser.add_argument("--window", type=int, default=5000)
+    parser.add_argument("--window", type=_at_least(1), default=5000)
     parser.add_argument("--out", help="output CSV (default: <dir>/curves.csv)")
     args = parser.parse_args()
 
@@ -31,7 +32,9 @@ def main():
     seeds, curves = [], []
     for path in paths:
         rows = read_csv(path)
-        seeds.append(rows[0]["seed"] if rows else "?")
+        if not rows:  # the run failed in its first episode
+            raise SystemExit(f"{path} holds no episode")
+        seeds.append(rows[0]["seed"])
         curves.append(smooth([float(r["return"]) for r in rows], args.window))
     n = min(len(c) for c in curves)
     stacked = np.stack([c[:n] for c in curves])

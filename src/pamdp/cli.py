@@ -119,14 +119,15 @@ def _at_least(minimum: int):
 
 
 def _seed_list(text: str) -> tuple[int, ...]:
-    """An argparse type: a non-empty comma-separated list of integer seeds."""
+    """An argparse type: comma-separated seeds, checked as a config's are."""
     try:
         seeds = harness.CONFIG_KEYS["seeds"](text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not seeds:
-        raise argparse.ArgumentTypeError("expected at least one seed")
-    return seeds
+    try:
+        return harness.checked_seeds(seeds)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

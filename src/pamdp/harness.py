@@ -65,9 +65,7 @@ class RunConfig(AgentConfig):
             )
         if self.episodes < 0 or self.eval_episodes < 1 or self.max_episode_steps < 1:
             raise ValueError("episode counts out of range")
-        if not self.seeds:
-            raise ValueError("need at least one seed")
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "seeds", checked_seeds(self.seeds))
         super().__post_init__()
         make_env(self.env, self.env_overrides)  # a bad env id or override fails here
         # and so does a sweep cell that builds no run, not mid-sweep
@@ -185,6 +183,17 @@ def load_config(path: str) -> RunConfig:
 def seed_stream(seed: int) -> np.random.Generator:
     """The documented per-seed stream: PCG64 keyed by SeedSequence(seed)."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
+
+
+def checked_seeds(seeds) -> tuple[int, ...]:
+    """The seeds as ints; each names a run's stream and files, so none may
+    be negative (``SeedSequence`` rejects it) or repeated."""
+    seeds = tuple(int(s) for s in seeds)
+    if not seeds:
+        raise ValueError("expected at least one seed")
+    if min(seeds) < 0 or len(set(seeds)) < len(seeds):
+        raise ValueError(f"seeds must be non-negative and distinct, got {seeds}")
+    return seeds
 
 
 def build_agent(cfg: RunConfig, space, rng: np.random.Generator):

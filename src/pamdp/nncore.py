@@ -51,16 +51,16 @@ all K, would send the whole product through numpy's own loop, with other
 bits and times. ``TestStackedPass`` in the test suite is the guard.
 
 Forward and backward passes allocate nothing as large as a hidden layer:
-each network keeps its layers' pre-activations, activations and deltas in
-arrays it reuses from call to call (and shares with its copies and their
-stacks), grown to the largest batch and stack seen. Allocated per call, a
-384 x 128 float64 array of a multipass update lies above glibc's mmap
-threshold and would be mapped, faulted in and unmapped on every update. So
-a forward cache lives until the next forward of the same network or of a
-copy, the next taking of its input rows, or the next ``mark_updated`` of
-either; using it later raises. :func:`input_gradient`, which needs no
-parameter gradients, writes its deltas over the cached activations, so a
-stacked pass touches no delta arrays, and spends the cache too. ``forward``
+each network keeps its layers' pre-activations and activations in arrays
+it reuses from call to call (and shares with its copies and their stacks),
+grown to the largest batch and stack seen. Allocated per call, a 384 x 128
+float64 array of a multipass update lies above glibc's mmap threshold and
+would be mapped, faulted in and unmapped on every update. A gradient pass,
+:func:`backward` or :func:`input_gradient`, writes each hidden layer's
+deltas over its cached activations once they have given the layer's
+parameter gradients. So a forward cache serves one gradient pass, before
+the next forward of the same network or of a copy, taking of its input
+rows, or ``mark_updated`` of either; using it later raises. ``forward``
 returns a new array.
 
 A network's parameters ``[W0, b0, W1, b1, ...]`` live back to back in one
@@ -172,22 +172,20 @@ def _spans(shapes: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int, tuple[i
 class _Hidden(NamedTuple):
     """One hidden layer's views of its reusable arrays for a call on n rows.
 
-    The pre-activations z, the activations a and the deltas carry one more
-    column: z and a a column of ones, so that ``a @ [W; b]`` adds the next
-    layer's biases inside its GEMM (every activation maps 1 to 1), the
-    deltas a column that nothing reads. Elementwise steps run on the whole
-    rows, contiguous; the GEMMs write the first ``width`` columns. An input
-    gradient alone writes its deltas over a's first n rows instead.
+    The pre-activations z and the activations a carry a column of ones, so
+    that ``a @ [W; b]`` adds the next layer's biases inside its GEMM (every
+    activation maps 1 to 1). Elementwise steps run on the whole rows,
+    contiguous; the GEMMs write the first ``width`` columns. A gradient pass
+    writes the layer's deltas over a's first n rows, once the GEMM that
+    reads a has run.
     """
 
     gemm: np.ndarray  # padded rows of z without its ones: the GEMM output
     z: np.ndarray  # padded rows of z
     a: np.ndarray  # padded rows of a: the next GEMM's input
     z_rows: np.ndarray  # the first n rows of z
-    delta: np.ndarray  # the first n rows of the deltas
-    dz: np.ndarray  # the same without the extra column: the GEMMs' side
     a_rows: np.ndarray  # the first n rows of a
-    a_dz: np.ndarray  # the same without the ones
+    a_dz: np.ndarray  # the same without the ones: the deltas' GEMM side
 
 
 class _Views(NamedTuple):
@@ -200,7 +198,6 @@ class _Views(NamedTuple):
     out: np.ndarray  # their first n rows
     inputs: list  # the hidden layers' inputs, the cache's inputs after the batch's
     preacts: list  # the hidden layers' preacts
-    dzs: list  # the hidden layers' dz
 
 
 def padded_rows(n: int) -> int:
@@ -238,11 +235,11 @@ class _LayerArrays:
     reuse one memory, as passes of one network do. The arrays hold up to
     ``rows`` rows, a multiple of ``ROW_QUANTUM``, and grow to the largest
     row count and depth seen; a call on n rows works in leading-row views,
-    made once per lead and n. Every :meth:`input` (so every forward) and
-    every ``mark_updated`` of a network working here bumps ``generation``,
-    which outdates the caches of earlier forwards. The output layer keeps
-    only its GEMM output here: what ``forward`` returns is always a new
-    array.
+    made once per lead and n. Every :meth:`input` (so every forward), every
+    gradient pass and every ``mark_updated`` of a network working here
+    bumps ``generation``, which outdates the caches of earlier forwards.
+    The output layer keeps only its GEMM output here: what ``forward``
+    returns is always a new array.
     """
 
     def __init__(self, widths: list[int]):
@@ -255,7 +252,6 @@ class _LayerArrays:
         hidden = self.widths[:-1]
         self._z = [_with_ones((depth, rows, w + 1)) for w in hidden]
         self._a = [_with_ones((depth, rows, w + 1)) for w in hidden]
-        self._delta = [_mapped((depth, rows, w + 1)) for w in hidden]
         self._out = _mapped((depth, rows, self.widths[-1]))
         # batches with a column of ones, per input width: networks that
         # share these arrays can differ in it
@@ -278,13 +274,13 @@ class _LayerArrays:
             p, at = padded_rows(n), functools.partial(self._slices, lead=lead)
             hidden = [
                 _Hidden(z[..., :p, :-1], z[..., :p, :], a[..., :p, :], z[..., :n, :],
-                        d[..., :n, :], d[..., :n, :-1], a[..., :n, :], a[..., :n, :-1])
-                for z, a, d in zip(map(at, self._z), map(at, self._a), map(at, self._delta))
+                        a[..., :n, :], a[..., :n, :-1])
+                for z, a in zip(map(at, self._z), map(at, self._a))
             ]
             out = at(self._out)
             views = self._views[lead, n] = _Views(
                 hidden, out[..., :p, :], out[..., :n, :], [h.a_rows for h in hidden],
-                [h.z_rows[..., :-1] for h in hidden], [h.dz for h in hidden],
+                [h.z_rows[..., :-1] for h in hidden],
             )
         return views
 
@@ -338,8 +334,8 @@ class DenseNet:
     given view of a larger one that several networks share. The layers'
     working arrays, new or the given ``arrays`` of other networks, are
     reused from forward to forward and shared with :meth:`copy`, so a
-    forward cache goes stale at the next forward of this network or of a
-    network sharing them, and at the next :meth:`mark_updated` of either.
+    forward cache goes stale at its gradient pass, or at the next forward
+    or :meth:`mark_updated` of this network or of one sharing them.
 
     Layers whose weights carry a leading axis of K, over a (K, size)
     ``flat``, make a stack of K networks of one ``layout`` (see
@@ -459,11 +455,11 @@ def stacked(net: DenseNet, flat: np.ndarray) -> DenseNet:
 
 @dataclass
 class ForwardCache:
-    """Intermediate activations retained for one backward pass.
+    """Intermediate activations retained for one gradient pass.
 
     Every entry but the output is a view of the network's reusable arrays,
-    valid while they stay in the cache's ``generation`` (see ``DenseNet``).
-    """
+    valid while they stay in the cache's ``generation`` (see ``DenseNet``),
+    which its gradient pass ends, writing its deltas over them."""
 
     net_id: int
     generation: int
@@ -485,8 +481,8 @@ def forward(net: DenseNet, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]
     A row's output bits depend on the row alone, not on the batch around
     it, nor on the stack. The output is a new array; the hidden layers are
     computed in the network's reusable arrays, so the returned cache serves
-    backward passes only until the next forward of this network or of a
-    copy of it.
+    one gradient pass, made before the next forward of this network or of
+    a copy of it.
     """
     batch = np.asarray(batch, dtype=np.float64)
     arrays, lead = net._arrays, net.lead
@@ -524,24 +520,22 @@ def forward(net: DenseNet, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]
     return out, ForwardCache(id(net), generation, inputs, [*views.preacts, out])
 
 
-def _layer_deltas(
-    net: DenseNet, cache: ForwardCache, upstream: np.ndarray, input_start: int | None = 0,
-    spend: bool = False,
-) -> tuple[list[np.ndarray], np.ndarray | None]:
-    """Backpropagate `upstream` through the cached forward pass.
+def _backprop(
+    net: DenseNet, cache: ForwardCache, upstream: np.ndarray, input_start: int | None,
+    affine: list | None = None,
+) -> np.ndarray | None:
+    """Backpropagate `upstream` through the cached forward pass, spending it.
 
-    Returns ``(dz, input_grads)``: dz[i] is the gradient with respect to
-    layer i's pre-activation, input_grads the gradient with respect to the
-    batch's columns from ``input_start`` on, or None, and its GEMM skipped,
-    when ``input_start`` is None. A hidden layer's dz lives in the network's
-    reusable delta array, or with ``spend`` over the cached activations,
-    which only the parameter gradients read: the pass then touches no delta
-    array (a stacked pass would touch K of them), and the cache is spent.
-    """
+    Returns the gradient with respect to the batch's columns from
+    ``input_start`` on, or None, and its GEMM skipped, when ``input_start``
+    is None; writes the parameter gradients into ``affine``, per layer the
+    ``[W; b]`` view of a gradient buffer, if given. Each hidden layer's
+    deltas go over its cached input once its parameter gradients have read
+    it, so the pass touches no array of its own."""
     if cache.net_id != id(net):
         raise ValueError("cache does not belong to this network")
     if cache.generation != net._arrays.generation:
-        raise ValueError("stale cache: a later forward or update reused the network's arrays")
+        raise ValueError("stale cache: a later forward, update or gradient pass reused its arrays")
     # the output layer's dz: contiguous, as the GEMMs on it must take the
     # kernels a fresh array takes
     upstream = np.ascontiguousarray(upstream, dtype=np.float64)
@@ -551,24 +545,27 @@ def _layer_deltas(
         raise ValueError(f"upstream shape {upstream.shape}, expected "
                          f"{(*net.lead, n, net.output_dim)}")
 
-    views = arrays.views(n, net.lead)
-    hidden, dzs = views.hidden, [*views.dzs, upstream]
+    hidden = arrays.views(n, net.lead).hidden
     for i in range(len(hidden) - 1, -1, -1):
-        h, layer, weights = hidden[i], layers[i], layers[i + 1].weights
-        delta, dz_out = (h.a_rows, h.a_dz) if spend else (h.delta, h.dz)
+        h, weights = hidden[i], layers[i + 1].weights
+        # a layer's inputs carry a column of ones, so one GEMM gives its
+        # weight gradients and, in the last row, its bias gradients
+        if affine is not None:
+            np.matmul(h.a_rows.T, dz, out=affine[i + 1])
         if weights.shape[-1] == 1:
-            _width_one_backprop(dz, weights, arrays, dz_out)
+            _width_one_backprop(dz, weights, arrays, h.a_dz)
         else:
-            np.matmul(dz, _transposed(weights), out=dz_out)
-        # on the whole rows, the extra column included: contiguous. a's
-        # column of ones stays 1, as act'(1) is 1
-        _scale_by_activation_grad(delta, h.z_rows, layer.activation)
-        dz = dz_out
-    if spend:
-        arrays.generation += 1
+            np.matmul(dz, _transposed(weights), out=h.a_dz)
+        # on the whole rows, the ones included: contiguous. The column of
+        # ones stays 1, as act'(1) is 1
+        _scale_by_activation_grad(h.a_rows, h.z_rows, layers[i].activation)
+        dz = h.a_dz
+    if affine is not None:
+        np.matmul(cache.inputs[0].T, dz, out=affine[0])
+    arrays.generation += 1
     if input_start is None:
-        return dzs, None
-    return dzs, _input_columns(dz, layers[0].weights, input_start, arrays)
+        return None
+    return _input_columns(dz, layers[0].weights, input_start, arrays)
 
 
 def _input_columns(dz, weights, start: int, arrays: _LayerArrays) -> np.ndarray:
@@ -629,9 +626,8 @@ def backward(
     ``net.flat``: ``out`` if given, such as the network's
     :meth:`~DenseNet.gradient_buffer`, else a new one. The cache must come
     from a :func:`forward` call on this exact network with no parameter
-    updates in between.
+    update or other gradient pass in between: the pass spends it.
     """
-    dzs, input_grads = _layer_deltas(net, cache, upstream, 0 if input_grads else None)
     if net._grad is not None and out is net._grad[0]:
         _, affine, parts = net._grad
     else:
@@ -640,11 +636,7 @@ def backward(
         elif out.shape != net.flat.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
             raise ValueError(f"gradient buffer is not laid out as {net.layout}")
         affine, parts = _affine_views(out, net.layout), net.parts(out)
-    # a layer's inputs carry a column of ones, so one GEMM gives its weight
-    # gradients and, in the last row, its bias gradients
-    for a, dz, w in zip(cache.inputs, dzs, affine):
-        np.matmul(a.T, dz, out=w)
-    return parts, input_grads
+    return parts, _backprop(net, cache, upstream, 0 if input_grads else None, affine)
 
 
 def input_gradient(
@@ -653,9 +645,8 @@ def input_gradient(
     """Columns ``start:`` of ``backward(net, cache, upstream)[1]``, their
     bits, without the parameter gradients or, where the bits allow, the
     earlier columns: for the actor's value gradient, which reads the
-    action-parameter columns after the state. It spends the cache: a later
-    pass on it raises, as its activations hold the deltas."""
-    return _layer_deltas(net, cache, upstream, start, spend=True)[1]
+    action-parameter columns after the state. It spends the cache."""
+    return _backprop(net, cache, upstream, start)
 
 
 @dataclass

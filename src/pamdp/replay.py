@@ -181,9 +181,7 @@ def finalize_episode(buf: ReplayBuffer, transitions: list[Transition], agent, be
     Monte Carlo return, fixed here for the trajectory; updates mix it with
     ``beta_mix`` from the agent's config. ``beta`` must lie in [0, 1].
 
-    ``beta`` is only range-checked, yet kept: the acceptance tests pass it,
-    and ``scripts/update_ab.py`` makes this one call on both an older
-    revision of the package and the working tree.
+    ``beta`` is only range-checked, yet kept: the acceptance tests pass it.
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")

@@ -173,14 +173,18 @@ def test_count_below_its_least_value_rejected(argv, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["train", "--config", "missing.conf", "--seeds", ""], "--seeds: expected at least one seed"),
     (["train", "--config", "missing.conf", "--seeds", "a"], "--seeds: expected comma-separated"),
+    (["train", "--config", "missing.conf", "--seeds=-1"],
+     "--seeds: seeds must be non-negative and distinct, got (-1,)"),
+    (["train", "--config", "missing.conf", "--seeds=0,0"],
+     "--seeds: seeds must be non-negative and distinct, got (0, 0)"),
     (["train", "--config", "missing.conf"], "pamdp train: no such file or directory: missing.conf"),
     (["train", "--config", "GRID"], "GRID.conf: sets sweep.* keys; run its grid with pamdp sweep"),
     (["sweep", "--config", __file__], f"{__file__}: line 1: expected 'key = value'"),
     (["sweep", "--config", "NOGRID"], "NOGRID.conf: sets no sweep.* key, so there is no grid to sweep"),
     (["eval", "--checkpoint", "missing.ckpt"], "pamdp eval: no such file or directory: missing.ckpt"),
     (["sweep-report", "--dir", "missing"], "no such file or directory: missing/sweep_results.csv"),
-], ids=["seeds-empty", "seeds-not-integers", "config", "train-a-grid", "not-a-config",
-        "no-sweep-key", "checkpoint", "dir"])
+], ids=["seeds-empty", "seeds-not-integers", "seed-negative", "seed-repeated", "config",
+        "train-a-grid", "not-a-config", "no-sweep-key", "checkpoint", "dir"])
 def test_bad_input_exits_with_a_message(argv, message, tmp_path, capsys):
     # GRID and NOGRID name bandit configs with a one-cell grid and without
     # one; a command that ran them would write into tmp_path only

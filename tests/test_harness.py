@@ -207,6 +207,10 @@ class TestConfigParsing:
         ("episodes = 5\nou_theta = -1\n", "line 2: invalid OU parameters"),
         ("episodes = 5\nou_dt = 0\n", "line 2: invalid OU parameters"),
         ("gamma = 0.5\nepisodes = 5\ngamma = 0.7\n", "line 3: gamma is set again; line 1 set it"),
+        ("seeds = -1\nepisodes = 5\n",
+         r"line 1: seeds must be non-negative and distinct, got \(-1,\)"),
+        ("episodes = 5\nseeds = 0,1,0\n",
+         r"line 2: seeds must be non-negative and distinct, got \(0, 1, 0\)"),
         ("sweep.hidden = 8|0\nepisodes = 5\n", r"line 1: sweep cell hidden=0: hidden layer widths"),
         ("episodes = 5\nsweep.lr_actor = 1e-2\n",
          r"line 2: every sweep cell is rejected \(lr_actor=0.01: lr_actor 0.01 > lr_q 0.001\)"),
@@ -217,7 +221,8 @@ class TestConfigParsing:
     ], ids=["range", "cross-key", "cross-key-mended", "first-of-two", "bandit",
             "bandit-after-override", "platform-ending-past-length", "hidden-width-0",
             "ou_sigma-negative", "ou_theta-negative", "ou_dt-0",
-            "key-set-twice", "sweep-cell-hidden-0", "sweep-every-cell-rejected", "unknown-env",
+            "key-set-twice", "seed-negative", "seed-repeated", "sweep-cell-hidden-0",
+            "sweep-every-cell-rejected", "unknown-env",
             *(f"{key}-{value}" for key, value in NON_FINITE)])
     def test_config_that_builds_nothing_names_its_line(self, text, message):
         """The blamed line is the first after which the lines read so far

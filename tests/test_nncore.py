@@ -212,7 +212,7 @@ class TestBackward:
         upstream = np.random.default_rng(3).standard_normal((batch.shape[0], 3))
         _, cache = forward(net, batch)
         grads, input_grads = backward(net, cache, upstream)
-        input_only = input_gradient(net, cache, upstream)
+        input_only = input_gradient(net, forward(net, batch)[1], upstream)
         fd_inputs = fd_input_grads(net, batch, upstream)
         assert relative_error(input_grads, fd_inputs) < 1e-6
         assert relative_error(input_only, fd_inputs) < 1e-6
@@ -227,6 +227,7 @@ class TestBackward:
         upstream = np.random.default_rng(7).standard_normal((batch.shape[0], 3))
         _, cache = forward(net, batch)
         grads, _ = backward(net, cache, upstream)
+        _, cache = forward(net, batch)
         alone, input_grads = backward(net, cache, upstream, input_grads=False)
         assert input_grads is None
         assert all(np.array_equal(g, a) for g, a in zip(grads, alone))
@@ -248,6 +249,22 @@ class TestBackward:
         for grad_fn in (backward, input_gradient):
             with pytest.raises(ValueError, match="stale"):
                 grad_fn(net, cache, np.ones((batch.shape[0], 2)))
+
+    @pytest.mark.parametrize("kind", ["backward", "parameters", "input", "stack"])
+    def test_a_gradient_pass_spends_its_cache(self, kind):
+        """A cache serves one gradient pass, which writes its deltas over
+        the cached activations: a second pass on it raises."""
+        net, batch = make_safe_net(3, (4, 5), 2, seed=10)
+        upstream = np.ones((batch.shape[0], 2))
+        grad_fn = {"backward": backward, "input": input_gradient, "stack": input_gradient,
+                   "parameters": lambda *args: backward(*args, input_grads=False)}[kind]
+        if kind == "stack":
+            net = nncore.stacked(net, np.stack([net.flat, net.flat]))
+            batch, upstream = np.stack([batch, batch]), np.stack([upstream, upstream])
+        _, cache = forward(net, batch)
+        grad_fn(net, cache, upstream)
+        with pytest.raises(ValueError, match="stale"):
+            grad_fn(net, cache, upstream)
 
 
 class TestWidthOneLayers:
@@ -316,9 +333,8 @@ class TestInputColumns:
         for _ in range(20):
             net = DenseNet.create(fan_in, (width,), 3, rng)
             batch, upstream = rng.standard_normal((rows, fan_in)), rng.standard_normal((rows, 3))
-            _, cache = forward(net, batch)
-            whole = backward(net, cache, upstream)[1][:, start:]
-            part = input_gradient(net, cache, upstream, start)
+            whole = backward(net, forward(net, batch)[1], upstream)[1][:, start:]
+            part = input_gradient(net, forward(net, batch)[1], upstream, start)
             assert part.tobytes() == whole.tobytes()
 
 
@@ -380,9 +396,11 @@ def fresh_copy(net):
 
 def results_of(net, batch, upstream):
     """Everything a caller receives from forward, backward and
-    input_gradient on one batch."""
+    input_gradient on one batch, each pass on a forward of its own, and the
+    last forward's cache."""
     out, cache = forward(net, batch)
     grads, input_grads = backward(net, cache, upstream)
+    _, cache = forward(net, batch)
     return [out, input_grads, input_gradient(net, cache, upstream), *grads], cache
 
 
@@ -430,14 +448,16 @@ class TestReusedArrays:
     @pytest.mark.parametrize("later", ["same", "copy"])
     def test_later_forward_makes_cache_stale(self, later):
         net, batch = make_safe_net(3, (4, 5), 2, seed=6)
-        _, cache = forward(net, batch)
-        # a network with arrays of its own leaves the cache usable
-        forward(fresh_copy(net), batch)
-        backward(net, cache, np.ones((batch.shape[0], 2)))
-        forward(net if later == "same" else net.copy(), batch[:1])
+        upstream = np.ones((batch.shape[0], 2))
         for grad_fn in (backward, input_gradient):
+            _, cache = forward(net, batch)
+            # a network with arrays of its own leaves the cache usable
+            forward(fresh_copy(net), batch)
+            grad_fn(net, cache, upstream)
+            _, cache = forward(net, batch)
+            forward(net if later == "same" else net.copy(), batch[:1])
             with pytest.raises(ValueError, match="stale"):
-                grad_fn(net, cache, np.ones((batch.shape[0], 2)))
+                grad_fn(net, cache, upstream)
 
     def test_deep_copy_computes_like_the_original(self):
         net, batch = make_safe_net(3, (4, 5), 2, seed=8)
@@ -511,22 +531,24 @@ class TestFlatLayout:
         net, batch = make_safe_net(3, (4, 5), 2, seed=9)
         assert_back_to_back(held(net), net.flat)
         assert net.layout == tuple(p.shape for p in held(net))
-        _, cache = forward(net, batch)
         upstream = np.ones((batch.shape[0], 2))
-        grads, _ = backward(net, cache, upstream)
+        grads, _ = backward(net, forward(net, batch)[1], upstream)
         assert_back_to_back(grads)
         assert not any(np.shares_memory(g, net.flat) for g in grads)
         buffer = np.empty_like(net.flat)
-        into_buffer, _ = backward(net, cache, upstream, out=buffer)
+        into_buffer, _ = backward(net, forward(net, batch)[1], upstream, out=buffer)
         assert_back_to_back(into_buffer, buffer)
         assert all(np.array_equal(a, b) for a, b in zip(into_buffer, grads))
         plain = np.empty(net.flat.size)
-        assert all(np.array_equal(a, b)
-                   for a, b in zip(backward(net, cache, upstream, out=plain)[0], grads))
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(backward(net, forward(net, batch)[1], upstream, out=plain)[0], grads))
+        _, cache = forward(net, batch)
         for wrong in (np.empty(net.flat.size + 1), np.empty(net.flat.size, dtype=np.float32),
                       np.empty(2 * net.flat.size)[::2], np.empty_like(net.copy().flat)[:-1]):
             with pytest.raises(ValueError, match="laid out"):
                 backward(net, cache, upstream, out=wrong)
+        # a wrong buffer raises before the pass spends the cache
+        backward(net, cache, upstream, out=buffer)
 
     def test_writes_to_the_buffer_reach_the_layers(self):
         net, batch = make_safe_net(3, (4,), 2, seed=10)
